@@ -15,7 +15,7 @@ from .analysis import (
     vertex_stability,
 )
 from .degroot import ConsensusResult, appraisal_step_via_zeta, build_w, opinion_consensus
-from .dynamics import Trajectory, Vertex, alpha, df_map, df_step_dynamic, limit_gap, simulate
+from .dynamics import Trajectory, Vertex, alpha, df_map, limit_gap, simulate
 from .periodic import (
     PeriodicLimit,
     PeriodicProgram,

@@ -1,9 +1,11 @@
 """Opinion-pooling oracle for the power update.
 
 Builds the full influence matrix W = X + (I - X)C, iterates opinions to
-consensus, and extracts the consensus weight vector zeta.  Setting the
-next self-weights to zeta must reproduce the reduced map exactly, which
-makes this module an independent check on `dynamics`.
+consensus, and solves for the consensus weight vector zeta, the
+stationary vector of W.  Setting the next self-weights to zeta must
+reproduce the reduced map exactly; zeta is solved from W alone and never
+reads the eigenvector of C, which makes this module an independent check
+on `dynamics`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .dynamics import Vertex
 from .errors import NoConvergence, ValidationError
-from .topology import RelativeInteractionMatrix, _power_left
+from .topology import RelativeInteractionMatrix, stationary_vector
 
 DEFAULT_OPINION_TOL = 1e-12
 MAX_OPINION_ITERS = 1_000_000
@@ -44,8 +46,9 @@ def opinion_consensus(
 ) -> ConsensusResult:
     """Iterate y <- Wy until the opinion spread closes, and extract zeta.
 
-    zeta comes from power iteration on W^T rather than from the opinion
-    limit; the opinion iteration is kept as a semantic cross-check of
+    zeta is the stationary vector of W from a direct solve
+    (`stationary_vector`) rather than from the opinion limit; the opinion
+    iteration is kept as a semantic cross-check of
     consensus_value = zeta . y0.  A periodic W (e.g. x = 0 on a
     permutation-like matrix) never mixes and is reported as an error.
     """
@@ -59,7 +62,7 @@ def opinion_consensus(
         raise NoConvergence(
             "opinions did not reach consensus; W is not aperiodic", max_iters
         )
-    zeta, _ = _power_left(W, tol, max_iters, damping=1.0)
+    zeta = stationary_vector(W)
     value = float(y.mean())
     expected = float(zeta @ np.asarray(y0, dtype=float))
     if abs(value - expected) > 10 * tol * max(1.0, abs(expected)):
@@ -78,6 +81,4 @@ def appraisal_step_via_zeta(x, C: RelativeInteractionMatrix):
     """
     if isinstance(x, Vertex):
         return x
-    W = build_w(x, C)
-    zeta, _ = _power_left(W, 1e-14, MAX_OPINION_ITERS, damping=1.0)
-    return zeta
+    return stationary_vector(build_w(x, C))

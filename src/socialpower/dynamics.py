@@ -56,12 +56,6 @@ def df_map(x, gamma: np.ndarray):
     return scaled / scaled.sum()
 
 
-def df_step_dynamic(x, program: TopologyProgram, s: int):
-    """Apply the map of the matrix selected by the program at issue s."""
-    p = program.index_at(s)
-    return df_map(x, program.gammas()[p])
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Issue-indexed states with the per-issue eigenvector and signal used.
@@ -96,6 +90,10 @@ class Trajectory:
 
 
 def _check_init(x0: np.ndarray):
+    finite = np.isfinite(x0)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise ValidationError(f"initial condition entry {i + 1} = {x0[i]} is not finite")
     if np.any(x0 < 0) or np.any(x0 >= 1):
         raise ValidationError("initial condition requires 0 <= x_i < 1 for all i")
     if not np.any(x0 > 0):

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import STAR_GAMMA_TOL
 from .dynamics import Trajectory, df_map
 from .errors import ChainInconsistency, NoConvergence, PhaseMismatch, StarTopology
-from .topology import Periodic, TopologyProgram, dominant_left_eigenvector
+from .topology import Periodic, TopologyProgram
 
-STAR_GAMMA_TOL = 1e-9
 MAX_COMPOSITE_ITERS = 100_000
 
 
@@ -118,14 +118,12 @@ def verify_periodic_limit(
     period = len(limit.fixed_points)
     log = traj.signal_log
     pattern = np.where(np.arange(log.size) == 0, period - 1, (np.arange(log.size) - 1) % period)
-    ref = log[pattern == 0]
     # log must be a relabelling of the cyclic pattern: each cycle position
     # always selects the same matrix index.
     for pos in range(period):
         vals = log[pattern == pos]
         if vals.size and not np.all(vals == vals[0]):
             raise PhaseMismatch("signal log is not periodic with the expected period")
-    del ref
     worst = 0.0
     for s in range(max(burn_in, 1), traj.states.shape[0]):
         phase = (s - 2) % period
@@ -141,7 +139,7 @@ def same_gamma_class(program: TopologyProgram, tol: float = 1e-9):
     are within `tol` (the switching limit is then the stationary fixed
     point of that eigenvector), otherwise None.
     """
-    gammas = [dominant_left_eigenvector(m) for m in program.matrices]
+    gammas = program.gammas()
     base = gammas[0]
     for g in gammas[1:]:
         if np.abs(g - base).sum() > tol:

@@ -2,7 +2,8 @@
 
 An interaction matrix is row-stochastic with zero diagonal and an
 irreducible support graph.  Its dominant left eigenvector encodes
-eigenvector centrality of trust and drives the social power map.
+eigenvector centrality of trust and drives the social power map; it is
+solved for once, when the matrix is validated, and stored on it.
 """
 
 from __future__ import annotations
@@ -29,17 +30,50 @@ STRUCTURAL_ZERO = 1e-15
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_EIG_TOL = 1e-12
-MAX_POWER_ITERS = 100_000
+
+
+def stationary_vector(matrix: np.ndarray) -> np.ndarray:
+    """Positive left fixed vector v = vM of a row-stochastic matrix, sum 1.
+
+    Solves v(I - M) = 0 with its last equation replaced by sum(v) = 1.
+    The solution is accepted only when the residual ||vM - v||_1 is at
+    most DEFAULT_EIG_TOL and every entry is positive, which holds for an
+    irreducible M; otherwise NoConvergence names the residual.
+    """
+    n = matrix.shape[0]
+    system = np.eye(n) - matrix.T
+    system[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"stationary vector: singular system ({exc})") from exc
+    residual = float(np.abs(v @ matrix - v).sum())
+    if not (residual <= DEFAULT_EIG_TOL and np.all(v > 0)):
+        raise NoConvergence(
+            f"stationary vector rejected: residual {residual:.3e} "
+            f"(tol {DEFAULT_EIG_TOL:.0e}), min entry {v.min():.3e}"
+        )
+    return v
 
 
 @dataclass(frozen=True)
 class RelativeInteractionMatrix:
-    """Validated row-stochastic, zero-diagonal, irreducible matrix."""
+    """Validated row-stochastic, zero-diagonal, irreducible matrix.
+
+    `gamma`, its dominant left eigenvector, is solved for on construction
+    and stored read-only, like `entries`.
+    """
 
     entries: np.ndarray
+    gamma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+        gamma = stationary_vector(self.entries)
+        gamma.setflags(write=False)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def n(self) -> int:
@@ -55,10 +89,15 @@ class StarClassification:
 def validate(matrix) -> RelativeInteractionMatrix:
     """Check all structural invariants, raising on the first violation.
 
-    Violations are reported in a fixed order: dimension, negative entries,
-    diagonal, row sums, irreducibility.
+    Violations are reported in a fixed order: non-finite entries,
+    dimension, negative entries, diagonal, row sums, irreducibility.
     """
     entries = np.array(matrix, dtype=float)
+    finite = np.isfinite(entries)
+    if not np.all(finite):
+        idx = np.argwhere(~finite)[0]
+        where = ",".join(str(i + 1) for i in idx)
+        raise ValidationError(f"entry ({where}) = {entries[tuple(idx)]} is not finite")
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionTooSmall(f"expected a square matrix, got shape {entries.shape}")
     n = entries.shape[0]
@@ -93,18 +132,15 @@ def is_irreducible(matrix) -> bool:
     transpose.
     """
     support = _support(np.asarray(matrix, dtype=float))
-    n = support.shape[0]
 
     def reaches_all(adj):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in np.flatnonzero(adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
+        # breadth-first search, one array step per level
+        seen = np.zeros(support.shape[0], dtype=bool)
+        frontier = seen.copy()
+        frontier[0] = True
+        while frontier.any():
+            seen |= frontier
+            frontier = adj[frontier].any(axis=0) & ~seen
         return bool(seen.all())
 
     return reaches_all(support) and reaches_all(support.T)
@@ -121,39 +157,16 @@ def classify_star(matrix: RelativeInteractionMatrix) -> StarClassification:
     return StarClassification(False, None)
 
 
-def _power_left(matrix: np.ndarray, tol: float, max_iters: int, damping: float) -> tuple[np.ndarray, int]:
-    """Sum-normalized left power iteration x^T <- (1-theta) x^T + theta x^T M."""
-    n = matrix.shape[0]
-    x = np.full(n, 1.0 / n)
-    for it in range(1, max_iters + 1):
-        x_new = (1.0 - damping) * x + damping * (x @ matrix)
-        x_new /= x_new.sum()
-        if np.abs(x_new @ matrix - x_new).sum() <= tol:
-            return x_new, it
-        x = x_new
-    raise NoConvergence(f"left power iteration did not reach tol={tol}", max_iters)
-
-
-def dominant_left_eigenvector(
-    matrix: RelativeInteractionMatrix | np.ndarray,
-    tol: float = DEFAULT_EIG_TOL,
-    max_iters: int = MAX_POWER_ITERS,
-) -> np.ndarray:
+def dominant_left_eigenvector(matrix: RelativeInteractionMatrix | np.ndarray) -> np.ndarray:
     """Unique positive left eigenvector at eigenvalue 1, normalized to sum 1.
 
-    Plain power iteration first; on a no-convergence signal (period-2
-    spectral oscillation of bipartite-like supports) retry once with
-    damping 0.5, which shifts the offending eigenvalue without moving the
-    fixed vector.
+    For a validated matrix this returns the vector solved once when the
+    matrix was built; a raw row-stochastic array is solved directly with
+    `stationary_vector`.
     """
-    entries = matrix.entries if isinstance(matrix, RelativeInteractionMatrix) else np.asarray(matrix, dtype=float)
-    try:
-        gamma, _ = _power_left(entries, tol, min(5000, max_iters), damping=1.0)
-    except NoConvergence:
-        gamma, _ = _power_left(entries, tol, max_iters, damping=0.5)
-    if np.any(gamma <= 0):
-        raise NoConvergence("power iteration produced a nonpositive entry")
-    return gamma
+    if isinstance(matrix, RelativeInteractionMatrix):
+        return matrix.gamma
+    return stationary_vector(np.asarray(matrix, dtype=float))
 
 
 def max_gamma_profile(program) -> np.ndarray:
@@ -161,8 +174,7 @@ def max_gamma_profile(program) -> np.ndarray:
     matrices = program.matrices if isinstance(program, TopologyProgram) else list(program)
     if not matrices:
         raise ValidationError("empty matrix set")
-    gammas = [dominant_left_eigenvector(m) for m in matrices]
-    return np.max(np.vstack(gammas), axis=0)
+    return np.max(np.vstack([m.gamma for m in matrices]), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +248,6 @@ class TopologyProgram:
 
     matrices: tuple
     signal: object
-    _gammas: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.matrices) == 0:
@@ -253,15 +264,10 @@ class TopologyProgram:
         return self.matrices[0].n
 
     def gammas(self) -> list:
-        if not self._gammas:
-            self._gammas.extend(dominant_left_eigenvector(m) for m in self.matrices)
-        return list(self._gammas)
+        return [m.gamma for m in self.matrices]
 
     def realize(self, issues: int) -> np.ndarray:
         return self.signal.realize(issues, len(self.matrices))
-
-    def index_at(self, s: int) -> int:
-        return int(self.realize(s + 1)[-1])
 
 
 # ---------------------------------------------------------------------------

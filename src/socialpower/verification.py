@@ -13,7 +13,7 @@ import numpy as np
 from .analysis import contraction_radii, jacobian, transform_chain
 from .degroot import appraisal_step_via_zeta
 from .dynamics import df_map
-from .topology import RelativeInteractionMatrix, dominant_left_eigenvector
+from .topology import RelativeInteractionMatrix
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000) 
 
 
 def check_oracle_equivalence(matrix: RelativeInteractionMatrix, rng, samples: int = 1000) -> CheckResult:
-    gamma = dominant_left_eigenvector(matrix)
+    gamma = matrix.gamma
     worst = 0.0
     for x in sample_interior(matrix.n, rng, samples):
         gap = np.abs(appraisal_step_via_zeta(x, matrix) - df_map(x, gamma)).sum()
@@ -105,7 +105,7 @@ def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckRes
 
 def run_suite(matrix: RelativeInteractionMatrix, samples: int, seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    gamma = dominant_left_eigenvector(matrix)
+    gamma = matrix.gamma
     return [
         check_jacobian_fd(gamma, rng, min(samples, 200)),
         check_contraction_certificates(gamma, rng, samples),

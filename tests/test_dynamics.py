@@ -7,7 +7,6 @@ from socialpower.dynamics import (
     Vertex,
     alpha,
     df_map,
-    df_step_dynamic,
     limit_gap,
     simulate,
 )
@@ -100,7 +99,7 @@ class TestDynamicStep:
         )
         x = np.full(6, 1 / 6)
         gamma = dominant_left_eigenvector(program.matrices[1])
-        assert np.allclose(df_step_dynamic(x, program, 0), df_map(x, gamma))
+        assert np.array_equal(simulate(program, x, issues=1).states[1], df_map(x, gamma))
 
     def test_scripted_selection(self):
         program = TopologyProgram(
@@ -108,13 +107,16 @@ class TestDynamicStep:
         )
         x = np.full(6, 1 / 6)
         gamma1 = dominant_left_eigenvector(program.matrices[1])
-        assert np.abs(df_step_dynamic(x, program, 0) - gamma1).max() <= 1e-14
+        step = simulate(program, x, issues=1).states[1]
+        assert np.array_equal(step, df_map(x, gamma1))
+        assert np.abs(step - gamma1).max() <= 1e-14
 
     def test_random_signal_reproducible(self):
         x = np.array([0.3, 0.2, 0.1, 0.1, 0.1, 0.1])
-        a = df_step_dynamic(x, switching_program_6(seed=5), 7)
-        b = df_step_dynamic(x, switching_program_6(seed=5), 7)
-        assert np.array_equal(a, b)
+        a = simulate(switching_program_6(seed=5), x, issues=8)
+        b = simulate(switching_program_6(seed=5), x, issues=8)
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.signal_log, b.signal_log)
 
 
 class TestSimulate:
@@ -144,6 +146,11 @@ class TestSimulate:
             simulate(program, np.zeros(6), issues=5)
         with pytest.raises(errors.ValidationError):
             simulate(program, np.array([1.0, 0.2, 0, 0, 0, 0]), issues=5)
+
+    def test_non_finite_init_rejected(self):
+        program = switching_program_6(seed=1)
+        with pytest.raises(errors.ValidationError, match="entry 2 = nan"):
+            simulate(program, np.array([0.5, np.nan, 0.1, 0.1, 0.1, 0.1]), issues=5)
 
     def test_shared_signal_log(self):
         program = switching_program_6(seed=20170825)

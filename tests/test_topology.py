@@ -64,6 +64,14 @@ class TestValidate:
         with pytest.raises(errors.RowSumError):
             validate(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_rejected_first(self, value):
+        # a NaN passes every comparison-based check, so it is caught first
+        bad = STAR3.copy()
+        bad[1, 2] = value
+        with pytest.raises(errors.ValidationError, match=r"entry \(2,3\) = (nan|inf)"):
+            validate(bad)
+
 
 class TestIrreducibility:
     def test_cycle_irreducible(self):
@@ -121,10 +129,17 @@ class TestDominantLeftEigenvector:
 
     def test_residual_positivity_contract(self):
         for m in interaction_set_6():
-            gamma = dominant_left_eigenvector(validate(m), tol=1e-12)
+            gamma = dominant_left_eigenvector(validate(m))
             assert np.abs(gamma @ m - gamma).sum() <= 1e-12
             assert gamma.min() > 0
             assert abs(gamma.sum() - 1) <= 1e-12
+
+    def test_solved_once_and_stored_on_the_matrix(self):
+        program = TopologyProgram(tuple(validate(m) for m in interaction_set_6()), Constant(0))
+        for k, m in enumerate(program.matrices):
+            assert dominant_left_eigenvector(m) is m.gamma
+            assert program.gammas()[k] is m.gamma
+            assert not m.gamma.flags.writeable
 
     def test_bipartite_support_uses_damping(self):
         # period-2 support pattern whose eigenvector is not uniform
