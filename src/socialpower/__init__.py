@@ -6,6 +6,7 @@ from .analysis import (
     Tolerances,
     VertexClassification,
     VertexStability,
+    contraction_margin,
     contraction_radii,
     convergence_rate,
     equilibrium_upper_bound,

@@ -1,10 +1,13 @@
 """Executable contraction machinery: Jacobians, the transform chain,
-certificates, radii, equilibrium bounds, rates, and vertex stability.
+certificates, radii, equilibrium bounds, rates, vertex stability and the
+interior equilibrium.
 
 The transformed Jacobian H = Theta * Phi has induced 1-norm strictly
 below 1 on interior states, which is what forces exponential convergence
-of trajectory differences; `transform_chain` evaluates and certifies
-this at a concrete state.
+of trajectory differences; `transform_chain` builds and certifies H at a
+concrete state, and `contraction_margin` gives 1 - ||H||_1 for a whole
+batch of states in closed form.  `fixed_point` solves the equilibrium
+relation x_i (1 - x_i) = c gamma_i as one scalar equation.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ class Tolerances:
     structure: float = 1e-10        # row/column sums, trace
     psd: float = 1e-10              # eigenvalue nonnegativity slack
     imag: float = 1e-9              # allowed imaginary part of H eigenvalues
-    fixed_point: float = 1e-13      # iteration stop for fixed points
-    max_issues: int = 10_000
+    fixed_point: float = 1e-13      # accepted fixed-point residual ||F(x) - x||_1
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -52,11 +54,6 @@ class ContractionReport:
     h_eigs: np.ndarray
     certified: bool
     tolerances: Tolerances = field(default=DEFAULT_TOLERANCES)
-
-    @property
-    def margin(self) -> float:
-        """Measured contraction margin 1 - ||H||_1."""
-        return 1.0 - self.h_one_norm
 
 
 def _require_interior(x: np.ndarray, tol: Tolerances):
@@ -106,6 +103,33 @@ def transform_chain(x_next: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERAN
         certified=h_one_norm < 1.0,
         tolerances=tolerances,
     )
+
+
+def contraction_margin(states: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Margin 1 - ||H||_1 at each post-update state (row) of `states`,
+    in closed form: O(n) per state, without building H.
+
+    With r_i = x_i/(1 - x_i), column j of H leaves the margin
+    sum_{i != j} r_i ((1 - x_j) - x_i), a sum of nonnegative terms.  The
+    largest entry k is kept out of the shared sums S = sum_{i != k} r_i
+    and Q = sum_{i != k} r_i x_i, so nothing cancels near a vertex, where
+    r_k is huge: column j != k gives
+    r_k ((1 - x_k) - x_j) + (1 - x_j)(S - r_j) - (Q - r_j x_j), and
+    column k sums its own terms.
+    """
+    x = np.asarray(states, dtype=float)
+    _require_interior(x, tolerances)
+    k = np.argmax(x, axis=-1)[..., None]
+    x_k = np.take_along_axis(x, k, axis=-1)
+    r = x / (1.0 - x)
+    r_k = np.take_along_axis(r, k, axis=-1)
+    np.put_along_axis(r, k, 0.0, axis=-1)  # from here r_k is out of r
+    s = r.sum(axis=-1, keepdims=True)
+    q = (r * x).sum(axis=-1, keepdims=True)
+    margins = r_k * ((1.0 - x_k) - x) + (1.0 - x) * (s - r) - (q - r * x)
+    own = (r * ((1.0 - x_k) - x)).sum(axis=-1, keepdims=True)
+    np.put_along_axis(margins, k, own, axis=-1)
+    return margins.min(axis=-1)
 
 
 def contraction_radii(gamma: np.ndarray) -> np.ndarray:
@@ -166,23 +190,46 @@ def vertex_stability(gamma: np.ndarray, i: int) -> VertexClassification:
     return VertexClassification(VertexStability.UNSTABLE, eig)
 
 
-def fixed_point(
-    gamma: np.ndarray,
-    tol: float = DEFAULT_TOLERANCES.fixed_point,
-    max_issues: int = DEFAULT_TOLERANCES.max_issues,
-) -> np.ndarray:
+def fixed_point(gamma: np.ndarray) -> np.ndarray:
     """Unique interior equilibrium for a non-star eigenvector.
 
-    Iterates the map from the uniform vector; exponential convergence
-    makes the 1e-13 default reachable quickly away from star topologies.
+    The equilibrium satisfies x_i (1 - x_i) = c gamma_i (Jia,
+    Mirtabatabaei, Friedkin & Bullo, SIAM Review 2015).  With
+    k = argmax gamma, u = x_k and rho = gamma/gamma_k, every other entry
+    is x_i = (1 - sqrt(D_i))/2 with D_i = 1 - 4u(1 - u)rho_i >= (1 - 2u)^2,
+    so sum(x) - 1 is a function of u alone: negative below its root in
+    (0, 1) and positive above.  Newton on u runs inside a shrinking
+    bracket, bisecting whenever a step leaves it, until the next iterate
+    repeats u or a bracket end.  x is accepted only if its residual
+    ||F(x) - x||_1 is at most `Tolerances.fixed_point`.
     """
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma >= 0.5 - STAR_GAMMA_TOL):
         raise StarTopology("no interior fixed point for a star topology")
-    x = np.full(gamma.size, 1.0 / gamma.size)
-    for _ in range(max_issues):
-        x_new = df_map(x, gamma)
-        if np.abs(x_new - x).sum() < tol:
-            return x_new
-        x = x_new
-    raise NoConvergence(f"fixed point not reached within {max_issues} issues", max_issues)
+    k = int(np.argmax(gamma))
+    rho = np.delete(gamma, k) / gamma[k]
+    lo, hi = 0.0, 1.0
+    u = gamma[k] / (1.0 - gamma[k])
+    while True:
+        # D_i as a sum of nonnegative terms, and x_i in a form where a
+        # small entry does not cancel
+        p = u * (1.0 - u)
+        root = np.sqrt((1.0 - 2.0 * u) ** 2 + 4.0 * p * (1.0 - rho))
+        x = 2.0 * p * rho / (1.0 + root)
+        f = u + x.sum() - 1.0
+        lo, hi = (u, hi) if f < 0 else (lo, u)
+        # a tie rho_i = 1 at u = 1/2 makes the slope 0/0: the NaN step bisects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = u - f / (1.0 + np.sum(rho * (1.0 - 2.0 * u) / root))
+        if nxt != u and not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt in (lo, hi, u):
+            break
+        u = nxt
+    x = np.insert(x, k, u)
+    residual = float(np.abs(df_map(x, gamma) - x).sum())
+    if not residual <= DEFAULT_TOLERANCES.fixed_point:
+        raise NoConvergence(
+            f"fixed point residual {residual:.3e} above {DEFAULT_TOLERANCES.fixed_point:.0e}"
+        )
+    return x

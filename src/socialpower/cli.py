@@ -46,6 +46,12 @@ def _load_config(path) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _require(cfg: dict, key: str, path):
+    if key not in cfg:
+        raise ParseError(f"{path}: missing required key {key!r}")
+    return cfg[key]
+
+
 def _parse_init(spec, n):
     if isinstance(spec, str):
         if spec.startswith("vertex:"):
@@ -82,7 +88,8 @@ def _write_report(doc: dict, path: Path) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     cfg_dir = Path(args.config).parent
-    program = load_program(cfg_dir / cfg["program"])
+    program = load_program(cfg_dir / _require(cfg, "program", args.config))
+    inits = _require(cfg, "initial_conditions", args.config)
     issues = int(args.issues or cfg.get("issues", 100))
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is not None and isinstance(program.signal, RandomUniform):
@@ -93,7 +100,7 @@ def cmd_simulate(args) -> int:
     # meaningful when every run sees the identical switching sequence.
     log = program.realize(issues)
     names, trajs = [], []
-    for name, spec in cfg["initial_conditions"].items():
+    for name, spec in inits.items():
         traj = simulate(program, _parse_init(spec, program.n), issues, signal_log=log)
         traj.to_csv(out / f"run_{name}.csv")
         names.append(name)
@@ -108,10 +115,10 @@ def cmd_simulate(args) -> int:
     for traj in trajs:
         settled = traj.states[burn_in + 1:]
         violations += int(np.sum(np.any(settled > bounds + 1e-9, axis=1)))
-        for s in range(1, traj.states.shape[0]):
-            if np.all(traj.states[s] > 0):
-                rep = analysis.transform_chain(traj.states[s])
-                min_margin = min(min_margin, rep.margin)
+        post = traj.states[1:]
+        interior = post[np.all(post > 0, axis=1)]
+        if interior.size:
+            min_margin = min(min_margin, float(analysis.contraction_margin(interior).min()))
 
     report = {
         "issues": issues,
@@ -177,7 +184,7 @@ def cmd_analyze(args) -> int:
 def cmd_periodic(args) -> int:
     cfg = _load_config(args.config)
     cfg_dir = Path(args.config).parent
-    program = load_program(cfg_dir / cfg["program"])
+    program = load_program(cfg_dir / _require(cfg, "program", args.config))
     if not isinstance(program.signal, Periodic):
         raise ValidationError("periodic command requires a periodic signal")
     pprog = periodic.PeriodicProgram.from_program(program)
@@ -301,7 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, KeyError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SocialPowerError as exc:

@@ -58,14 +58,13 @@ def df_map(x, gamma: np.ndarray):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Issue-indexed states with the per-issue eigenvector and signal used.
+    """Issue-indexed states with the signal used.
 
-    states[s+1] equals the map of states[s] under gamma applied_gamma[s];
-    signal_log[s] is the 0-based matrix index sigma(s).
+    signal_log[s] is the 0-based matrix index sigma(s); states[s+1] equals
+    the map of states[s] under that matrix's eigenvector.
     """
 
     states: np.ndarray          # (S+1, n)
-    applied_gamma: np.ndarray   # (S, n)
     signal_log: np.ndarray      # (S,)
 
     @property
@@ -119,13 +118,10 @@ def simulate(program: TopologyProgram, init, issues: int, signal_log=None) -> Tr
     gammas = program.gammas()
     n = program.n
     states = np.empty((issues + 1, n))
-    applied = np.empty((issues, n))
 
     if isinstance(init, Vertex):
         states[:] = init.as_array(n)
-        for s in range(issues):
-            applied[s] = gammas[signal_log[s]]
-        return Trajectory(states, applied, signal_log)
+        return Trajectory(states, signal_log)
 
     x = np.asarray(init, dtype=float)
     if x.shape != (n,):
@@ -133,14 +129,12 @@ def simulate(program: TopologyProgram, init, issues: int, signal_log=None) -> Tr
     _check_init(x)
     states[0] = x
     for s in range(issues):
-        g = gammas[signal_log[s]]
-        applied[s] = g
         try:
-            x = df_map(x, g)
+            x = df_map(x, gammas[signal_log[s]])
         except NumericalOverflow as exc:
             raise NumericalOverflow(f"issue {s}: {exc}") from exc
         states[s + 1] = x
-    return Trajectory(states, applied, signal_log)
+    return Trajectory(states, signal_log)
 
 
 def limit_gap(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:

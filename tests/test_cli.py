@@ -89,6 +89,24 @@ class TestSimulate:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("key", ["program", "initial_conditions"])
+    def test_missing_key_is_config_error(self, simulate_config, tmp_path, capsys, key):
+        config = json.loads(simulate_config.read_text())
+        del config[key]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "partial.json" in err
+
+    def test_internal_key_error_propagates(self, simulate_config, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("socialpower.cli.max_gamma_profile", broken)
+        with pytest.raises(KeyError):
+            main(["simulate", "--config", str(simulate_config), "--out", str(tmp_path / "out")])
+
     def test_env_var_out_dir(self, simulate_config, tmp_path, monkeypatch):
         env_out = tmp_path / "envout"
         monkeypatch.setenv("SOCIALPOWER_OUT", str(env_out))
@@ -139,6 +157,15 @@ class TestPeriodicCommand:
         assert max(doc["chain_residuals"]) <= 1e-12
         for y in doc["fixed_points"]:
             assert abs(sum(y) - 1) <= 1e-12
+
+    def test_missing_program_is_config_error(self, periodic_setup, tmp_path, capsys):
+        config = json.loads(periodic_setup.read_text())
+        del config["program"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(config))
+        assert main(["periodic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "'program'" in err and "partial.json" in err
 
     def test_non_periodic_program_rejected(self, tmp_path, program_file):
         config = {"program": "program.json"}

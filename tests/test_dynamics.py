@@ -125,7 +125,6 @@ class TestSimulate:
         init = np.array([0.95, 0.95, 0.95, 0.0, 0.0, 0.0])
         traj = simulate(program, init, issues=50)
         assert traj.states.shape == (51, 6)
-        assert traj.applied_gamma.shape == (50, 6)
         assert traj.signal_log.shape == (50,)
         assert np.abs(traj.states[1:].sum(axis=1) - 1).max() <= 1e-12
 
