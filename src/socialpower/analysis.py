@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import df_map
-from .errors import NearVertex, NoConvergence, StarTopology
+from .errors import NearVertex, NoConvergence, StarTopology, ValidationError
 
 STAR_GAMMA_TOL = 1e-9
 
@@ -105,20 +105,26 @@ def transform_chain(x_next: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERAN
     )
 
 
-def contraction_margin(states: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def contraction_margin(states: np.ndarray) -> np.ndarray:
     """Margin 1 - ||H||_1 at each post-update state (row) of `states`,
     in closed form: O(n) per state, without building H.
 
     With r_i = x_i/(1 - x_i), column j of H leaves the margin
-    sum_{i != j} r_i ((1 - x_j) - x_i), a sum of nonnegative terms.  The
-    largest entry k is kept out of the shared sums S = sum_{i != k} r_i
-    and Q = sum_{i != k} r_i x_i, so nothing cancels near a vertex, where
-    r_k is huge: column j != k gives
+    sum_{i != j} r_i ((1 - x_j) - x_i), a sum of nonnegative terms; this
+    uses sum_{i != j} x_i = 1 - x_j, so every row must lie on the simplex
+    (a row whose sum is off 1 by more than Tolerances.structure raises
+    ValidationError).  The largest entry k is kept out of the shared sums
+    S = sum_{i != k} r_i and Q = sum_{i != k} r_i x_i, which removes the
+    cancellation near a vertex, where r_k is huge: column j != k gives
     r_k ((1 - x_k) - x_j) + (1 - x_j)(S - r_j) - (Q - r_j x_j), and
-    column k sums its own terms.
+    column k sums its own terms.  Away from a vertex, S - r_j and
+    Q - r_j x_j can still cancel when x_j holds almost all of 1 - x_k;
+    the absolute error there is that of 1 - ||H||_1 itself.
     """
     x = np.asarray(states, dtype=float)
-    _require_interior(x, tolerances)
+    _require_interior(x, DEFAULT_TOLERANCES)
+    if np.any(np.abs(x.sum(axis=-1) - 1.0) > DEFAULT_TOLERANCES.structure):
+        raise ValidationError("contraction_margin needs rows on the simplex (sum 1)")
     k = np.argmax(x, axis=-1)[..., None]
     x_k = np.take_along_axis(x, k, axis=-1)
     r = x / (1.0 - x)

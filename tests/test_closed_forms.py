@@ -77,6 +77,12 @@ def test_margin_rejects_the_states_transform_chain_rejects():
             contraction_margin(np.vstack([np.full(3, 1 / 3), x]))
 
 
+def test_margin_rejects_rows_off_the_simplex():
+    # transform_chain accepts this row; the closed form needs sum(x) = 1
+    with pytest.raises(errors.ValidationError):
+        contraction_margin(np.full((1, 3), 0.3))
+
+
 def test_cli_margin_positive_near_every_vertex(tmp_path):
     n = load_program(GROUP6).n
     for seed in SEEDS:
