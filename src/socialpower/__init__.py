@@ -15,7 +15,7 @@ from .analysis import (
     transform_chain,
     vertex_stability,
 )
-from .degroot import ConsensusResult, appraisal_step_via_zeta, build_w, opinion_consensus
+from .degroot import appraisal_step_via_zeta, build_w
 from .dynamics import Trajectory, Vertex, alpha, df_map, limit_gap, simulate
 from .periodic import (
     PeriodicLimit,

@@ -12,29 +12,14 @@ relation x_i (1 - x_i) = c gamma_i as one scalar equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .dynamics import df_map
 from .errors import NearVertex, NoConvergence, StarTopology, ValidationError
-
-STAR_GAMMA_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central tolerance ledger; every certificate records the set it used."""
-
-    near_vertex: float = 1e-12      # minimum allowed 1 - x_i
-    structure: float = 1e-10        # row/column sums, trace
-    psd: float = 1e-10              # eigenvalue nonnegativity slack
-    imag: float = 1e-9              # allowed imaginary part of H eigenvalues
-    fixed_point: float = 1e-13      # accepted fixed-point residual ||F(x) - x||_1
-
-
-DEFAULT_TOLERANCES = Tolerances()
+from .topology import TOLERANCES, Tolerances  # Tolerances is re-exported
 
 
 @dataclass(frozen=True)
@@ -53,17 +38,16 @@ class ContractionReport:
     phi_eigs: np.ndarray
     h_eigs: np.ndarray
     certified: bool
-    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES)
 
 
-def _require_interior(x: np.ndarray, tol: Tolerances):
-    if np.any(1.0 - x < tol.near_vertex):
-        raise NearVertex(f"1 - x_i below {tol.near_vertex}; state too close to a vertex")
+def _require_interior(x: np.ndarray):
+    if np.any(1.0 - x < TOLERANCES.near_vertex):
+        raise NearVertex(f"1 - x_i below {TOLERANCES.near_vertex}; state too close to a vertex")
     if np.any(x <= 0):
         raise NearVertex("state must be strictly interior")
 
 
-def jacobian(x_now: np.ndarray, x_next: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES) -> JacobianPair:
+def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> JacobianPair:
     """Closed-form Jacobian of the power map between successive states.
 
     J_ii = x'_i (1 - x'_i)/(1 - x_i) and J_ij = -x'_i x'_j/(1 - x_j),
@@ -71,13 +55,13 @@ def jacobian(x_now: np.ndarray, x_next: np.ndarray, tolerances: Tolerances = DEF
     """
     x_now = np.asarray(x_now, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
-    _require_interior(x_now, tolerances)
+    _require_interior(x_now)
     J = -np.outer(x_next, x_next / (1.0 - x_now))
     np.fill_diagonal(J, x_next * (1.0 - x_next) / (1.0 - x_now))
     return JacobianPair(x_now, x_next, J)
 
 
-def transform_chain(x_next: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES) -> ContractionReport:
+def transform_chain(x_next: np.ndarray) -> ContractionReport:
     """Build Theta, Phi and H at a post-update state and certify ||H||_1 < 1.
 
     Phi is the weighted Laplacian of a complete undirected graph
@@ -85,7 +69,7 @@ def transform_chain(x_next: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERAN
     h_ii = x_i and h_ij = -x_i x_j/(1 - x_i).
     """
     x = np.asarray(x_next, dtype=float)
-    _require_interior(x, tolerances)
+    _require_interior(x)
     theta = 1.0 / (1.0 - x)
     phi = -np.outer(x, x)
     np.fill_diagonal(phi, x * (1.0 - x))
@@ -101,7 +85,6 @@ def transform_chain(x_next: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERAN
         phi_eigs=phi_eigs,
         h_eigs=h_eigs,
         certified=h_one_norm < 1.0,
-        tolerances=tolerances,
     )
 
 
@@ -122,8 +105,8 @@ def contraction_margin(states: np.ndarray) -> np.ndarray:
     the absolute error there is that of 1 - ||H||_1 itself.
     """
     x = np.asarray(states, dtype=float)
-    _require_interior(x, DEFAULT_TOLERANCES)
-    if np.any(np.abs(x.sum(axis=-1) - 1.0) > DEFAULT_TOLERANCES.structure):
+    _require_interior(x)
+    if np.any(np.abs(x.sum(axis=-1) - 1.0) > TOLERANCES.structure):
         raise ValidationError("contraction_margin needs rows on the simplex (sum 1)")
     k = np.argmax(x, axis=-1)[..., None]
     x_k = np.take_along_axis(x, k, axis=-1)
@@ -151,7 +134,7 @@ def equilibrium_upper_bound(gamma: np.ndarray) -> np.ndarray:
     is the entrywise max profile of a switching set.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma >= 0.5 - STAR_GAMMA_TOL):
+    if np.any(gamma >= 0.5 - TOLERANCES.star_gamma):
         raise StarTopology("bound undefined at a star centre (gamma_i = 0.5)")
     return gamma / (1.0 - gamma)
 
@@ -189,7 +172,7 @@ def vertex_stability(gamma: np.ndarray, i: int) -> VertexClassification:
     """
     g = float(np.asarray(gamma, dtype=float)[i])
     eig = 1.0 / g - 1.0  # (1 - g)/g, written to round exactly at round weights
-    if abs(g - 0.5) <= STAR_GAMMA_TOL:
+    if abs(g - 0.5) <= TOLERANCES.star_gamma:
         return VertexClassification(
             VertexStability.ASYMPTOTICALLY_STABLE_NOT_EXPONENTIAL, eig
         )
@@ -210,7 +193,7 @@ def fixed_point(gamma: np.ndarray) -> np.ndarray:
     ||F(x) - x||_1 is at most `Tolerances.fixed_point`.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma >= 0.5 - STAR_GAMMA_TOL):
+    if np.any(gamma >= 0.5 - TOLERANCES.star_gamma):
         raise StarTopology("no interior fixed point for a star topology")
     k = int(np.argmax(gamma))
     rho = np.delete(gamma, k) / gamma[k]
@@ -234,8 +217,8 @@ def fixed_point(gamma: np.ndarray) -> np.ndarray:
         u = nxt
     x = np.insert(x, k, u)
     residual = float(np.abs(df_map(x, gamma) - x).sum())
-    if not residual <= DEFAULT_TOLERANCES.fixed_point:
+    if not residual <= TOLERANCES.fixed_point:
         raise NoConvergence(
-            f"fixed point residual {residual:.3e} above {DEFAULT_TOLERANCES.fixed_point:.0e}"
+            f"fixed point residual {residual:.3e} above {TOLERANCES.fixed_point:.0e}"
         )
     return x

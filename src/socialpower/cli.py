@@ -21,6 +21,7 @@ from . import analysis, periodic, svg
 from .dynamics import Vertex, limit_gap, simulate
 from .errors import ParseError, SocialPowerError, ValidationError
 from .topology import (
+    TOLERANCES,
     Periodic,
     RandomUniform,
     TopologyProgram,
@@ -90,7 +91,7 @@ def cmd_simulate(args) -> int:
     cfg_dir = Path(args.config).parent
     program = load_program(cfg_dir / _require(cfg, "program", args.config))
     inits = _require(cfg, "initial_conditions", args.config)
-    issues = int(args.issues or cfg.get("issues", 100))
+    issues = int(args.issues if args.issues is not None else cfg.get("issues", 100))
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is not None and isinstance(program.signal, RandomUniform):
         program = TopologyProgram(program.matrices, RandomUniform(int(seed)))
@@ -114,7 +115,7 @@ def cmd_simulate(args) -> int:
     min_margin = 1.0
     for traj in trajs:
         settled = traj.states[burn_in + 1:]
-        violations += int(np.sum(np.any(settled > bounds + 1e-9, axis=1)))
+        violations += int(np.sum(np.any(settled > bounds + TOLERANCES.bound_slack, axis=1)))
         post = traj.states[1:]
         interior = post[np.all(post > 0, axis=1)]
         if interior.size:
@@ -189,11 +190,11 @@ def cmd_periodic(args) -> int:
         raise ValidationError("periodic command requires a periodic signal")
     pprog = periodic.PeriodicProgram.from_program(program)
     limit = periodic.periodic_fixed_points(pprog)
-    issues = int(args.issues or cfg.get("issues", 200))
+    issues = int(args.issues if args.issues is not None else cfg.get("issues", 200))
     burn_in = int(cfg.get("burn_in", 30))
     init = _parse_init(cfg.get("initial_condition", [1.0 / program.n] * program.n), program.n)
     traj = simulate(program, init, issues)
-    ok, worst = periodic.verify_periodic_limit(traj, limit, burn_in, tol=float(args.tol or 1e-8))
+    ok, worst = periodic.verify_periodic_limit(traj, limit, burn_in, tol=args.tol)
     doc = {
         "period": pprog.period,
         "fixed_points": list(limit.fixed_points),
@@ -279,7 +280,6 @@ def main(argv=None) -> int:
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
     p.add_argument("--issues", type=int)
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="eigenvector profile, radii, bounds, rate, vertex table")
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--issues", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=TOLERANCES.periodic_limit)
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("verify", help="randomized invariant suite on a matrix/program file")

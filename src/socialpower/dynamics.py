@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalOverflow, ProgramMismatch, ValidationError, VertexInput
-from .topology import TopologyProgram
-
-# Untagged states with any 1 - x_i below this are rejected: honest
-# trajectories stay away from vertices, so a near-vertex state is a
-# caller error rather than a value to be propagated.
-VERTEX_GUARD = 1e-14
+from .topology import TOLERANCES, TopologyProgram
 
 
 @dataclass(frozen=True)
@@ -48,9 +43,9 @@ def df_map(x, gamma: np.ndarray):
     if isinstance(x, Vertex):
         return x
     x = np.asarray(x, dtype=float)
-    if np.any(1.0 - x < VERTEX_GUARD):
+    if np.any(1.0 - x < TOLERANCES.vertex_guard):
         raise NumericalOverflow(
-            "state within 1e-14 of a vertex; tag vertices explicitly"
+            f"state within {TOLERANCES.vertex_guard:.0e} of a vertex; tag vertices explicitly"
         )
     scaled = gamma / (1.0 - x)
     return scaled / scaled.sum()

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import STAR_GAMMA_TOL
 from .dynamics import Trajectory, df_map
 from .errors import ChainInconsistency, NoConvergence, PhaseMismatch, StarTopology
-from .topology import Periodic, TopologyProgram
+from .topology import TOLERANCES, Periodic, TopologyProgram
 
 MAX_COMPOSITE_ITERS = 100_000
 
@@ -32,7 +31,7 @@ class PeriodicProgram:
         if len(self.phase_gammas) < 2:
             raise PhaseMismatch("need at least two phases")
         for g in self.phase_gammas:
-            if np.any(np.asarray(g) >= 0.5 - STAR_GAMMA_TOL):
+            if np.any(np.asarray(g) >= 0.5 - TOLERANCES.star_gamma):
                 raise StarTopology("periodic programs exclude star phases")
 
     @property
@@ -70,13 +69,14 @@ def compose(phase_gammas, p: int):
     return evaluator
 
 
-def periodic_fixed_points(program: PeriodicProgram, tol: float = 1e-13) -> PeriodicLimit:
+def periodic_fixed_points(program: PeriodicProgram) -> PeriodicLimit:
     """Fixed point of each composite map, with the chain property verified.
 
-    Each G_p is iterated from the uniform vector (convergence is
-    exponential by the switching contraction result applied to the
-    subsampled sequence).  The chain check y_{p+1} = F_{p+1}(y_p) failing
-    beyond 10*tol signals a bug, not a property of the model.
+    Each G_p is iterated from the uniform vector until a step moves x by
+    less than `Tolerances.composite_step` (convergence is exponential by
+    the switching contraction result applied to the subsampled
+    sequence).  The chain check y_{p+1} = F_{p+1}(y_p) failing beyond
+    `Tolerances.chain` signals a bug, not a property of the model.
     """
     period = program.period
     n = program.phase_gammas[0].size
@@ -86,7 +86,7 @@ def periodic_fixed_points(program: PeriodicProgram, tol: float = 1e-13) -> Perio
         x = np.full(n, 1.0 / n)
         for _ in range(MAX_COMPOSITE_ITERS):
             x_new = g_p(x)
-            if np.abs(x_new - x).sum() < tol:
+            if np.abs(x_new - x).sum() < TOLERANCES.composite_step:
                 break
             x = x_new
         else:
@@ -98,8 +98,8 @@ def periodic_fixed_points(program: PeriodicProgram, tol: float = 1e-13) -> Perio
         residuals[p] = np.abs(
             df_map(points[p], program.phase_gammas[succ]) - points[succ]
         ).sum()
-    if np.any(residuals > 10 * tol):
-        raise ChainInconsistency(f"chain residuals {residuals} exceed {10 * tol}")
+    if np.any(residuals > TOLERANCES.chain):
+        raise ChainInconsistency(f"chain residuals {residuals} exceed {TOLERANCES.chain}")
     return PeriodicLimit(tuple(points), residuals)
 
 
@@ -107,13 +107,14 @@ def verify_periodic_limit(
     traj: Trajectory,
     limit: PeriodicLimit,
     burn_in: int,
-    tol: float = 1e-8,
+    tol: float = TOLERANCES.periodic_limit,
 ) -> tuple[bool, float]:
     """Check that a simulated run settles onto the per-phase fixed points.
 
     The signal log must follow the periodic convention (last phase at
     s = 0, then the cycle); state s >= max(burn_in, 1) is compared to the
-    fixed point of the phase that produced it.
+    fixed point of the phase that produced it, and the run is verified
+    when the worst 1-norm deviation is at most `tol`.
     """
     period = len(limit.fixed_points)
     log = traj.signal_log
@@ -132,16 +133,16 @@ def verify_periodic_limit(
     return worst <= tol, worst
 
 
-def same_gamma_class(program: TopologyProgram, tol: float = 1e-9):
+def same_gamma_class(program: TopologyProgram):
     """Shared dominant left eigenvector of a matrix set, if one exists.
 
-    Returns the common eigenvector when all pairwise 1-norm differences
-    are within `tol` (the switching limit is then the stationary fixed
+    Returns the common eigenvector when every 1-norm difference from the
+    first is within `Tolerances.shared_gamma` (the switching limit is then the stationary fixed
     point of that eigenvector), otherwise None.
     """
     gammas = program.gammas()
     base = gammas[0]
     for g in gammas[1:]:
-        if np.abs(g - base).sum() > tol:
+        if np.abs(g - base).sum() > TOLERANCES.shared_gamma:
             return None
     return base

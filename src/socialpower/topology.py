@@ -24,12 +24,57 @@ from .errors import (
     ValidationError,
 )
 
-# Entries below this are structural zeros for graph construction; avoids
-# spurious edges created by decimal round-trips.
-STRUCTURAL_ZERO = 1e-15
 
-ROW_SUM_TOL = 1e-12
-DEFAULT_EIG_TOL = 1e-12
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerance ledger: every threshold a check compares against.
+
+    `TOLERANCES`, its one instance, is the only place these values are
+    set; no function takes a tolerance except
+    `periodic.verify_periodic_limit`, which defaults to `periodic_limit`.
+    Each comment names the code that reads the field.
+    """
+
+    # topology: entries at or below this are no edge of the support
+    # graph, so decimal round-trips create no spurious edges
+    structural_zero: float = 1e-15
+    # topology.validate: allowed |row sum - 1|
+    row_sum: float = 1e-12
+    # topology.stationary_vector: accepted residual ||vM - v||_1
+    eigen_residual: float = 1e-12
+    # dynamics.df_map: an untagged state with some 1 - x_i below this is
+    # a caller error (honest trajectories stay away from vertices)
+    vertex_guard: float = 1e-14
+    # analysis (Jacobians, certificates, margins) and
+    # verification.check_boundary_step: minimum 1 - x_i of a state
+    near_vertex: float = 1e-12
+    # analysis and periodic: gamma_i this close to 1/2 is a star centre
+    star_gamma: float = 1e-9
+    # analysis.contraction_margin: allowed |row sum - 1| of a state
+    structure: float = 1e-10
+    # analysis.fixed_point: accepted residual ||F(x) - x||_1
+    fixed_point: float = 1e-13
+    # periodic.periodic_fixed_points: a composite map's iteration stops
+    # once a step moves x by less than this, and a chain residual
+    # ||F_{p+1}(y_p) - y_{p+1}||_1 above `chain` is a bug
+    composite_step: float = 1e-13
+    chain: float = 1e-12
+    # periodic.same_gamma_class: 1-norm gap of a shared eigenvector
+    shared_gamma: float = 1e-9
+    # periodic.verify_periodic_limit and `periodic --tol` by default:
+    # allowed 1-norm deviation of a run from the per-phase limit
+    periodic_limit: float = 1e-8
+    # verification: relative Jacobian error against central differences
+    # (also the column-sum scale), the certificate's structural deviation
+    # and the 1-norm gap between the opinion oracle and the map
+    finite_difference: float = 1e-5
+    certificate_structure: float = 1e-9
+    oracle_gap: float = 1e-10
+    # cli simulate: slack on the equilibrium bound gamma/(1 - gamma)
+    bound_slack: float = 1e-9
+
+
+TOLERANCES = Tolerances()
 
 
 def stationary_vector(matrix: np.ndarray) -> np.ndarray:
@@ -37,8 +82,9 @@ def stationary_vector(matrix: np.ndarray) -> np.ndarray:
 
     Solves v(I - M) = 0 with its last equation replaced by sum(v) = 1.
     The solution is accepted only when the residual ||vM - v||_1 is at
-    most DEFAULT_EIG_TOL and every entry is positive, which holds for an
-    irreducible M; otherwise NoConvergence names the residual.
+    most `Tolerances.eigen_residual` and every entry is positive, which
+    holds for an irreducible M; otherwise NoConvergence names the
+    residual.
     """
     n = matrix.shape[0]
     system = np.eye(n) - matrix.T
@@ -50,10 +96,10 @@ def stationary_vector(matrix: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"stationary vector: singular system ({exc})") from exc
     residual = float(np.abs(v @ matrix - v).sum())
-    if not (residual <= DEFAULT_EIG_TOL and np.all(v > 0)):
+    if not (residual <= TOLERANCES.eigen_residual and np.all(v > 0)):
         raise NoConvergence(
             f"stationary vector rejected: residual {residual:.3e} "
-            f"(tol {DEFAULT_EIG_TOL:.0e}), min entry {v.min():.3e}"
+            f"(tol {TOLERANCES.eigen_residual:.0e}), min entry {v.min():.3e}"
         )
     return v
 
@@ -99,7 +145,7 @@ def validate(matrix) -> RelativeInteractionMatrix:
         where = ",".join(str(i + 1) for i in idx)
         raise ValidationError(f"entry ({where}) = {entries[tuple(idx)]} is not finite")
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise DimensionTooSmall(f"expected a square matrix, got shape {entries.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
     n = entries.shape[0]
     if n < 3:
         raise DimensionTooSmall(f"need n >= 3, got n = {n}")
@@ -111,7 +157,7 @@ def validate(matrix) -> RelativeInteractionMatrix:
         i = int(np.argwhere(diag != 0.0)[0, 0])
         raise NonzeroDiagonal(f"diagonal entry {i + 1} = {diag[i]} must be exactly 0")
     row_sums = entries.sum(axis=1)
-    bad = np.abs(row_sums - 1.0) > ROW_SUM_TOL
+    bad = np.abs(row_sums - 1.0) > TOLERANCES.row_sum
     if np.any(bad):
         i = int(np.argwhere(bad)[0, 0])
         raise RowSumError(f"row {i + 1} sums to {row_sums[i]}, expected 1")
@@ -121,7 +167,7 @@ def validate(matrix) -> RelativeInteractionMatrix:
 
 
 def _support(entries: np.ndarray) -> np.ndarray:
-    return np.asarray(entries) > STRUCTURAL_ZERO
+    return np.asarray(entries) > TOLERANCES.structural_zero
 
 
 def is_irreducible(matrix) -> bool:

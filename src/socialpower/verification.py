@@ -13,7 +13,10 @@ import numpy as np
 from .analysis import contraction_radii, jacobian, transform_chain
 from .degroot import appraisal_step_via_zeta
 from .dynamics import df_map
-from .topology import RelativeInteractionMatrix
+from .errors import ValidationError
+from .topology import TOLERANCES, RelativeInteractionMatrix
+
+FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -30,27 +33,28 @@ def sample_interior(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     return np.clip(raw, 1e-9, None) / np.clip(raw, 1e-9, None).sum(axis=1, keepdims=True)
 
 
-def finite_difference_jacobian(x: np.ndarray, gamma: np.ndarray, step: float = 1e-7) -> np.ndarray:
-    """Central differences of the map formula around x."""
+def finite_difference_jacobian(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Central differences of the map formula around x, step FD_STEP."""
     n = x.size
     J = np.empty((n, n))
     for j in range(n):
         hi, lo = x.copy(), x.copy()
-        hi[j] += step
-        lo[j] -= step
-        J[:, j] = (df_map(hi, gamma) - df_map(lo, gamma)) / (2 * step)
+        hi[j] += FD_STEP
+        lo[j] -= FD_STEP
+        J[:, j] = (df_map(hi, gamma) - df_map(lo, gamma)) / (2 * FD_STEP)
     return J
 
 
 def check_jacobian_fd(gamma: np.ndarray, rng, samples: int = 100) -> CheckResult:
+    limit = TOLERANCES.finite_difference
     worst = 0.0
     for x in sample_interior(gamma.size, rng, samples):
         pair = jacobian(x, df_map(x, gamma))
         fd = finite_difference_jacobian(x, gamma)
         rel = np.abs(pair.matrix - fd).max() / np.abs(pair.matrix).max()
         col_err = np.abs(pair.matrix.sum(axis=0)).max()
-        worst = max(worst, rel, col_err / 1e-5)
-    return CheckResult("jacobian_finite_difference", worst <= 1e-5, worst)
+        worst = max(worst, rel, col_err / limit)
+    return CheckResult("jacobian_finite_difference", worst <= limit, worst)
 
 
 def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000) -> CheckResult:
@@ -68,7 +72,7 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000) 
             abs(np.trace(rep.h) - 1.0),
             np.abs(rep.h_eigs.imag).max(),
         )
-    passed = worst_norm < 1.0 and worst_struct <= 1e-9
+    passed = worst_norm < 1.0 and worst_struct <= TOLERANCES.certificate_structure
     return CheckResult(
         "contraction_certificate", passed, worst_norm,
         detail=f"worst structural deviation {worst_struct:.2e}",
@@ -81,7 +85,7 @@ def check_oracle_equivalence(matrix: RelativeInteractionMatrix, rng, samples: in
     for x in sample_interior(matrix.n, rng, samples):
         gap = np.abs(appraisal_step_via_zeta(x, matrix) - df_map(x, gamma)).sum()
         worst = max(worst, gap)
-    return CheckResult("opinion_oracle_equivalence", worst <= 1e-10, worst)
+    return CheckResult("opinion_oracle_equivalence", worst <= TOLERANCES.oracle_gap, worst)
 
 
 def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckResult:
@@ -97,13 +101,15 @@ def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckRes
         x_j = 1.0 - r * rng.uniform(1.0, 1.5)
         rest = rng.dirichlet(np.full(n - 1, 1.0)) * (1.0 - x_j)
         x = np.insert(rest, j, x_j)
-        if np.any(x >= 1.0 - 1e-12) or np.any(x <= 0):
+        if np.any(x >= 1.0 - TOLERANCES.near_vertex) or np.any(x <= 0):
             continue
         worst = max(worst, df_map(x, gamma)[j] - (1.0 - r))
     return CheckResult("boundary_contraction_step", worst < 0, worst)
 
 
 def run_suite(matrix: RelativeInteractionMatrix, samples: int, seed: int) -> list[CheckResult]:
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got samples = {samples}")
     rng = np.random.default_rng(seed)
     gamma = matrix.gamma
     return [

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import socialpower
 from socialpower import errors
 from socialpower.analysis import (
     Tolerances,
@@ -15,7 +18,7 @@ from socialpower.analysis import (
 )
 from socialpower.dynamics import df_map
 from socialpower.fixtures import interaction_set_6, star_matrix
-from socialpower.topology import dominant_left_eigenvector, max_gamma_profile, validate
+from socialpower.topology import TOLERANCES, dominant_left_eigenvector, max_gamma_profile, validate
 from socialpower.verification import finite_difference_jacobian, run_suite, sample_interior
 
 GAMMA_EXAMPLE = np.array([0.4, 0.35, 0.25])
@@ -189,9 +192,27 @@ class TestFixedPoint:
 
 class TestTolerances:
     def test_defaults(self):
-        t = Tolerances()
-        assert t.near_vertex == 1e-12
-        assert t.fixed_point == 1e-13
+        # every output is computed against these values; pin all of them
+        assert dataclasses.asdict(Tolerances()) == {
+            "structural_zero": 1e-15,
+            "row_sum": 1e-12,
+            "eigen_residual": 1e-12,
+            "vertex_guard": 1e-14,
+            "near_vertex": 1e-12,
+            "star_gamma": 1e-9,
+            "structure": 1e-10,
+            "fixed_point": 1e-13,
+            "composite_step": 1e-13,
+            "chain": 1e-12,
+            "shared_gamma": 1e-9,
+            "periodic_limit": 1e-8,
+            "finite_difference": 1e-5,
+            "certificate_structure": 1e-9,
+            "oracle_gap": 1e-10,
+            "bound_slack": 1e-9,
+        }
+        assert TOLERANCES == Tolerances()
+        assert socialpower.Tolerances is Tolerances
 
 
 class TestVerificationSuite:

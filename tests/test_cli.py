@@ -107,6 +107,12 @@ class TestSimulate:
         with pytest.raises(KeyError):
             main(["simulate", "--config", str(simulate_config), "--out", str(tmp_path / "out")])
 
+    def test_tol_flag_removed(self, simulate_config, tmp_path):
+        # simulate never read --tol; argparse now rejects it as unknown
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(simulate_config), "--out", str(tmp_path), "--tol", "1"])
+        assert exc.value.code == 2
+
     def test_env_var_out_dir(self, simulate_config, tmp_path, monkeypatch):
         env_out = tmp_path / "envout"
         monkeypatch.setenv("SOCIALPOWER_OUT", str(env_out))
@@ -167,11 +173,27 @@ class TestPeriodicCommand:
         err = capsys.readouterr().err
         assert "'program'" in err and "partial.json" in err
 
+    def test_zero_tol_is_not_the_default(self, periodic_setup, tmp_path, capsys):
+        # the run settles to ~1e-14, never exactly onto the limit
+        argv = ["periodic", "--config", str(periodic_setup), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--tol", "0"]) == 1
+        assert "NOT verified" in capsys.readouterr().out
+
     def test_non_periodic_program_rejected(self, tmp_path, program_file):
         config = {"program": "program.json"}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         assert main(["periodic", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "periodic"])
+def test_explicit_zero_issues_is_not_the_config_count(
+    command, simulate_config, periodic_setup, tmp_path, capsys
+):
+    config = simulate_config if command == "simulate" else periodic_setup
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--issues", "0"]
+    assert main(argv) == 1
+    assert "need at least one issue" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -180,6 +202,13 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 20  # 5 matrices x 4 checks
         assert all(": pass" in line for line in lines)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, program_file, capsys, samples):
+        assert main(["verify", str(program_file), "--samples", str(samples)]) == 1
+        captured = capsys.readouterr()
+        assert f"samples = {samples}" in captured.err
+        assert "pass" not in captured.out
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "junk.json"

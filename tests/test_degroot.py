@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from socialpower import errors
-from socialpower.degroot import appraisal_step_via_zeta, build_w, opinion_consensus
+from socialpower.degroot import appraisal_step_via_zeta, build_w
 from socialpower.dynamics import Vertex, df_map
 from socialpower.fixtures import interaction_set_6
 from socialpower.topology import dominant_left_eigenvector, validate
@@ -36,27 +36,6 @@ class TestBuildW:
     def test_near_full_self_weight_row(self):
         w = build_w(np.array([1 - 1e-9, 0.0, 0.0]), STAR3)
         assert np.allclose(w[0], [1 - 1e-9, 0.5e-9, 0.5e-9])
-
-
-class TestOpinionConsensus:
-    def test_uniform_rank_one(self):
-        w = np.full((4, 4), 0.25)
-        result = opinion_consensus(w, np.array([1.0, 2.0, 3.0, 4.0]))
-        assert result.consensus_value == pytest.approx(2.5, abs=1e-12)
-        assert np.allclose(result.zeta, 0.25, atol=1e-12)
-
-    def test_consensus_value_is_zeta_weighted_start(self):
-        c = validate(interaction_set_6()[1])
-        x = np.array([0.1, 0.2, 0.1, 0.2, 0.1, 0.2])
-        y0 = np.array([3.0, -1.0, 0.5, 2.0, 7.0, -4.0])
-        result = opinion_consensus(build_w(x, c.entries), y0)
-        assert result.consensus_value == pytest.approx(float(result.zeta @ y0), abs=1e-10)
-        assert abs(result.zeta.sum() - 1) <= 1e-12
-
-    def test_periodic_w_does_not_converge(self):
-        w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(errors.NoConvergence):
-            opinion_consensus(w, np.array([0.0, 1.0]), max_iters=500)
 
 
 class TestAppraisalEquivalence:

@@ -52,6 +52,12 @@ class TestValidate:
         with pytest.raises(errors.DimensionTooSmall):
             validate([[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("bad", [np.full((3, 4), 0.25), np.full(3, 1 / 3)])
+    def test_non_square_is_not_dimension_too_small(self, bad):
+        with pytest.raises(errors.ValidationError, match="square") as exc:
+            validate(bad)
+        assert not isinstance(exc.value, errors.DimensionTooSmall)
+
     def test_negative_entry_rejected(self):
         bad = STAR3.copy()
         bad[0, 1], bad[0, 2] = -0.5, 1.5
