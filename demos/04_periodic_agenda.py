@@ -10,12 +10,12 @@ import numpy as np
 
 from socialpower import Periodic, TopologyProgram, simulate, validate
 from socialpower.fixtures import interaction_set_6
-from socialpower.periodic import PeriodicProgram, periodic_fixed_points, verify_periodic_limit
+from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 
 matrices = tuple(validate(m) for m in interaction_set_6()[1:3])
 program = TopologyProgram(matrices, Periodic((0, 1)))
 
-limit = periodic_fixed_points(PeriodicProgram.from_program(program))
+limit = periodic_fixed_points(program)
 for p, y in enumerate(limit.fixed_points):
     print(f"phase {p + 1} fixed point:", np.round(y, 4))
 print("chain residuals (each point maps to the next):",

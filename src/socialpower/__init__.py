@@ -16,15 +16,8 @@ from .analysis import (
     vertex_stability,
 )
 from .degroot import appraisal_step_via_zeta, build_w
-from .dynamics import Trajectory, Vertex, alpha, df_map, limit_gap, simulate
-from .periodic import (
-    PeriodicLimit,
-    PeriodicProgram,
-    compose,
-    periodic_fixed_points,
-    same_gamma_class,
-    verify_periodic_limit,
-)
+from .dynamics import Trajectory, Vertex, df_map, limit_gap, simulate
+from .periodic import PeriodicLimit, periodic_fixed_points, verify_periodic_limit
 from .topology import (
     Constant,
     Periodic,

@@ -51,7 +51,7 @@ def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> JacobianPair:
     """Closed-form Jacobian of the power map between successive states.
 
     J_ii = x'_i (1 - x'_i)/(1 - x_i) and J_ij = -x'_i x'_j/(1 - x_j),
-    written with x' = x_next.  Columns sum to 1.
+    written with x' = x_next.  Columns sum to 0.
     """
     x_now = np.asarray(x_now, dtype=float)
     x_next = np.asarray(x_next, dtype=float)

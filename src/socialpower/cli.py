@@ -22,7 +22,6 @@ from .dynamics import Vertex, limit_gap, simulate
 from .errors import ParseError, SocialPowerError, ValidationError
 from .topology import (
     TOLERANCES,
-    Periodic,
     RandomUniform,
     TopologyProgram,
     classify_star,
@@ -100,17 +99,22 @@ def cmd_simulate(args) -> int:
     # One shared signal realization: limit-gap comparison is only
     # meaningful when every run sees the identical switching sequence.
     log = program.realize(issues)
-    names, trajs = [], []
-    for name, spec in inits.items():
-        traj = simulate(program, _parse_init(spec, program.n), issues, signal_log=log)
+    names = list(inits)
+    trajs = [
+        simulate(program, _parse_init(inits[name], program.n), issues, signal_log=log)
+        for name in names
+    ]
+    # the bound constrains the limit set, so transients are excluded
+    burn_in = int(cfg.get("burn_in", 20))
+    if issues <= burn_in:
+        raise ValidationError(
+            f"no state after the burn-in to check: {issues} issues, burn-in {burn_in}"
+        )
+    for name, traj in zip(names, trajs):
         traj.to_csv(out / f"run_{name}.csv")
-        names.append(name)
-        trajs.append(traj)
 
     gbar = max_gamma_profile(program)
     bounds = analysis.equilibrium_upper_bound(gbar)
-    # the bound constrains the limit set, so transients are excluded
-    burn_in = int(cfg.get("burn_in", 20))
     violations = 0
     min_margin = 1.0
     for traj in trajs:
@@ -186,17 +190,15 @@ def cmd_periodic(args) -> int:
     cfg = _load_config(args.config)
     cfg_dir = Path(args.config).parent
     program = load_program(cfg_dir / _require(cfg, "program", args.config))
-    if not isinstance(program.signal, Periodic):
-        raise ValidationError("periodic command requires a periodic signal")
-    pprog = periodic.PeriodicProgram.from_program(program)
-    limit = periodic.periodic_fixed_points(pprog)
+    limit = periodic.periodic_fixed_points(program)
     issues = int(args.issues if args.issues is not None else cfg.get("issues", 200))
     burn_in = int(cfg.get("burn_in", 30))
     init = _parse_init(cfg.get("initial_condition", [1.0 / program.n] * program.n), program.n)
     traj = simulate(program, init, issues)
     ok, worst = periodic.verify_periodic_limit(traj, limit, burn_in, tol=args.tol)
+    period = len(limit.fixed_points)
     doc = {
-        "period": pprog.period,
+        "period": period,
         "fixed_points": list(limit.fixed_points),
         "chain_residuals": limit.chain_residuals,
         "burn_in": burn_in,
@@ -205,7 +207,7 @@ def cmd_periodic(args) -> int:
     }
     out = _out_dir(args)
     _write_report(doc, out / "periodic.json")
-    print(f"periodic: period {pprog.period}, worst deviation {worst:.3e}, "
+    print(f"periodic: period {period}, worst deviation {worst:.3e}, "
           f"{'verified' if ok else 'NOT verified'}")
     return 0 if ok else 1
 

@@ -1,9 +1,9 @@
 """The social power update map and multi-issue simulation.
 
 The map sends the power vector x on the simplex to
-alpha(x) * (gamma_i / (1 - x_i))_i, with simplex vertices as tagged
-fixed points.  Under a switching program the applied eigenvector changes
-per issue.
+alpha(x) * (gamma_i / (1 - x_i))_i, where alpha(x) normalizes the
+result to sum 1, with simplex vertices as tagged fixed points.  Under a
+switching program the applied eigenvector changes per issue.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalOverflow, ProgramMismatch, ValidationError, VertexInput
+from .errors import NumericalOverflow, ProgramMismatch, ValidationError
 from .topology import TOLERANCES, TopologyProgram
 
 
@@ -26,16 +26,6 @@ class Vertex:
         e = np.zeros(n)
         e[self.index] = 1.0
         return e
-
-
-def alpha(x: np.ndarray, gamma: np.ndarray) -> float:
-    """Normalizing scalar 1 / sum_i gamma_i / (1 - x_i)."""
-    if isinstance(x, Vertex):
-        raise VertexInput("alpha is undefined at a vertex")
-    x = np.asarray(x, dtype=float)
-    if np.any(x >= 1.0):
-        raise VertexInput(f"alpha requires all x_i < 1, got max {x.max()}")
-    return 1.0 / np.sum(gamma / (1.0 - x))
 
 
 def df_map(x, gamma: np.ndarray):

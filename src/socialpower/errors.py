@@ -39,10 +39,6 @@ class NoConvergence(SocialPowerError):
         self.iterations = iterations
 
 
-class VertexInput(SocialPowerError):
-    """A simplex vertex reached a code path that requires interior points."""
-
-
 class NumericalOverflow(SocialPowerError):
     """An untagged state is too close to a vertex for the map formula."""
 

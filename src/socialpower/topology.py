@@ -59,8 +59,6 @@ class Tolerances:
     # ||F_{p+1}(y_p) - y_{p+1}||_1 above `chain` is a bug
     composite_step: float = 1e-13
     chain: float = 1e-12
-    # periodic.same_gamma_class: 1-norm gap of a shared eigenvector
-    shared_gamma: float = 1e-9
     # periodic.verify_periodic_limit and `periodic --tol` by default:
     # allowed 1-norm deviation of a run from the per-phase limit
     periodic_limit: float = 1e-8
@@ -193,13 +191,17 @@ def is_irreducible(matrix) -> bool:
 
 
 def classify_star(matrix: RelativeInteractionMatrix) -> StarClassification:
-    """Detect whether every edge of the support graph touches one node."""
+    """Detect whether every edge of the support graph touches one node.
+
+    Node c is such a centre exactly when its in- and out-degrees add up
+    to the edge count; the lowest such c is reported.
+    """
     support = _support(matrix.entries)
     np.fill_diagonal(support, False)
-    edges = np.argwhere(support)
-    for center in range(matrix.n):
-        if np.all((edges[:, 0] == center) | (edges[:, 1] == center)):
-            return StarClassification(True, center)
+    touching = support.sum(axis=0) + support.sum(axis=1)
+    centers = np.flatnonzero(touching == support.sum())
+    if centers.size:
+        return StarClassification(True, int(centers[0]))
     return StarClassification(False, None)
 
 
@@ -245,17 +247,20 @@ class Periodic:
 
     Matches the convention sigma(0) = P, sigma(Pq + p) = p: the first
     issue uses the final phase, then the cycle runs from the start.
+    This class is the only place that convention is written down.
     """
 
     order: tuple
+
+    def phases(self, issues: int) -> np.ndarray:
+        """0-based position in `order` of the phase each issue applies."""
+        return (np.arange(issues) - 1) % len(self.order)
 
     def realize(self, issues: int, num_matrices: int) -> np.ndarray:
         order = np.asarray(self.order, dtype=int)
         if order.size < 1 or np.any(order < 0) or np.any(order >= num_matrices):
             raise ValidationError(f"periodic order {self.order} out of range")
-        period = order.size
-        s = np.arange(issues)
-        return order[np.where(s == 0, period - 1, (s - 1) % period)]
+        return order[self.phases(issues)]
 
 
 @dataclass(frozen=True)

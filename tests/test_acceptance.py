@@ -29,7 +29,7 @@ from socialpower.fixtures import (
     star_matrix,
     switching_program_6,
 )
-from socialpower.periodic import PeriodicProgram, periodic_fixed_points, verify_periodic_limit
+from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 from socialpower.topology import (
     Constant,
     Periodic,
@@ -184,7 +184,7 @@ def test_criterion_9_periodic_limits():
     for count, burn_in, issues in [(2, 30, 120), (3, 30, 150)]:
         matrices = tuple(validate(m) for m in interaction_set_6()[1:1 + count])
         program = TopologyProgram(matrices, Periodic(tuple(range(count))))
-        limit = periodic_fixed_points(PeriodicProgram.from_program(program))
+        limit = periodic_fixed_points(program)
         assert limit.chain_residuals.max() <= 1e-10
         traj = simulate(program, np.array([0.9, 0.02, 0.02, 0.02, 0.02, 0.02]), issues)
         ok, worst = verify_periodic_limit(traj, limit, burn_in)

@@ -204,7 +204,6 @@ class TestTolerances:
             "fixed_point": 1e-13,
             "composite_step": 1e-13,
             "chain": 1e-12,
-            "shared_gamma": 1e-9,
             "periodic_limit": 1e-8,
             "finite_difference": 1e-5,
             "certificate_structure": 1e-9,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from socialpower.cli import main
 from socialpower.fixtures import interaction_set_6, star_matrix, switching_program_6
 from socialpower.topology import Periodic, TopologyProgram, save_program, validate
+
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
 
 @pytest.fixture
@@ -76,15 +79,27 @@ class TestSimulate:
         config = {
             "program": "program.json",
             "issues": 10,
+            "burn_in": 5,
             "initial_conditions": {"autocrat": "vertex:3"},
         }
         path = tmp_path / "v.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        # e_3 is a fixed point above individual 3's bound: the 5 states
+        # after the burn-in each count as a violation
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert json.loads((out / "report.json").read_text())["bound_violation_count"] == 5
         rows = (out / "run_autocrat.csv").read_text().strip().split("\n")
         last = [float(v) for v in rows[-1].split(",")]
         assert last[2 + 2] == 1.0  # individual 3 holds all power
+
+    def test_run_within_burn_in_rejected(self, tmp_path, capsys):
+        # forgetting.json has a burn-in of 20: 5 issues leave no state to check
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(EXPERIMENTS / "forgetting.json"), "--out", str(out)]
+        assert main(argv + ["--issues", "5"]) == 1
+        assert "5 issues, burn-in 20" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -178,6 +193,15 @@ class TestPeriodicCommand:
         argv = ["periodic", "--config", str(periodic_setup), "--out", str(tmp_path / "out")]
         assert main(argv + ["--tol", "0"]) == 1
         assert "NOT verified" in capsys.readouterr().out
+
+    def test_run_within_burn_in_rejected(self, tmp_path, capsys):
+        # alternating.json has a burn-in of 40: 1 issue leaves no state to compare
+        config = EXPERIMENTS / "alternating.json"
+        argv = ["periodic", "--config", str(config), "--out", str(tmp_path / "out"), "--issues", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "1 issues, burn-in 40" in captured.err
+        assert "verified" not in captured.out
 
     def test_non_periodic_program_rejected(self, tmp_path, program_file):
         config = {"program": "program.json"}

@@ -5,7 +5,6 @@ from socialpower import errors
 from socialpower.dynamics import (
     Trajectory,
     Vertex,
-    alpha,
     df_map,
     limit_gap,
     simulate,
@@ -28,23 +27,6 @@ def df_map_reference(x, gamma):
     scaled = [g / (1 - xi) for g, xi in zip(gamma, x)]
     total = sum(scaled)
     return np.array([s / total for s in scaled])
-
-
-class TestAlpha:
-    def test_uniform_three(self):
-        assert alpha(np.full(3, 1 / 3), np.full(3, 1 / 3)) == pytest.approx(2 / 3, abs=1e-15)
-
-    def test_zero_state(self):
-        assert alpha(np.zeros(3), GAMMA_EXAMPLE) == pytest.approx(1.0, abs=1e-15)
-
-    def test_mixed_state(self):
-        value = alpha(np.array([0.2, 0.5, 0.3]), GAMMA_EXAMPLE)
-        expected = 1 / (0.4 / 0.8 + 0.35 / 0.5 + 0.25 / 0.7)
-        assert value == pytest.approx(expected, abs=1e-15)
-
-    def test_vertex_rejected(self):
-        with pytest.raises(errors.VertexInput):
-            alpha(np.array([1.0, 0.0, 0.0]), GAMMA_EXAMPLE)
 
 
 class TestDfMap:

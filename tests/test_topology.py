@@ -115,6 +115,50 @@ class TestStarClassification:
             gamma = dominant_left_eigenvector(validated)
             assert classify_star(validated).is_star == (abs(gamma.max() - 0.5) <= 1e-9)
 
+    @staticmethod
+    def brute_force_center(entries):
+        # one scan of the edge list per candidate centre
+        n = entries.shape[0]
+        edges = [(i, j) for i in range(n) for j in range(n) if i != j and entries[i, j] > 1e-15]
+        for c in range(n):
+            if all(c in edge for edge in edges):
+                return c
+        return None
+
+    def test_degree_count_matches_scan_on_random_supports(self):
+        rng = np.random.default_rng(5)
+        stars = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 9))
+            if rng.random() < 0.5:
+                # a star on a random centre, half the time with one stray edge
+                c = int(rng.integers(n))
+                support = np.zeros((n, n), dtype=bool)
+                support[c, :] = support[:, c] = True
+                if rng.random() < 0.5:
+                    i, j = rng.choice(n, 2, replace=False)
+                    support[i, j] = True
+            else:
+                # random edges around a directed cycle, which keeps it irreducible
+                support = rng.random((n, n)) < rng.uniform(0.1, 0.8)
+                support |= np.roll(np.eye(n, dtype=bool), 1, axis=1)
+            np.fill_diagonal(support, False)
+            w = support * rng.uniform(0.1, 1.0, (n, n))
+            m = validate(w / w.sum(axis=1, keepdims=True))
+            expected = self.brute_force_center(m.entries)
+            result = classify_star(m)
+            assert result.is_star == (expected is not None)
+            assert result.center == expected
+            stars += expected is not None
+        assert stars > 50
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_every_star_matrix_centre(self, n):
+        for c in range(n):
+            m = validate(star_matrix(n, c))
+            result = classify_star(m)
+            assert result.is_star and result.center == c == self.brute_force_center(m.entries)
+
 
 class TestDominantLeftEigenvector:
     def test_star_center_half(self):
