@@ -99,22 +99,17 @@ def cmd_simulate(args) -> int:
     # One shared signal realization: limit-gap comparison is only
     # meaningful when every run sees the identical switching sequence.
     log = program.realize(issues)
-    names = list(inits)
-    trajs = [
-        simulate(program, _parse_init(inits[name], program.n), issues, signal_log=log)
-        for name in names
-    ]
-    # the bound constrains the limit set, so transients are excluded
-    burn_in = int(cfg.get("burn_in", 20))
-    if issues <= burn_in:
-        raise ValidationError(
-            f"no state after the burn-in to check: {issues} issues, burn-in {burn_in}"
-        )
-    for name, traj in zip(names, trajs):
+    names, trajs = [], []
+    for name, spec in inits.items():
+        traj = simulate(program, _parse_init(spec, program.n), issues, signal_log=log)
         traj.to_csv(out / f"run_{name}.csv")
+        names.append(name)
+        trajs.append(traj)
 
     gbar = max_gamma_profile(program)
     bounds = analysis.equilibrium_upper_bound(gbar)
+    # the bound constrains the limit set, so transients are excluded
+    burn_in = int(cfg.get("burn_in", 20))
     violations = 0
     min_margin = 1.0
     for traj in trajs:

@@ -309,6 +309,8 @@ class TopologyProgram:
                 raise ValidationError("program matrices must be validated first")
             if m.n != n:
                 raise ValidationError("all program matrices must share one dimension")
+        # every index the signal names must be a matrix of this program
+        self.signal.realize(0, len(self.matrices))
 
     @property
     def n(self) -> int:

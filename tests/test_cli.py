@@ -93,14 +93,6 @@ class TestSimulate:
         last = [float(v) for v in rows[-1].split(",")]
         assert last[2 + 2] == 1.0  # individual 3 holds all power
 
-    def test_run_within_burn_in_rejected(self, tmp_path, capsys):
-        # forgetting.json has a burn-in of 20: 5 issues leave no state to check
-        out = tmp_path / "out"
-        argv = ["simulate", "--config", str(EXPERIMENTS / "forgetting.json"), "--out", str(out)]
-        assert main(argv + ["--issues", "5"]) == 1
-        assert "5 issues, burn-in 20" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
-
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -202,6 +194,15 @@ class TestPeriodicCommand:
         captured = capsys.readouterr()
         assert "1 issues, burn-in 40" in captured.err
         assert "verified" not in captured.out
+
+    def test_order_past_matrix_list_rejected(self, tmp_path, capsys):
+        doc = json.loads((EXPERIMENTS / "group6_alternating.json").read_text())
+        doc["signal"]["order"] = [1, 3]
+        (tmp_path / "program.json").write_text(json.dumps(doc))
+        config = tmp_path / "periodic.json"
+        config.write_text(json.dumps({"program": "program.json"}))
+        assert main(["periodic", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "out of range" in capsys.readouterr().err
 
     def test_non_periodic_program_rejected(self, tmp_path, program_file):
         config = {"program": "program.json"}

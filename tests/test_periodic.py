@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from socialpower import errors
 from socialpower.analysis import fixed_point
@@ -9,7 +7,6 @@ from socialpower.dynamics import df_map, simulate
 from socialpower.fixtures import cycle_matrix, interaction_set_6, star_matrix
 from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 from socialpower.topology import (
-    TOLERANCES,
     Periodic,
     RandomUniform,
     TopologyProgram,
@@ -144,52 +141,3 @@ class TestVerifyPeriodicLimit:
         ok, worst = verify_periodic_limit(traj, limit, burn_in=40)
         phase = program.signal.phases(40)[-1]
         assert worst == np.abs(traj.states[40] - limit.fixed_points[phase]).sum()
-
-
-# Dense zero-diagonal programs: every off-diagonal weight in [0.2, 1]
-# before row normalization keeps each gamma_i below 0.44, away from a
-# star, so a run settles to 1e-8 within 150 issues even from 1e-3 of a
-# vertex.
-@st.composite
-def periodic_programs(draw):
-    n = draw(st.integers(3, 7))
-    count = draw(st.integers(1, 4))
-    matrices = []
-    for _ in range(count):
-        weights = draw(st.lists(st.floats(0.2, 1.0), min_size=n * n, max_size=n * n))
-        w = np.array(weights).reshape(n, n)
-        np.fill_diagonal(w, 0.0)
-        matrices.append(validate(w / w.sum(axis=1, keepdims=True)))
-    period = draw(st.integers(2, 4))
-    order = draw(st.lists(st.integers(0, count - 1), min_size=period, max_size=period))
-    return TopologyProgram(tuple(matrices), Periodic(tuple(order)))
-
-
-# derandomized so that a suite run is reproducible
-PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
-
-
-@PROPERTY_SETTINGS
-@given(periodic_programs())
-def test_property_chain_residuals_within_tolerance(program):
-    limit = periodic_fixed_points(program)
-    assert limit.chain_residuals.shape == (len(program.signal.order),)
-    assert np.all(limit.chain_residuals <= TOLERANCES.chain)
-
-
-@PROPERTY_SETTINGS
-@given(periodic_programs())
-def test_property_fixed_points_invariant_under_composite(program):
-    limit = periodic_fixed_points(program)
-    for p, y in enumerate(limit.fixed_points):
-        assert np.abs(composite(program, p, y) - y).sum() <= TOLERANCES.chain
-
-
-@PROPERTY_SETTINGS
-@given(periodic_programs(), st.integers(0, 2**32 - 1))
-def test_property_dirichlet_run_verifies(program, seed):
-    limit = periodic_fixed_points(program)
-    x0 = np.random.default_rng(seed).dirichlet(np.ones(program.n))
-    traj = simulate(program, x0, issues=300)
-    ok, worst = verify_periodic_limit(traj, limit, burn_in=200)
-    assert ok, f"worst deviation {worst:.3e}"

@@ -263,6 +263,16 @@ class TestProgramFiles:
         with pytest.raises(errors.RowSumError):
             load_program(path)
 
+    @pytest.mark.parametrize("order", [[1, 3], [0, 1]])
+    def test_periodic_order_past_matrix_list_rejected(self, tmp_path, order):
+        # file indices are 1-based: 3 names a third matrix, 0 none at all
+        matrices = [m.tolist() for m in interaction_set_6()[:2]]
+        doc = {"n": 6, "matrices": matrices, "signal": {"kind": "periodic", "order": order}}
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(errors.ValidationError, match="out of range"):
+            load_program(path)
+
     def test_signals_round_trip(self, tmp_path):
         matrices = tuple(validate(m) for m in interaction_set_6())
         for signal in [Constant(2), Periodic((0, 3, 1)), Scripted((0, 1, 2, 4)), RandomUniform(99)]:
@@ -285,3 +295,11 @@ class TestSignals:
     def test_scripted_too_short(self):
         with pytest.raises(errors.ValidationError):
             Scripted((0, 1)).realize(5, 3)
+
+    @pytest.mark.parametrize(
+        "signal", [Periodic((0, 2)), Periodic((0, -1)), Periodic(()), Scripted((0, 2)), Constant(2)]
+    )
+    def test_program_rejects_index_past_its_matrices(self, signal):
+        matrices = tuple(validate(m) for m in interaction_set_6()[:2])
+        with pytest.raises(errors.ValidationError, match="out of range"):
+            TopologyProgram(matrices, signal)
