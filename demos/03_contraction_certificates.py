@@ -26,7 +26,7 @@ for x in sample_interior(6, rng, 500):
 print(f"worst ||H||_1 over 500 sampled post-update states: {worst:.6f}  (< 1)")
 
 x = np.array([0.3, 0.1, 0.15, 0.2, 0.05, 0.2])
-J = jacobian(x, df_map(x, gamma)).matrix
+J = jacobian(x, df_map(x, gamma))
 print("derivative column sums (zero: the map fixes the total):",
       np.round(J.sum(axis=0), 12))
 

@@ -2,7 +2,6 @@
 
 from .analysis import (
     ContractionReport,
-    JacobianPair,
     Tolerances,
     VertexClassification,
     VertexStability,

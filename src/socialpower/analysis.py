@@ -23,13 +23,6 @@ from .topology import TOLERANCES, Tolerances  # Tolerances is re-exported
 
 
 @dataclass(frozen=True)
-class JacobianPair:
-    x_now: np.ndarray
-    x_next: np.ndarray
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class ContractionReport:
     theta: np.ndarray       # diagonal of Theta = diag(1/(1 - x_i))
     phi: np.ndarray
@@ -47,7 +40,7 @@ def _require_interior(x: np.ndarray):
         raise NearVertex("state must be strictly interior")
 
 
-def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> JacobianPair:
+def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> np.ndarray:
     """Closed-form Jacobian of the power map between successive states.
 
     J_ii = x'_i (1 - x'_i)/(1 - x_i) and J_ij = -x'_i x'_j/(1 - x_j),
@@ -58,7 +51,7 @@ def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> JacobianPair:
     _require_interior(x_now)
     J = -np.outer(x_next, x_next / (1.0 - x_now))
     np.fill_diagonal(J, x_next * (1.0 - x_next) / (1.0 - x_now))
-    return JacobianPair(x_now, x_next, J)
+    return J
 
 
 def transform_chain(x_next: np.ndarray) -> ContractionReport:

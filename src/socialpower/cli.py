@@ -63,25 +63,16 @@ def _parse_init(spec, n):
     return np.asarray(spec, dtype=float)
 
 
-def _json_ready(obj):
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return obj
+def _json_default(obj):
+    """`json` hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_report(doc: dict, path: Path) -> None:
     with open(path, "w") as fh:
-        json.dump(_json_ready(doc), fh, indent=2)
+        json.dump(doc, fh, indent=2, default=_json_default)
         fh.write("\n")
 
 
@@ -177,7 +168,7 @@ def cmd_analyze(args) -> int:
     ]
     out = _out_dir(args)
     _write_report(doc, out / "analysis.json")
-    print(json.dumps(_json_ready(doc), indent=2))
+    print(json.dumps(doc, indent=2, default=_json_default))
     return 0
 
 

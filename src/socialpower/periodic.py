@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, df_map
-from .errors import ChainInconsistency, NoConvergence, PhaseMismatch, StarTopology, ValidationError
+from .errors import ChainInconsistency, PhaseMismatch, StarTopology, ValidationError
 from .topology import TOLERANCES, Periodic, TopologyProgram
-
-MAX_COMPOSITE_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -33,11 +31,12 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     """Fixed point of each composite map, with the chain property verified.
 
     The program needs a `Periodic` signal with at least two phases and
-    no star phase.  Each G_p is iterated from the uniform vector until a
-    step moves x by less than `Tolerances.composite_step` (convergence is
-    exponential by the switching contraction result applied to the
-    subsampled sequence).  The chain check y_{p+1} = F_{p+1}(y_p) failing
-    beyond `Tolerances.chain` signals a bug, not a property of the model.
+    no star phase.  y_0 solves G_0(x) = x by Newton's method from the
+    uniform vector, stopping once ||G_0(x) - x||_1 stops falling or a
+    step leaves the open simplex.  The other y_p = F_p(y_{p-1}) are the
+    states G_0 passes through, so only the closing chain residual
+    ||F_0(y_{P-1}) - y_0||_1 is not 0 by construction; one beyond
+    `Tolerances.chain` raises ChainInconsistency.
     """
     signal = program.signal
     if not isinstance(signal, Periodic):
@@ -49,19 +48,24 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     if any(np.any(g >= 0.5 - TOLERANCES.star_gamma) for g in gammas):
         raise StarTopology("periodic programs exclude star phases")
     n = program.n
-    points = []
-    for p in range(period):
-        x = np.full(n, 1.0 / n)
-        for _ in range(MAX_COMPOSITE_ITERS):
-            x_new = x
-            for k in range(1, period + 1):
-                x_new = df_map(x_new, gammas[(p + k) % period])
-            if np.abs(x_new - x).sum() < TOLERANCES.composite_step:
-                break
-            x = x_new
-        else:
-            raise NoConvergence(f"composite map {p + 1} did not converge", MAX_COMPOSITE_ITERS)
-        points.append(x_new)
+    cycle = gammas[1:] + gammas[:1]  # G_0: phase 1 first, phase 0 last
+    x, best = np.full(n, 1.0 / n), np.inf
+    while True:
+        states, jac = [x], np.eye(n)
+        for gamma in cycle:
+            states.append(df_map(states[-1], gamma))
+            # J_k = (I - y_k 1^T) diag(y_k / (1 - y_{k-1})), applied in O(n^2)
+            jac = (states[-1] / (1.0 - states[-2]))[:, None] * jac
+            jac -= np.outer(states[-1], jac.sum(axis=0))
+        residual = np.abs(states[-1] - x).sum()
+        if not residual < best:
+            break
+        best, points = residual, states[:-1]
+        if residual == 0:
+            break
+        x = x + np.linalg.solve(jac - np.eye(n), x - states[-1])
+        if not np.all((x > 0) & (x < 1)):  # a NaN step fails this too
+            break
     residuals = np.empty(period)
     for p in range(period):
         succ = (p + 1) % period

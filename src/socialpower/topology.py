@@ -32,7 +32,8 @@ class Tolerances:
     `TOLERANCES`, its one instance, is the only place these values are
     set; no function takes a tolerance except
     `periodic.verify_periodic_limit`, which defaults to `periodic_limit`.
-    Each comment names the code that reads the field.
+    Each comment names the code that reads the field.  Iterations stop
+    on their own progress, so no field is a stopping rule.
     """
 
     # topology: entries at or below this are no edge of the support
@@ -54,10 +55,9 @@ class Tolerances:
     structure: float = 1e-10
     # analysis.fixed_point: accepted residual ||F(x) - x||_1
     fixed_point: float = 1e-13
-    # periodic.periodic_fixed_points: a composite map's iteration stops
-    # once a step moves x by less than this, and a chain residual
-    # ||F_{p+1}(y_p) - y_{p+1}||_1 above `chain` is a bug
-    composite_step: float = 1e-13
+    # periodic.periodic_fixed_points: a chain residual
+    # ||F_{p+1}(y_p) - y_{p+1}||_1 above this is a bug; only the closing
+    # one, ||F_0(y_{P-1}) - y_0||_1, is not 0 by construction
     chain: float = 1e-12
     # periodic.verify_periodic_limit and `periodic --tol` by default:
     # allowed 1-norm deviation of a run from the per-phase limit
@@ -133,10 +133,13 @@ class StarClassification:
 def validate(matrix) -> RelativeInteractionMatrix:
     """Check all structural invariants, raising on the first violation.
 
-    Violations are reported in a fixed order: non-finite entries,
+    Violations are reported in a fixed order: non-numbers, non-finite,
     dimension, negative entries, diagonal, row sums, irreducibility.
     """
-    entries = np.array(matrix, dtype=float)
+    try:
+        entries = np.array(matrix, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix is not a rectangular array of numbers: {exc}") from exc
     finite = np.isfinite(entries)
     if not np.all(finite):
         idx = np.argwhere(~finite)[0]
@@ -289,6 +292,8 @@ class RandomUniform:
     seed: int
 
     def realize(self, issues: int, num_matrices: int) -> np.ndarray:
+        if self.seed < 0:
+            raise ValidationError(f"random seed {self.seed} is negative")
         rng = np.random.default_rng(self.seed)
         return rng.integers(0, num_matrices, size=issues)
 
@@ -363,15 +368,21 @@ def save_program(program: TopologyProgram, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _indices(doc, key: str) -> tuple:
+    if not isinstance(doc[key], list):
+        raise TypeError(f"{key!r} must be a list, got {doc[key]!r}")
+    return tuple(int(i) - 1 for i in doc[key])
+
+
 def _signal_from_doc(doc) -> object:
     try:
         kind = doc["kind"]
         if kind == "constant":
             return Constant(int(doc["index"]) - 1)
         if kind == "periodic":
-            return Periodic(tuple(int(i) - 1 for i in doc["order"]))
+            return Periodic(_indices(doc, "order"))
         if kind == "scripted":
-            return Scripted(tuple(int(i) - 1 for i in doc["sequence"]))
+            return Scripted(_indices(doc, "sequence"))
         if kind == "random":
             return RandomUniform(int(doc["seed"]))
     except (KeyError, TypeError, ValueError) as exc:

@@ -49,10 +49,10 @@ def check_jacobian_fd(gamma: np.ndarray, rng, samples: int = 100) -> CheckResult
     limit = TOLERANCES.finite_difference
     worst = 0.0
     for x in sample_interior(gamma.size, rng, samples):
-        pair = jacobian(x, df_map(x, gamma))
+        J = jacobian(x, df_map(x, gamma))
         fd = finite_difference_jacobian(x, gamma)
-        rel = np.abs(pair.matrix - fd).max() / np.abs(pair.matrix).max()
-        col_err = np.abs(pair.matrix.sum(axis=0)).max()
+        rel = np.abs(J - fd).max() / np.abs(J).max()
+        col_err = np.abs(J.sum(axis=0)).max()
         worst = max(worst, rel, col_err / limit)
     return CheckResult("jacobian_finite_difference", worst <= limit, worst)
 

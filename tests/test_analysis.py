@@ -27,7 +27,7 @@ GAMMA_EXAMPLE = np.array([0.4, 0.35, 0.25])
 class TestJacobian:
     def test_uniform_three_node_values(self):
         x = np.full(3, 1 / 3)
-        J = jacobian(x, x).matrix
+        J = jacobian(x, x)
         assert np.allclose(np.diag(J), 1 / 3, atol=1e-14)
         off = J[~np.eye(3, dtype=bool)]
         assert np.allclose(off, -1 / 6, atol=1e-14)
@@ -37,14 +37,14 @@ class TestJacobian:
         rng = np.random.default_rng(3)
         gamma = dominant_left_eigenvector(validate(interaction_set_6()[2]))
         for x in sample_interior(6, rng, 40):
-            J = jacobian(x, df_map(x, gamma)).matrix
+            J = jacobian(x, df_map(x, gamma))
             assert np.abs(J.sum(axis=0)).max() <= 1e-12
 
     def test_matches_finite_differences(self):
         gamma = dominant_left_eigenvector(validate(interaction_set_6()[1]))
         rng = np.random.default_rng(9)
         for x in sample_interior(6, rng, 10):
-            analytic = jacobian(x, df_map(x, gamma)).matrix
+            analytic = jacobian(x, df_map(x, gamma))
             numeric = finite_difference_jacobian(x, gamma)
             denom = max(1.0, np.abs(analytic).max())
             assert np.abs(analytic - numeric).max() / denom <= 1e-5
@@ -202,7 +202,6 @@ class TestTolerances:
             "star_gamma": 1e-9,
             "structure": 1e-10,
             "fixed_point": 1e-13,
-            "composite_step": 1e-13,
             "chain": 1e-12,
             "periodic_limit": 1e-8,
             "finite_difference": 1e-5,

@@ -181,10 +181,17 @@ class TestPeriodicCommand:
         assert "'program'" in err and "partial.json" in err
 
     def test_zero_tol_is_not_the_default(self, periodic_setup, tmp_path, capsys):
-        # the run settles to ~1e-14, never exactly onto the limit
-        argv = ["periodic", "--config", str(periodic_setup), "--out", str(tmp_path / "out")]
+        # after a burn-in of 20 the run is still ~1e-11 off the limit:
+        # within the default tolerance, but not exactly on it
+        config = json.loads(periodic_setup.read_text())
+        config["burn_in"] = 20
+        path = periodic_setup.with_name("short_burn_in.json")
+        path.write_text(json.dumps(config))
+        argv = ["periodic", "--config", str(path), "--out", str(tmp_path / "out")]
         assert main(argv + ["--tol", "0"]) == 1
         assert "NOT verified" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert ", verified" in capsys.readouterr().out
 
     def test_run_within_burn_in_rejected(self, tmp_path, capsys):
         # alternating.json has a burn-in of 40: 1 issue leaves no state to compare
@@ -219,6 +226,40 @@ def test_explicit_zero_issues_is_not_the_config_count(
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--issues", "0"]
     assert main(argv) == 1
     assert "need at least one issue" in capsys.readouterr().err
+
+
+class TestMalformedProgram:
+    def _edit(self, program_file, change):
+        doc = json.loads(program_file.read_text())
+        change(doc)
+        program_file.write_text(json.dumps(doc))
+
+    def test_negative_seed_in_file_rejected(self, simulate_config, program_file, tmp_path, capsys):
+        self._edit(program_file, lambda doc: doc["signal"].update(seed=-1))
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(tmp_path / "out")]) == 1
+        assert "random seed -1 is negative" in capsys.readouterr().err
+
+    def test_negative_seed_flag_rejected(self, simulate_config, tmp_path, capsys):
+        argv = ["simulate", "--config", str(simulate_config), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "random seed -1 is negative" in capsys.readouterr().err
+
+    def test_non_numeric_entry_rejected(self, program_file, tmp_path, capsys):
+        self._edit(program_file, lambda doc: doc["matrices"][0][0].__setitem__(1, "a"))
+        assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 1
+        assert "not a rectangular array of numbers" in capsys.readouterr().err
+
+    def test_ragged_matrix_rejected(self, program_file, tmp_path, capsys):
+        self._edit(program_file, lambda doc: doc["matrices"][0][0].pop())
+        assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 1
+        assert "not a rectangular array of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, key", [("periodic", "order"), ("scripted", "sequence")])
+    def test_index_string_is_not_a_list(self, program_file, tmp_path, capsys, kind, key):
+        # "12" would otherwise be split into its characters, indices 1 and 2
+        self._edit(program_file, lambda doc: doc.update(signal={"kind": kind, key: "12"}))
+        assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 2
+        assert f"'{key}' must be a list" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
