@@ -44,13 +44,15 @@ def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> np.ndarray:
     """Closed-form Jacobian of the power map between successive states.
 
     J_ii = x'_i (1 - x'_i)/(1 - x_i) and J_ij = -x'_i x'_j/(1 - x_j),
-    written with x' = x_next.  Columns sum to 0.
+    written with x' = x_next.  Columns sum to 0.  Stacks of state pairs
+    with shape (..., n) give a stack of Jacobians, shape (..., n, n).
     """
     x_now = np.asarray(x_now, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
     _require_interior(x_now)
-    J = -np.outer(x_next, x_next / (1.0 - x_now))
-    np.fill_diagonal(J, x_next * (1.0 - x_next) / (1.0 - x_now))
+    J = -(x_next[..., :, None] * (x_next / (1.0 - x_now))[..., None, :])
+    diag = np.arange(x_next.shape[-1])
+    J[..., diag, diag] = x_next * (1.0 - x_next) / (1.0 - x_now)
     return J
 
 

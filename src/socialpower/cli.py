@@ -83,7 +83,10 @@ def cmd_simulate(args) -> int:
     inits = _require(cfg, "initial_conditions", args.config)
     issues = int(args.issues if args.issues is not None else cfg.get("issues", 100))
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is not None and isinstance(program.signal, RandomUniform):
+    if seed is not None:
+        if not isinstance(program.signal, RandomUniform):
+            kind = type(program.signal).__name__.lower()
+            raise ValidationError(f"a seed applies only to a random signal, not to a {kind} one")
         program = TopologyProgram(program.matrices, RandomUniform(int(seed)))
     out = _out_dir(args)
 

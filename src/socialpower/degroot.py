@@ -18,12 +18,19 @@ from .topology import RelativeInteractionMatrix, stationary_vector
 
 
 def build_w(x: np.ndarray, C: RelativeInteractionMatrix) -> np.ndarray:
-    """Influence matrix X + (I - X)C; row-stochastic with diagonal x."""
+    """Influence matrix X + (I - X)C; row-stochastic with diagonal x.
+
+    A stack of self-weight vectors, shape (..., n), gives a stack of
+    influence matrices, shape (..., n, n).
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or np.any(x >= 1):
         raise ValidationError("self-weights must satisfy 0 <= x_i < 1")
     entries = C.entries if isinstance(C, RelativeInteractionMatrix) else np.asarray(C)
-    return np.diag(x) + (1.0 - x)[:, None] * entries
+    w = (1.0 - x)[..., :, None] * entries
+    diag = np.arange(x.shape[-1])
+    w[..., diag, diag] += x
+    return w
 
 
 def appraisal_step_via_zeta(x, C: RelativeInteractionMatrix):
@@ -31,7 +38,8 @@ def appraisal_step_via_zeta(x, C: RelativeInteractionMatrix):
 
     Must agree with the reduced map evaluated at the dominant left
     eigenvector of C; any discrepancy beyond `Tolerances.oracle_gap` is a
-    defect in one of the two paths.
+    defect in one of the two paths.  A stack of states, shape (..., n),
+    is solved as one stack of influence matrices.
     """
     if isinstance(x, Vertex):
         return x

@@ -29,7 +29,11 @@ class Vertex:
 
 
 def df_map(x, gamma: np.ndarray):
-    """One issue of the social power update; vertices are fixed points."""
+    """One issue of the social power update; vertices are fixed points.
+
+    `x` may be a stack of states with shape (..., n); each row is mapped
+    exactly as it would be on its own.
+    """
     if isinstance(x, Vertex):
         return x
     x = np.asarray(x, dtype=float)
@@ -38,7 +42,7 @@ def df_map(x, gamma: np.ndarray):
             f"state within {TOLERANCES.vertex_guard:.0e} of a vertex; tag vertices explicitly"
         )
     scaled = gamma / (1.0 - x)
-    return scaled / scaled.sum()
+    return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,10 @@ class Trajectory:
         """One row per state; column p is the 1-based matrix index that
         produced the state (0 for the initial row)."""
         cols = ",".join(f"x_{i + 1}" for i in range(self.n))
+        produced = [0] + (self.signal_log + 1).tolist()
         lines = [f"s,p,{cols}"]
-        for s in range(self.states.shape[0]):
-            p = 0 if s == 0 else int(self.signal_log[s - 1]) + 1
-            row = ",".join(format(v, ".17g") for v in self.states[s])
-            lines.append(f"{s},{p},{row}")
+        for s, (p, row) in enumerate(zip(produced, self.states.tolist())):
+            lines.append(f"{s},{p}," + ",".join([f"{v:.17g}" for v in row]))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -68,7 +68,8 @@ def line_chart(series: dict, path, title: str, xlabel: str = "s", ylabel: str = 
     )
     for k, (label, (x, y, dashed)) in enumerate(series.items()):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+        xs, ys = px(np.asarray(x, dtype=float)).tolist(), py(np.asarray(y, dtype=float)).tolist()
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs, ys))
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')
         ly = _MT + 14 + 18 * k

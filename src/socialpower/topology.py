@@ -82,22 +82,30 @@ def stationary_vector(matrix: np.ndarray) -> np.ndarray:
     The solution is accepted only when the residual ||vM - v||_1 is at
     most `Tolerances.eigen_residual` and every entry is positive, which
     holds for an irreducible M; otherwise NoConvergence names the
-    residual.
+    residual.  A stack of matrices, shape (..., n, n), is solved in one
+    call and checked matrix by matrix; NoConvergence then also names the
+    first rejected matrix by its position in the flattened stack.
     """
-    n = matrix.shape[0]
-    system = np.eye(n) - matrix.T
-    system[-1] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
+    n = matrix.shape[-1]
+    system = np.eye(n) - np.swapaxes(matrix, -1, -2)
+    system[..., -1, :] = 1.0
+    # one (n, 1) right-hand side per matrix: numpy 1.x and 2.x both read
+    # it as a matrix, whatever the stack shape
+    rhs = np.zeros(matrix.shape[:-1] + (1,))
+    rhs[..., -1, 0] = 1.0
     try:
-        v = np.linalg.solve(system, rhs)
+        v = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"stationary vector: singular system ({exc})") from exc
-    residual = float(np.abs(v @ matrix - v).sum())
-    if not (residual <= TOLERANCES.eigen_residual and np.all(v > 0)):
+    residual = np.abs((v[..., None, :] @ matrix)[..., 0, :] - v).sum(axis=-1)
+    min_entry = v.min(axis=-1)
+    accepted = (residual <= TOLERANCES.eigen_residual) & (min_entry > 0)
+    if not accepted.all():
+        k = int(np.argmin(accepted.ravel()))
+        which = f" of matrix {k}" if matrix.ndim > 2 else ""
         raise NoConvergence(
-            f"stationary vector rejected: residual {residual:.3e} "
-            f"(tol {TOLERANCES.eigen_residual:.0e}), min entry {v.min():.3e}"
+            f"stationary vector{which} rejected: residual {residual.ravel()[k]:.3e} "
+            f"(tol {TOLERANCES.eigen_residual:.0e}), min entry {min_entry.ravel()[k]:.3e}"
         )
     return v
 
@@ -368,23 +376,30 @@ def save_program(program: TopologyProgram, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _integer(value, key: str) -> int:
+    """A JSON integer; floats, strings and booleans are not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key!r} needs integers, got {value!r}")
+    return value
+
+
 def _indices(doc, key: str) -> tuple:
     if not isinstance(doc[key], list):
         raise TypeError(f"{key!r} must be a list, got {doc[key]!r}")
-    return tuple(int(i) - 1 for i in doc[key])
+    return tuple(_integer(i, key) - 1 for i in doc[key])
 
 
 def _signal_from_doc(doc) -> object:
     try:
         kind = doc["kind"]
         if kind == "constant":
-            return Constant(int(doc["index"]) - 1)
+            return Constant(_integer(doc["index"], "index") - 1)
         if kind == "periodic":
             return Periodic(_indices(doc, "order"))
         if kind == "scripted":
             return Scripted(_indices(doc, "sequence"))
         if kind == "random":
-            return RandomUniform(int(doc["seed"]))
+            return RandomUniform(_integer(doc["seed"], "seed"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed signal section: {exc}") from exc
     raise ParseError(f"unknown signal kind {kind!r}")

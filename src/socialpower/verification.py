@@ -17,6 +17,10 @@ from .errors import ValidationError
 from .topology import TOLERANCES, RelativeInteractionMatrix
 
 FD_STEP = 1e-7
+# Checks evaluate their samples as stacks, in chunks whose per-sample
+# work (n floats for a state, n * n for a Jacobian or an influence
+# matrix) stays below this many floats per temporary array (8 MB).
+CHUNK_FLOATS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -34,34 +38,46 @@ def sample_interior(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def finite_difference_jacobian(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Central differences of the map formula around x, step FD_STEP."""
-    n = x.size
-    J = np.empty((n, n))
-    for j in range(n):
-        hi, lo = x.copy(), x.copy()
-        hi[j] += FD_STEP
-        lo[j] -= FD_STEP
-        J[:, j] = (df_map(hi, gamma) - df_map(lo, gamma)) / (2 * FD_STEP)
-    return J
+    """Central differences of the map formula around x, step FD_STEP.
+
+    A stack of states, shape (..., n), gives a stack of Jacobians.
+    """
+    x = np.asarray(x, dtype=float)
+    step = FD_STEP * np.eye(x.shape[-1])
+    hi = df_map(x[..., None, :] + step, gamma)
+    lo = df_map(x[..., None, :] - step, gamma)
+    # row j of the differences is column j of the Jacobian
+    return np.swapaxes((hi - lo) / (2 * FD_STEP), -1, -2)
+
+
+def _per_sample(fn, xs: np.ndarray, floats_per_sample: int) -> np.ndarray:
+    """fn applied to the rows of xs in chunks of at most CHUNK_FLOATS
+    floats of per-sample work, concatenated."""
+    step = max(1, CHUNK_FLOATS // floats_per_sample)
+    return np.concatenate([fn(xs[lo:lo + step]) for lo in range(0, len(xs), step)])
 
 
 def check_jacobian_fd(gamma: np.ndarray, rng, samples: int = 100) -> CheckResult:
     limit = TOLERANCES.finite_difference
-    worst = 0.0
-    for x in sample_interior(gamma.size, rng, samples):
+
+    def errors(x):
         J = jacobian(x, df_map(x, gamma))
         fd = finite_difference_jacobian(x, gamma)
-        rel = np.abs(J - fd).max() / np.abs(J).max()
-        col_err = np.abs(J.sum(axis=0)).max()
-        worst = max(worst, rel, col_err / limit)
+        rel = np.abs(J - fd).max(axis=(-2, -1)) / np.abs(J).max(axis=(-2, -1))
+        col_err = np.abs(J.sum(axis=-2)).max(axis=-1)
+        return np.maximum(rel, col_err / limit)
+
+    xs = sample_interior(gamma.size, rng, samples)
+    worst = max(0.0, float(_per_sample(errors, xs, gamma.size ** 2).max()))
     return CheckResult("jacobian_finite_difference", worst <= limit, worst)
 
 
 def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000) -> CheckResult:
     worst_norm = 0.0
     worst_struct = 0.0
-    for x in sample_interior(gamma.size, rng, samples):
-        rep = transform_chain(df_map(x, gamma))
+    xs = sample_interior(gamma.size, rng, samples)
+    for x in _per_sample(lambda x: df_map(x, gamma), xs, gamma.size):
+        rep = transform_chain(x)
         worst_norm = max(worst_norm, rep.h_one_norm)
         worst_struct = max(
             worst_struct,
@@ -81,18 +97,25 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000) 
 
 def check_oracle_equivalence(matrix: RelativeInteractionMatrix, rng, samples: int = 1000) -> CheckResult:
     gamma = matrix.gamma
-    worst = 0.0
-    for x in sample_interior(matrix.n, rng, samples):
-        gap = np.abs(appraisal_step_via_zeta(x, matrix) - df_map(x, gamma)).sum()
-        worst = max(worst, gap)
+
+    def gaps(x):
+        return np.abs(appraisal_step_via_zeta(x, matrix) - df_map(x, gamma)).sum(axis=-1)
+
+    xs = sample_interior(matrix.n, rng, samples)
+    worst = max(0.0, float(_per_sample(gaps, xs, matrix.n ** 2).max()))
     return CheckResult("opinion_oracle_equivalence", worst <= TOLERANCES.oracle_gap, worst)
 
 
 def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckResult:
-    """x_j <= 1 - r with r <= r_j must imply F_j(x) < 1 - r."""
+    """x_j <= 1 - r with r <= r_j must imply F_j(x) < 1 - r.
+
+    A draw whose state leaves the simplex is skipped; a run in which
+    every draw is skipped has checked no state and passes with worst
+    margin -inf.
+    """
     radii = contraction_radii(gamma)
     n = gamma.size
-    worst = -np.inf
+    draws = []
     for _ in range(samples):
         j = rng.integers(n)
         if radii[j] <= 0:
@@ -100,10 +123,15 @@ def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckRes
         r = rng.uniform(0, radii[j])
         x_j = 1.0 - r * rng.uniform(1.0, 1.5)
         rest = rng.dirichlet(np.full(n - 1, 1.0)) * (1.0 - x_j)
-        x = np.insert(rest, j, x_j)
-        if np.any(x >= 1.0 - TOLERANCES.near_vertex) or np.any(x <= 0):
-            continue
-        worst = max(worst, df_map(x, gamma)[j] - (1.0 - r))
+        draws.append((j, r, np.insert(rest, j, x_j)))
+    j = np.array([d[0] for d in draws], dtype=int)
+    r = np.array([d[1] for d in draws])
+    x = np.array([d[2] for d in draws]).reshape(-1, n)
+    keep = ~(np.any(x >= 1.0 - TOLERANCES.near_vertex, axis=1) | np.any(x <= 0, axis=1))
+    worst = -np.inf
+    if keep.any():
+        mapped = _per_sample(lambda x: df_map(x, gamma), x[keep], n)
+        worst = float((mapped[np.arange(len(mapped)), j[keep]] - (1.0 - r[keep])).max())
     return CheckResult("boundary_contraction_step", worst < 0, worst)
 
 

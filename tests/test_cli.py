@@ -10,6 +10,30 @@ from socialpower.topology import Periodic, TopologyProgram, save_program, valida
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
+# `verify experiments/group6_random.json --samples 200`, exactly as printed
+GROUP6_VERIFY_200 = """\
+matrix 1 jacobian_finite_difference: pass, worst margin 1.789e-09
+matrix 1 contraction_certificate: pass, worst margin 9.972e-01 (worst structural deviation 1.22e-15)
+matrix 1 opinion_oracle_equivalence: pass, worst margin 4.025e-16
+matrix 1 boundary_contraction_step: pass, worst margin -2.161e-02
+matrix 2 jacobian_finite_difference: pass, worst margin 2.598e-09
+matrix 2 contraction_certificate: pass, worst margin 9.796e-01 (worst structural deviation 4.44e-16)
+matrix 2 opinion_oracle_equivalence: pass, worst margin 6.349e-16
+matrix 2 boundary_contraction_step: pass, worst margin -1.590e-02
+matrix 3 jacobian_finite_difference: pass, worst margin 1.894e-09
+matrix 3 contraction_certificate: pass, worst margin 8.767e-01 (worst structural deviation 4.44e-16)
+matrix 3 opinion_oracle_equivalence: pass, worst margin 8.049e-16
+matrix 3 boundary_contraction_step: pass, worst margin -1.334e-02
+matrix 4 jacobian_finite_difference: pass, worst margin 1.842e-09
+matrix 4 contraction_certificate: pass, worst margin 9.188e-01 (worst structural deviation 3.33e-16)
+matrix 4 opinion_oracle_equivalence: pass, worst margin 7.563e-16
+matrix 4 boundary_contraction_step: pass, worst margin -8.498e-03
+matrix 5 jacobian_finite_difference: pass, worst margin 2.956e-09
+matrix 5 contraction_certificate: pass, worst margin 9.911e-01 (worst structural deviation 6.11e-16)
+matrix 5 opinion_oracle_equivalence: pass, worst margin 4.710e-16
+matrix 5 boundary_contraction_step: pass, worst margin -2.656e-03
+"""
+
 
 @pytest.fixture
 def program_file(tmp_path):
@@ -74,6 +98,22 @@ class TestSimulate:
         main(["simulate", "--config", str(simulate_config), "--out", str(out1)])
         main(["simulate", "--config", str(simulate_config), "--out", str(out2), "--seed", "7"])
         assert (out1 / "run_hat.csv").read_text() != (out2 / "run_hat.csv").read_text()
+
+    @pytest.mark.parametrize("from_flag", [True, False])
+    def test_seed_on_non_random_signal_rejected(self, tmp_path, capsys, from_flag):
+        config = {
+            "program": str(EXPERIMENTS / "group6_alternating.json"),
+            "issues": 10,
+            "initial_conditions": {"flat": [1 / 6] * 6},
+        }
+        if not from_flag:
+            config["seed"] = 5
+        path = tmp_path / "simulate.json"
+        path.write_text(json.dumps(config))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--seed", "5"] if from_flag else [])) == 1
+        assert "not to a periodic one" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_flat.csv").exists()
 
     def test_vertex_initial_condition(self, tmp_path, program_file):
         config = {
@@ -261,6 +301,18 @@ class TestMalformedProgram:
         assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 2
         assert f"'{key}' must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("constant", "index", 1.7),
+        ("periodic", "order", [1.7, 2]),
+        ("scripted", "sequence", [1, "2"]),
+        ("random", "seed", True),
+    ])
+    def test_non_integer_index_rejected(self, program_file, tmp_path, capsys, kind, key, value):
+        # int() would truncate 1.7 to 1 and read true and "2" as 1 and 2
+        self._edit(program_file, lambda doc: doc.update(signal={"kind": kind, key: value}))
+        assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 2
+        assert f"'{key}' needs integers" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_passes_on_example_group_program(self, program_file, capsys):
@@ -280,6 +332,10 @@ class TestVerifyCommand:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         assert main(["verify", str(path)]) == 2
+
+    def test_group6_stdout_is_pinned(self, capsys):
+        assert main(["verify", str(EXPERIMENTS / "group6_random.json"), "--samples", "200"]) == 0
+        assert capsys.readouterr().out == GROUP6_VERIFY_200
 
 
 class TestPlotCommand:
