@@ -15,7 +15,7 @@ from .analysis import (
     vertex_stability,
 )
 from .degroot import appraisal_step_via_zeta, build_w
-from .dynamics import Trajectory, Vertex, df_map, limit_gap, simulate
+from .dynamics import Trajectory, df_map, limit_gap, simulate
 from .periodic import PeriodicLimit, periodic_fixed_points, verify_periodic_limit
 from .topology import (
     Constant,

@@ -12,18 +12,20 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, periodic, svg
-from .dynamics import Vertex, limit_gap, simulate
+from .dynamics import Trajectory, limit_gap, simulate
 from .errors import ParseError, SocialPowerError, ValidationError
 from .topology import (
     TOLERANCES,
     RandomUniform,
     TopologyProgram,
+    _integer,
     classify_star,
     load_program,
     max_gamma_profile,
@@ -52,15 +54,29 @@ def _require(cfg: dict, key: str, path):
     return cfg[key]
 
 
-def _parse_init(spec, n):
-    if isinstance(spec, str):
-        if spec.startswith("vertex:"):
-            idx = int(spec.split(":", 1)[1])
-            if not 1 <= idx <= n:
-                raise ValidationError(f"vertex index {idx} out of 1..{n}")
-            return Vertex(idx - 1)
-        raise ParseError(f"unrecognized initial condition {spec!r}")
-    return np.asarray(spec, dtype=float)
+def _int_setting(flag, cfg: dict, key: str, default, path):
+    """`flag` if given, else `cfg[key]`, which must be a JSON integer, else `default`."""
+    if flag is not None or key not in cfg:
+        return default if flag is None else flag
+    try:
+        return _integer(cfg[key], key)
+    except TypeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _parse_init(spec, n: int, label: str, path) -> np.ndarray:
+    """One start: a flat list of n numbers, or "vertex:k" for the vertex e_k."""
+    vertex = re.fullmatch(r"vertex:([0-9]+)", spec) if isinstance(spec, str) else None
+    if vertex:
+        k = int(vertex[1])
+        if not 1 <= k <= n:
+            raise ValidationError(f"{label}: vertex index {k} out of 1..{n}")
+        return np.eye(n)[k - 1]
+    if not isinstance(spec, list) or any(type(v) not in (int, float) for v in spec):
+        raise ParseError(f'{path}: {label} must be a flat list of numbers or "vertex:k", got {spec!r}')
+    if len(spec) != n:
+        raise ValidationError(f"{label} has shape ({len(spec)},), expected ({n},)")
+    return np.array(spec, dtype=float)
 
 
 def _json_default(obj):
@@ -81,38 +97,35 @@ def cmd_simulate(args) -> int:
     cfg_dir = Path(args.config).parent
     program = load_program(cfg_dir / _require(cfg, "program", args.config))
     inits = _require(cfg, "initial_conditions", args.config)
-    issues = int(args.issues if args.issues is not None else cfg.get("issues", 100))
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    if not isinstance(inits, dict):
+        raise ParseError(f"{args.config}: 'initial_conditions' must map run names to starts")
+    issues = _int_setting(args.issues, cfg, "issues", 100, args.config)
+    seed = _int_setting(args.seed, cfg, "seed", None, args.config)
+    burn_in = _int_setting(None, cfg, "burn_in", 20, args.config)
     if seed is not None:
         if not isinstance(program.signal, RandomUniform):
             kind = type(program.signal).__name__.lower()
             raise ValidationError(f"a seed applies only to a random signal, not to a {kind} one")
-        program = TopologyProgram(program.matrices, RandomUniform(int(seed)))
+        program = TopologyProgram(program.matrices, RandomUniform(seed))
+    n = program.n
+    names = list(inits)
+    init = np.array([_parse_init(inits[name], n, f"initial condition {name!r}", args.config)
+                     for name in names]).reshape(-1, n)
     out = _out_dir(args)
 
-    # One shared signal realization: limit-gap comparison is only
+    # One batch under one signal realization: limit-gap comparison is only
     # meaningful when every run sees the identical switching sequence.
-    log = program.realize(issues)
-    names, trajs = [], []
-    for name, spec in inits.items():
-        traj = simulate(program, _parse_init(spec, program.n), issues, signal_log=log)
-        traj.to_csv(out / f"run_{name}.csv")
-        names.append(name)
-        trajs.append(traj)
+    batch = simulate(program, init, issues)
+    for b, name in enumerate(names):
+        Trajectory(batch.states[:, b], batch.signal_log).to_csv(out / f"run_{name}.csv")
 
     gbar = max_gamma_profile(program)
     bounds = analysis.equilibrium_upper_bound(gbar)
     # the bound constrains the limit set, so transients are excluded
-    burn_in = int(cfg.get("burn_in", 20))
-    violations = 0
-    min_margin = 1.0
-    for traj in trajs:
-        settled = traj.states[burn_in + 1:]
-        violations += int(np.sum(np.any(settled > bounds + TOLERANCES.bound_slack, axis=1)))
-        post = traj.states[1:]
-        interior = post[np.all(post > 0, axis=1)]
-        if interior.size:
-            min_margin = min(min_margin, float(analysis.contraction_margin(interior).min()))
+    violations = int(np.any(batch.states[burn_in + 1:] > bounds + TOLERANCES.bound_slack, -1).sum())
+    post = batch.states[1:].reshape(-1, n)
+    interior = post[np.all(post > 0, axis=1)]
+    min_margin = float(analysis.contraction_margin(interior).min(initial=1.0))
 
     report = {
         "issues": issues,
@@ -122,8 +135,8 @@ def cmd_simulate(args) -> int:
         "bound_violation_count": violations,
         "min_contraction_margin": min_margin,
     }
-    if len(trajs) >= 2:
-        gap = limit_gap(trajs[0], trajs[1])
+    if len(names) >= 2:
+        gap = limit_gap(*(Trajectory(batch.states[:, b], batch.signal_log) for b in (0, 1)))
         with open(out / "limit_gap.csv", "w") as fh:
             fh.write("s,gap\n")
             fh.writelines(f"{s},{format(g, '.17g')}\n" for s, g in enumerate(gap))
@@ -131,8 +144,8 @@ def cmd_simulate(args) -> int:
         report["final_gap"] = float(gap[-1])
     _write_report(report, out / "report.json")
     if cfg.get("plot"):
-        _plot_files([out / f"run_{n}.csv" for n in names], out)
-    print(f"simulate: {len(trajs)} run(s), {issues} issues, "
+        _plot_files([out / f"run_{name}.csv" for name in names], out)
+    print(f"simulate: {len(names)} run(s), {issues} issues, "
           f"{violations} bound violations, min margin {min_margin:.4f}")
     return 0 if violations == 0 else 1
 
@@ -180,9 +193,10 @@ def cmd_periodic(args) -> int:
     cfg_dir = Path(args.config).parent
     program = load_program(cfg_dir / _require(cfg, "program", args.config))
     limit = periodic.periodic_fixed_points(program)
-    issues = int(args.issues if args.issues is not None else cfg.get("issues", 200))
-    burn_in = int(cfg.get("burn_in", 30))
-    init = _parse_init(cfg.get("initial_condition", [1.0 / program.n] * program.n), program.n)
+    issues = _int_setting(args.issues, cfg, "issues", 200, args.config)
+    burn_in = _int_setting(None, cfg, "burn_in", 30, args.config)
+    init = _parse_init(cfg.get("initial_condition", [1.0 / program.n] * program.n), program.n,
+                       "initial condition", args.config)
     traj = simulate(program, init, issues)
     ok, worst = periodic.verify_periodic_limit(traj, limit, burn_in, tol=args.tol)
     period = len(limit.fixed_points)

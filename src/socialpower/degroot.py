@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Vertex
 from .errors import ValidationError
 from .topology import RelativeInteractionMatrix, stationary_vector
 
@@ -41,6 +40,4 @@ def appraisal_step_via_zeta(x, C: RelativeInteractionMatrix):
     defect in one of the two paths.  A stack of states, shape (..., n),
     is solved as one stack of influence matrices.
     """
-    if isinstance(x, Vertex):
-        return x
     return stationary_vector(build_w(x, C))

@@ -2,8 +2,9 @@
 
 The map sends the power vector x on the simplex to
 alpha(x) * (gamma_i / (1 - x_i))_i, where alpha(x) normalizes the
-result to sum 1, with simplex vertices as tagged fixed points.  Under a
-switching program the applied eigenvector changes per issue.
+result to sum 1.  The formula divides by zero at a vertex e_i, a fixed
+point, so `simulate` holds a row equal to e_i instead of mapping it.
+Under a switching program the applied eigenvector changes per issue.
 """
 
 from __future__ import annotations
@@ -16,33 +17,20 @@ from .errors import NumericalOverflow, ProgramMismatch, ValidationError
 from .topology import TOLERANCES, TopologyProgram
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """Tagged autocratic configuration e_i (0-based index)."""
-
-    index: int
-
-    def as_array(self, n: int) -> np.ndarray:
-        e = np.zeros(n)
-        e[self.index] = 1.0
-        return e
-
-
-def df_map(x, gamma: np.ndarray):
-    """One issue of the social power update; vertices are fixed points.
+def df_map(x, gamma: np.ndarray) -> np.ndarray:
+    """One issue of the social power update, away from the vertices.
 
     `x` may be a stack of states with shape (..., n); each row is mapped
     exactly as it would be on its own.
     """
-    if isinstance(x, Vertex):
-        return x
-    x = np.asarray(x, dtype=float)
-    if np.any(1.0 - x < TOLERANCES.vertex_guard):
+    gap = 1.0 - np.asarray(x, dtype=float)
+    if (gap < TOLERANCES.vertex_guard).any():
         raise NumericalOverflow(
-            f"state within {TOLERANCES.vertex_guard:.0e} of a vertex; tag vertices explicitly"
+            f"state within {TOLERANCES.vertex_guard:.0e} of a vertex; start the run at the vertex e_i"
         )
-    scaled = gamma / (1.0 - x)
-    return scaled / scaled.sum(axis=-1, keepdims=True)
+    scaled = gamma / gap
+    scaled /= scaled.sum(axis=-1, keepdims=True)
+    return scaled
 
 
 @dataclass(frozen=True)
@@ -53,21 +41,17 @@ class Trajectory:
     the map of states[s] under that matrix's eigenvector.
     """
 
-    states: np.ndarray          # (S+1, n)
+    states: np.ndarray          # (S+1, n), or (S+1, B, n) with run b at [:, b]
     signal_log: np.ndarray      # (S,)
 
     @property
     def issues(self) -> int:
         return self.states.shape[0] - 1
 
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
     def to_csv(self, path) -> None:
         """One row per state; column p is the 1-based matrix index that
-        produced the state (0 for the initial row)."""
-        cols = ",".join(f"x_{i + 1}" for i in range(self.n))
+        produced the state (0 for the initial row).  Single runs only."""
+        cols = ",".join(f"x_{i + 1}" for i in range(self.states.shape[-1]))
         produced = [0] + (self.signal_log + 1).tolist()
         lines = [f"s,p,{cols}"]
         for s, (p, row) in enumerate(zip(produced, self.states.tolist())):
@@ -76,53 +60,55 @@ class Trajectory:
             fh.write("\n".join(lines) + "\n")
 
 
-def _check_init(x0: np.ndarray):
-    finite = np.isfinite(x0)
+def _check_init(x: np.ndarray, held: np.ndarray) -> None:
+    """Reject the first row that is neither held nor admissible (finite,
+    0 <= x_i < 1, some x_j > 0); a batch names the row, 1-based."""
+    ok = held | (np.all((x >= 0) & (x < 1), axis=-1) & np.any(x > 0, axis=-1))
+    if np.all(ok):
+        return
+    b = int(np.argmin(ok))
+    row = x.reshape(-1, x.shape[-1])[b]
+    where = "initial condition" if x.ndim == 1 else f"initial condition row {b + 1}"
+    finite = np.isfinite(row)
     if not np.all(finite):
         i = int(np.argmin(finite))
-        raise ValidationError(f"initial condition entry {i + 1} = {x0[i]} is not finite")
-    if np.any(x0 < 0) or np.any(x0 >= 1):
-        raise ValidationError("initial condition requires 0 <= x_i < 1 for all i")
-    if not np.any(x0 > 0):
-        raise ValidationError("initial condition needs at least one x_j > 0")
+        raise ValidationError(f"{where} entry {i + 1} = {row[i]} is not finite")
+    if np.any(row < 0) or np.any(row >= 1):
+        raise ValidationError(f"{where} requires 0 <= x_i < 1 for all i")
+    raise ValidationError(f"{where} needs at least one x_j > 0")
 
 
-def simulate(program: TopologyProgram, init, issues: int, signal_log=None) -> Trajectory:
+def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     """Run the switching system for `issues` steps from `init`.
 
-    `init` is either an admissible vector (0 <= x_i < 1, some x_j > 0)
-    or a tagged Vertex, which yields a constant trajectory.  Passing a
-    pre-realized `signal_log` lets several initial conditions share one
-    signal realization.
+    `init` is one initial condition, shape (n,), or a batch, shape
+    (B, n), run under the program's one signal realization; the states
+    have shape (issues + 1,) + init.shape.  A row equal to a vertex e_i
+    is held there; every other row must be admissible (0 <= x_i < 1,
+    some x_j > 0) and goes through one `df_map` call per issue.
     """
     if issues < 1:
         raise ValidationError("need at least one issue")
-    if signal_log is None:
-        signal_log = program.realize(issues)
-    else:
-        signal_log = np.asarray(signal_log, dtype=int)
-        if signal_log.shape != (issues,):
-            raise ValidationError("signal log length must equal the issue count")
+    signal_log = program.realize(issues)
     gammas = program.gammas()
     n = program.n
-    states = np.empty((issues + 1, n))
-
-    if isinstance(init, Vertex):
-        states[:] = init.as_array(n)
-        return Trajectory(states, signal_log)
-
     x = np.asarray(init, dtype=float)
-    if x.shape != (n,):
-        raise ValidationError(f"initial condition has shape {x.shape}, expected ({n},)")
-    _check_init(x)
-    states[0] = x
+    if x.shape[-1:] != (n,) or x.ndim > 2:
+        expected = f"({n},)" if x.ndim < 2 else f"(B, {n})"
+        raise ValidationError(f"initial condition has shape {x.shape}, expected {expected}")
+    rows = x.reshape(-1, n)
+    free = ~(np.any(rows == 1.0, axis=1) & (np.count_nonzero(rows, axis=1) == 1))
+    _check_init(x, ~free)
+    path = [rows[free]]
     for s in range(issues):
         try:
-            x = df_map(x, gammas[signal_log[s]])
+            path.append(df_map(path[-1], gammas[signal_log[s]]))
         except NumericalOverflow as exc:
             raise NumericalOverflow(f"issue {s}: {exc}") from exc
-        states[s + 1] = x
-    return Trajectory(states, signal_log)
+    states = np.empty((issues + 1,) + rows.shape)
+    states[:] = rows  # held rows stay at their vertex
+    states[:, free] = path
+    return Trajectory(states.reshape((issues + 1,) + x.shape), signal_log)
 
 
 def limit_gap(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
@@ -131,4 +117,4 @@ def limit_gap(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
         traj_a.signal_log, traj_b.signal_log
     ):
         raise ProgramMismatch("trajectories come from different signal realizations")
-    return np.abs(traj_a.states - traj_b.states).sum(axis=1)
+    return np.abs(traj_a.states - traj_b.states).sum(axis=-1)

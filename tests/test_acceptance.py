@@ -80,9 +80,8 @@ def test_criterion_2_equilibrium_bound_holds_on_random_run():
 
 def test_criterion_3_initial_condition_forgetting():
     program = switching_program_6(seed=20170825)
-    log = program.signal.realize(200, 5)
-    hat = simulate(program, np.array([0.95, 0.95, 0.95, 0.0, 0.0, 0.0]), 200, signal_log=log)
-    tilde = simulate(program, np.array([0.05, 0.05, 0.05, 0.9, 0.05, 0.9]), 200, signal_log=log)
+    hat = simulate(program, np.array([0.95, 0.95, 0.95, 0.0, 0.0, 0.0]), 200)
+    tilde = simulate(program, np.array([0.05, 0.05, 0.05, 0.9, 0.05, 0.9]), 200)
     gap = limit_gap(hat, tilde)
     worst_late = gap[20:].max()
     assert worst_late < 1e-6, f"gap after s=20 reaches {worst_late:.2e}"

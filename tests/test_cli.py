@@ -314,6 +314,61 @@ class TestMalformedProgram:
         assert f"'{key}' needs integers" in capsys.readouterr().err
 
 
+class TestMalformedConfig:
+    @staticmethod
+    def _rewrite(config_path, change):
+        doc = json.loads(config_path.read_text())
+        change(doc)
+        path = config_path.parent / "edited.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("value", [1.7, "2", True])
+    @pytest.mark.parametrize("key", ["issues", "burn_in", "seed"])
+    def test_simulate_setting_needs_integer(self, simulate_config, tmp_path, capsys, key, value):
+        # int() would truncate 1.7 to 1 and read "2" and true as 2 and 1
+        path = self._rewrite(simulate_config, lambda doc: doc.update({key: value}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' needs integers" in err and "edited.json" in err
+
+    @pytest.mark.parametrize("value", [1.7, "2", True])
+    @pytest.mark.parametrize("key", ["issues", "burn_in"])
+    def test_periodic_setting_needs_integer(self, periodic_setup, tmp_path, capsys, key, value):
+        path = self._rewrite(periodic_setup, lambda doc: doc.update({key: value}))
+        assert main(["periodic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' needs integers" in err and "edited.json" in err
+
+    @pytest.mark.parametrize("spec", [
+        ["a", 0.1, 0.1, 0.1, 0.1, 0.1],
+        {"a": 1},
+        "vertex:x",
+        [[0.5, 0.1, 0.1, 0.1, 0.1, 0.1]],
+    ])
+    def test_malformed_initial_condition(self, simulate_config, tmp_path, capsys, spec):
+        path = self._rewrite(simulate_config, lambda doc: doc["initial_conditions"].update(odd=spec))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "initial condition 'odd'" in err and "edited.json" in err
+        assert not (tmp_path / "out" / "run_hat.csv").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ([0.5, 0.1, 0.1, 0.1, 0.1], "initial condition 'odd' has shape (5,), expected (6,)"),
+        ("vertex:7", "initial condition 'odd': vertex index 7 out of 1..6"),
+    ])
+    def test_initial_condition_of_wrong_size(self, simulate_config, tmp_path, capsys, spec, message):
+        path = self._rewrite(simulate_config, lambda doc: doc["initial_conditions"].update(odd=spec))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_nested_periodic_initial_condition(self, periodic_setup, tmp_path, capsys):
+        path = self._rewrite(periodic_setup, lambda doc: doc.update(
+            initial_condition=[doc["initial_condition"]]))
+        assert main(["periodic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "initial condition must be a flat list" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_passes_on_example_group_program(self, program_file, capsys):
         assert main(["verify", str(program_file), "--samples", "30", "--seed", "0"]) == 0

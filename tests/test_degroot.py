@@ -3,7 +3,7 @@ import pytest
 
 from socialpower import errors
 from socialpower.degroot import appraisal_step_via_zeta, build_w
-from socialpower.dynamics import Vertex, df_map
+from socialpower.dynamics import df_map
 from socialpower.fixtures import interaction_set_6
 from socialpower.topology import dominant_left_eigenvector, validate
 
@@ -39,10 +39,6 @@ class TestBuildW:
 
 
 class TestAppraisalEquivalence:
-    def test_vertex_passthrough(self):
-        v = Vertex(0)
-        assert appraisal_step_via_zeta(v, validate(STAR3)) is v
-
     def test_uniform_gives_gamma(self):
         c = validate(STAR3)
         out = appraisal_step_via_zeta(np.full(3, 1 / 3), c)

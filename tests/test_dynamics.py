@@ -4,7 +4,6 @@ import pytest
 from socialpower import errors
 from socialpower.dynamics import (
     Trajectory,
-    Vertex,
     df_map,
     limit_gap,
     simulate,
@@ -30,13 +29,9 @@ def df_map_reference(x, gamma):
 
 
 class TestDfMap:
-    def test_vertex_passthrough(self):
-        v = Vertex(1)
-        assert df_map(v, np.full(4, 0.25)) is v
-
     def test_untagged_vertex_array_rejected(self):
-        with pytest.raises(errors.NumericalOverflow):
-            df_map(Vertex(1).as_array(4), np.full(4, 0.25))
+        with pytest.raises(errors.NumericalOverflow, match="start the run at the vertex"):
+            df_map(np.eye(4)[1], np.full(4, 0.25))
 
     def test_uniform_maps_to_gamma(self):
         out = df_map(np.full(3, 1 / 3), GAMMA_EXAMPLE)
@@ -111,10 +106,11 @@ class TestSimulate:
         assert np.abs(traj.states[1:].sum(axis=1) - 1).max() <= 1e-12
 
     def test_vertex_init_is_constant(self):
+        # a 1-D start equal to e_3 is held, not mapped
         program = switching_program_6(seed=1)
-        traj = simulate(program, Vertex(2), issues=20)
-        v = Vertex(2).as_array(6)
-        assert np.array_equal(traj.states[-1], v)
+        traj = simulate(program, np.eye(6)[2], issues=20)
+        assert traj.states.shape == (21, 6)
+        assert np.array_equal(traj.states, np.tile(np.eye(6)[2], (21, 1)))
 
     def test_doubly_stochastic_reaches_uniform(self):
         program = TopologyProgram((validate(cycle_matrix(6)),), Constant(0))
@@ -134,18 +130,68 @@ class TestSimulate:
             simulate(program, np.array([0.5, np.nan, 0.1, 0.1, 0.1, 0.1]), issues=5)
 
     def test_shared_signal_log(self):
+        # two calls on one program realize the same signal
         program = switching_program_6(seed=20170825)
-        log = program.signal.realize(30, len(program.matrices))
-        t1 = simulate(program, np.array([0.95, 0.95, 0.95, 0, 0, 0.0]), 30, signal_log=log)
-        t2 = simulate(program, np.array([0.05, 0.05, 0.05, 0.9, 0.05, 0.9]), 30, signal_log=log)
+        t1 = simulate(program, np.array([0.95, 0.95, 0.95, 0, 0, 0.0]), 30)
+        t2 = simulate(program, np.array([0.05, 0.05, 0.05, 0.9, 0.05, 0.9]), 30)
         assert np.array_equal(t1.signal_log, t2.signal_log)
+
+
+class TestBatch:
+    # free rows, a start 1e-6 from the vertex e_1, and the exact vertex e_3
+    BATCH = np.array([
+        [0.95, 0.95, 0.95, 0.0, 0.0, 0.0],
+        [0.05, 0.05, 0.05, 0.9, 0.05, 0.9],
+        [1 - 1e-6, 1e-7, 1e-7, 1e-7, 1e-7, 1e-7],
+        np.eye(6)[2],
+        [0.4, 0.1, 0.1, 0.1, 0.1, 0.1],
+    ])
+
+    def test_rows_equal_single_runs(self):
+        program = switching_program_6(seed=20170825)
+        batch = simulate(program, self.BATCH, 80)
+        assert batch.states.shape == (81, 5, 6)
+        assert batch.issues == 80
+        for b, row in enumerate(self.BATCH):
+            single = simulate(program, row, 80)
+            assert np.array_equal(batch.states[:, b], single.states)
+            assert np.array_equal(batch.signal_log, single.signal_log)
+
+    def test_vertex_rows_constant(self):
+        program = switching_program_6(seed=20170825)
+        states = simulate(program, self.BATCH, 40).states
+        assert np.array_equal(states[:, 3], np.tile(np.eye(6)[2], (41, 1)))
+        assert not np.array_equal(states[-1, 2], states[0, 2])  # near vertex moves
+
+    def test_limit_gap_per_row(self):
+        program = switching_program_6(seed=20170825)
+        batch = simulate(program, self.BATCH[:2], 30)
+        gap = limit_gap(batch, batch)
+        assert gap.shape == (31, 2) and np.all(gap == 0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1.0, 0.2, 0, 0, 0, 0], "row 2 requires 0 <= x_i < 1"),
+        ([0.0] * 6, "row 2 needs at least one x_j > 0"),
+        ([0.1, np.inf, 0, 0, 0, 0], "row 2 entry 2 = inf is not finite"),
+    ])
+    def test_bad_row_named(self, bad, message):
+        program = switching_program_6(seed=1)
+        init = np.array([[0.5, 0.1, 0.1, 0.1, 0.1, 0.1], bad, [0.0, 0.2, 0, 0, 0, 0]])
+        with pytest.raises(errors.ValidationError, match=message):
+            simulate(program, init, issues=5)
+
+    def test_wrong_shape_rejected(self):
+        program = switching_program_6(seed=1)
+        with pytest.raises(errors.ValidationError, match=r"expected \(B, 6\)"):
+            simulate(program, np.full((2, 5), 0.1), issues=5)
+        with pytest.raises(errors.ValidationError, match=r"expected \(B, 6\)"):
+            simulate(program, np.full((1, 2, 6), 0.1), issues=5)
 
 
 class TestLimitGap:
     def test_identical_trajectories_zero(self):
         program = switching_program_6(seed=3)
-        log = program.signal.realize(10, 5)
-        t = simulate(program, np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]), 10, signal_log=log)
+        t = simulate(program, np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]), 10)
         assert np.array_equal(limit_gap(t, t), np.zeros(11))
 
     def test_signal_mismatch_rejected(self):
@@ -159,9 +205,8 @@ class TestLimitGap:
     def test_forgetting_initial_conditions(self):
         # two far-apart starts under one switching signal collapse together
         program = switching_program_6(seed=20170825)
-        log = program.signal.realize(60, 5)
-        hat = simulate(program, np.array([0.95, 0.95, 0.95, 0.0, 0.0, 0.0]), 60, signal_log=log)
-        tilde = simulate(program, np.array([0.05, 0.05, 0.05, 0.9, 0.05, 0.9]), 60, signal_log=log)
+        hat = simulate(program, np.array([0.95, 0.95, 0.95, 0.0, 0.0, 0.0]), 60)
+        tilde = simulate(program, np.array([0.05, 0.05, 0.05, 0.9, 0.05, 0.9]), 60)
         gap = limit_gap(hat, tilde)
         assert gap[20:].max() <= 1e-6
 
