@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, periodic, svg
 from .dynamics import Trajectory, limit_gap, simulate
-from .errors import ParseError, SocialPowerError, ValidationError
+from .errors import NearVertex, ParseError, SocialPowerError, ValidationError
 from .topology import (
     TOLERANCES,
     RandomUniform,
@@ -92,6 +92,14 @@ def _write_report(doc: dict, path: Path) -> None:
         fh.write("\n")
 
 
+def _burn_in(cfg: dict, default: int, path) -> int:
+    """The config's `burn_in`, a JSON integer >= 0, else `default`."""
+    burn_in = _int_setting(None, cfg, "burn_in", default, path)
+    if burn_in < 0:
+        raise ValidationError(f"{path}: burn_in must be >= 0, got {burn_in}")
+    return burn_in
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     cfg_dir = Path(args.config).parent
@@ -101,7 +109,7 @@ def cmd_simulate(args) -> int:
         raise ParseError(f"{args.config}: 'initial_conditions' must map run names to starts")
     issues = _int_setting(args.issues, cfg, "issues", 100, args.config)
     seed = _int_setting(args.seed, cfg, "seed", None, args.config)
-    burn_in = _int_setting(None, cfg, "burn_in", 20, args.config)
+    burn_in = _burn_in(cfg, 20, args.config)
     if seed is not None:
         if not isinstance(program.signal, RandomUniform):
             kind = type(program.signal).__name__.lower()
@@ -111,22 +119,30 @@ def cmd_simulate(args) -> int:
     names = list(inits)
     init = np.array([_parse_init(inits[name], n, f"initial condition {name!r}", args.config)
                      for name in names]).reshape(-1, n)
-    out = _out_dir(args)
 
     # One batch under one signal realization: limit-gap comparison is only
     # meaningful when every run sees the identical switching sequence.
     batch = simulate(program, init, issues)
-    for b, name in enumerate(names):
-        Trajectory(batch.states[:, b], batch.signal_log).to_csv(out / f"run_{name}.csv")
+    runs = [Trajectory(batch.states[:, b], batch.signal_log) for b in range(len(names))]
 
+    # every check runs before any file is written
     gbar = max_gamma_profile(program)
     bounds = analysis.equilibrium_upper_bound(gbar)
     # the bound constrains the limit set, so transients are excluded
     violations = int(np.any(batch.states[burn_in + 1:] > bounds + TOLERANCES.bound_slack, -1).sum())
-    post = batch.states[1:].reshape(-1, n)
-    interior = post[np.all(post > 0, axis=1)]
-    min_margin = float(analysis.contraction_margin(interior).min(initial=1.0))
+    post = batch.states[1:]
+    interior = np.all(post > 0, axis=-1)
+    near = interior & np.any(1.0 - post < TOLERANCES.near_vertex, axis=-1)
+    if near.any():
+        t, b = np.argwhere(near)[0].tolist()
+        raise NearVertex(f"run {names[b]!r}, issue {t + 1}: state within {TOLERANCES.near_vertex:.0e} "
+                         "of a vertex, where the contraction margin is not defined")
+    min_margin = float(analysis.contraction_margin(post[interior]).min(initial=1.0))
+    gap = limit_gap(*runs[:2]) if len(runs) >= 2 else None
 
+    out = _out_dir(args)
+    for name, run in zip(names, runs):
+        run.to_csv(out / f"run_{name}.csv")
     report = {
         "issues": issues,
         "runs": {name: f"run_{name}.csv" for name in names},
@@ -135,16 +151,16 @@ def cmd_simulate(args) -> int:
         "bound_violation_count": violations,
         "min_contraction_margin": min_margin,
     }
-    if len(names) >= 2:
-        gap = limit_gap(*(Trajectory(batch.states[:, b], batch.signal_log) for b in (0, 1)))
+    if gap is not None:
         with open(out / "limit_gap.csv", "w") as fh:
             fh.write("s,gap\n")
-            fh.writelines(f"{s},{format(g, '.17g')}\n" for s, g in enumerate(gap))
+            fh.writelines(["%d,%.17g\n" % sg for sg in enumerate(gap.tolist())])
         report["limit_gap"] = "limit_gap.csv"
         report["final_gap"] = float(gap[-1])
     _write_report(report, out / "report.json")
     if cfg.get("plot"):
-        _plot_files([out / f"run_{name}.csv" for name in names], out)
+        s = np.arange(issues + 1, dtype=float)
+        _plot_runs([(f"run_{name}", s, run.states) for name, run in zip(names, runs)], out)
     print(f"simulate: {len(names)} run(s), {issues} issues, "
           f"{violations} bound violations, min margin {min_margin:.4f}")
     return 0 if violations == 0 else 1
@@ -194,7 +210,7 @@ def cmd_periodic(args) -> int:
     program = load_program(cfg_dir / _require(cfg, "program", args.config))
     limit = periodic.periodic_fixed_points(program)
     issues = _int_setting(args.issues, cfg, "issues", 200, args.config)
-    burn_in = _int_setting(None, cfg, "burn_in", 30, args.config)
+    burn_in = _burn_in(cfg, 30, args.config)
     init = _parse_init(cfg.get("initial_condition", [1.0 / program.n] * program.n), program.n,
                        "initial condition", args.config)
     traj = simulate(program, init, issues)
@@ -238,29 +254,39 @@ def _read_csv(path):
     if len(rows) < 2 or not rows[0] or rows[0][0] != "s":
         raise ParseError(f"{path}: not a trajectory export")
     header = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    return header, data
+    if any(len(row) != len(header) for row in rows[1:]):
+        raise ParseError(f"{path}: every row needs {len(header)} fields")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows[1:]])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return data
 
 
-def _plot_files(paths, out: Path) -> None:
-    runs = []
-    for path in paths:
-        header, data = _read_csv(path)
-        n = len(header) - 2
-        series = {
-            f"x_{i + 1}": (data[:, 0], data[:, 2 + i], False) for i in range(n)
-        }
-        chart = out / (Path(path).stem + ".svg")
-        svg.line_chart(series, chart, f"Social power evolution: {Path(path).stem}")
-        runs.append((Path(path).stem, data, n))
+def _plot_runs(runs, out: Path) -> None:
+    """Chart each run, then the first two runs against each other.
+
+    `runs` yields (stem, s, states) with states[t] the state at s[t],
+    shape (len(s), n); each chart is written before the next run is taken.
+    """
+    seen = []
+    for stem, s, states in runs:
+        n = states.shape[1]
+        series = {f"x_{i + 1}": (s, states[:, i], False) for i in range(n)}
+        chart = out / f"{stem}.svg"
+        svg.line_chart(series, chart, f"Social power evolution: {stem}")
+        seen.append((stem, s, states))
         print(f"wrote {chart}")
-    if len(runs) >= 2:
-        (name_a, a, n), (name_b, b, _) = runs[0], runs[1]
-        picks = sorted({0, n // 2, n - 1})
+    if len(seen) >= 2:
+        (name_a, s_a, a), (name_b, s_b, b) = seen[:2]
+        n = a.shape[1]
+        if b.shape[1] != n:
+            raise ParseError(f"{name_b} has {b.shape[1]} states per row, {name_a} has {n}: "
+                             "no comparison chart")
         series = {}
-        for i in picks:
-            series[f"{name_a} x_{i + 1}"] = (a[:, 0], a[:, 2 + i], False)
-            series[f"{name_b} x_{i + 1}"] = (b[:, 0], b[:, 2 + i], True)
+        for i in sorted({0, n // 2, n - 1}):
+            series[f"{name_a} x_{i + 1}"] = (s_a, a[:, i], False)
+            series[f"{name_b} x_{i + 1}"] = (s_b, b[:, i], True)
         chart = out / "comparison.svg"
         svg.line_chart(series, chart, "Initial-condition comparison")
         print(f"wrote {chart}")
@@ -269,7 +295,12 @@ def _plot_files(paths, out: Path) -> None:
 
 
 def cmd_plot(args) -> int:
-    _plot_files(args.csvs, _out_dir(args))
+    def runs():
+        for path in args.csvs:
+            data = _read_csv(path)
+            yield Path(path).stem, data[:, 0], data[:, 2:]
+
+    _plot_runs(runs(), _out_dir(args))
     return 0
 
 

@@ -51,11 +51,11 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """One row per state; column p is the 1-based matrix index that
         produced the state (0 for the initial row).  Single runs only."""
-        cols = ",".join(f"x_{i + 1}" for i in range(self.states.shape[-1]))
+        n = self.states.shape[-1]
+        row = "%d,%d," + ",".join(["%.17g"] * n)
         produced = [0] + (self.signal_log + 1).tolist()
-        lines = [f"s,p,{cols}"]
-        for s, (p, row) in enumerate(zip(produced, self.states.tolist())):
-            lines.append(f"{s},{p}," + ",".join([f"{v:.17g}" for v in row]))
+        lines = ["s,p," + ",".join(f"x_{i + 1}" for i in range(n))]
+        lines += [row % (s, p, *x) for s, (p, x) in enumerate(zip(produced, self.states.tolist()))]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -66,10 +66,14 @@ def line_chart(series: dict, path, title: str, xlabel: str = "s", ylabel: str = 
         f'<text x="18" y="{_MT + ph / 2}" text-anchor="middle" '
         f'transform="rotate(-90 18 {_MT + ph / 2})">{ylabel}</text>'
     )
-    for k, (label, (x, y, dashed)) in enumerate(series.items()):
+    # every point's pixel pair, interleaved, from one px and one py call;
+    # series k owns the slice ends[k]:ends[k + 1] of points
+    pixels = np.column_stack((px(xs), py(ys))).ravel().tolist()
+    ends = np.cumsum([0] + [len(x) for x, _, _ in series.values()]).tolist()
+    for k, (label, (_, _, dashed)) in enumerate(series.items()):
         color = _COLORS[k % len(_COLORS)]
-        xs, ys = px(np.asarray(x, dtype=float)).tolist(), py(np.asarray(y, dtype=float)).tolist()
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs, ys))
+        pairs = " ".join(["%.2f,%.2f"] * (ends[k + 1] - ends[k]))
+        pts = pairs % tuple(pixels[2 * ends[k]:2 * ends[k + 1]])
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')
         ly = _MT + 14 + 18 * k

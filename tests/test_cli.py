@@ -133,6 +133,17 @@ class TestSimulate:
         last = [float(v) for v in rows[-1].split(",")]
         assert last[2 + 2] == 1.0  # individual 3 holds all power
 
+    def test_start_near_a_vertex_names_run_and_issue(self, simulate_config, tmp_path, capsys):
+        # admissible (simulate's guard is 1e-14), but after issue 1 the state
+        # is within Tolerances.near_vertex of e_1, where no margin is defined
+        doc = json.loads(simulate_config.read_text())
+        doc["initial_conditions"]["edge"] = [1 - 1e-13, 1e-13, 0, 0, 0, 0]
+        simulate_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 1
+        assert "run 'edge', issue 1: state within 1e-12 of a vertex" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -340,6 +351,17 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert f"'{key}' needs integers" in err and "edited.json" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "periodic"])
+    def test_negative_burn_in_rejected(self, command, simulate_config, periodic_setup, tmp_path, capsys):
+        # simulate would check only states[-2:]; periodic would compare from
+        # state 1 and report the negative value as its burn-in
+        config = simulate_config if command == "simulate" else periodic_setup
+        path = self._rewrite(config, lambda doc: doc.update(burn_in=-3))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "edited.json: burn_in must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", [
         ["a", 0.1, 0.1, 0.1, 0.1, 0.1],
         {"a": 1},
@@ -414,6 +436,23 @@ class TestPlotCommand:
         plots = tmp_path / "plots"
         assert main(["plot", str(out / "run_hat.csv"), "--out", str(plots)]) == 0
         assert "comparison chart skipped" in capsys.readouterr().out
+        assert not (plots / "comparison.svg").exists()
+
+    @pytest.mark.parametrize("body", ["s,p,x_1\n0,0,0.5\n1,1\n", "s,p,x_1\n0,0,half\n"])
+    def test_rejects_malformed_rows(self, tmp_path, capsys, body):
+        path = tmp_path / "run_bad.csv"
+        path.write_text(body)
+        assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 2
+        assert "run_bad.csv" in capsys.readouterr().err
+
+    def test_comparison_needs_equal_widths(self, simulate_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(simulate_config), "--out", str(out)])
+        small = tmp_path / "run_small.csv"
+        small.write_text("s,p,x_1,x_2,x_3\n0,0,0.2,0.3,0.5\n1,1,0.3,0.3,0.4\n")
+        plots = tmp_path / "plots"
+        assert main(["plot", str(out / "run_hat.csv"), str(small), "--out", str(plots)]) == 2
+        assert "run_small has 3 states per row, run_hat has 6" in capsys.readouterr().err
         assert not (plots / "comparison.svg").exists()
 
     def test_rejects_non_trajectory_csv(self, tmp_path):

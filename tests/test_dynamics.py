@@ -225,6 +225,21 @@ class TestCsvExport:
         assert np.array_equal(data[1:, 1].astype(int) - 1, traj.signal_log)
         assert np.abs(data[:, 2:] - traj.states).max() == 0.0
 
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        # reference: each value formatted on its own, as the writer once did
+        rng = np.random.default_rng(3)
+        states = rng.random((40, 5)) ** rng.integers(1, 60, (40, 5))
+        states[0] = [5e-324, 1 - 2**-53, -0.0, 0.1, 1e22]
+        signal_log = rng.integers(0, 12, 39)
+        path = tmp_path / "run.csv"
+        Trajectory(states, signal_log).to_csv(path)
+        produced = [0] + (signal_log + 1).tolist()
+        expected = ["s,p,x_1,x_2,x_3,x_4,x_5"] + [
+            f"{s},{p}," + ",".join(f"{v:.17g}" for v in row)
+            for s, (p, row) in enumerate(zip(produced, states.tolist()))
+        ]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
 
 def test_star_center_accumulates_power():
     program = TopologyProgram((validate(star_matrix(5)),), Constant(0))
