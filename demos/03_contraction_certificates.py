@@ -1,10 +1,16 @@
 """Why the dynamics converge: a certificate you can check numerically.
 
 The derivative of the issue-to-issue map, evaluated after one update,
-factors as a diagonal scaling times a symmetric Laplacian-like matrix H
-with trace 1, real eigenvalues in [0, 1) and induced 1-norm below 1.
-That norm bound is the contraction certificate; this script computes it
-at random states and runs the packaged invariant suite.
+factors through H = Theta Phi, a positive diagonal scaling Theta times
+a symmetric Laplacian Phi. H has trace 1, real eigenvalues in [0, 1)
+and induced 1-norm below 1. That norm bound is the contraction
+certificate; this script computes it at random states and runs the
+packaged invariant suite.
+
+"Real eigenvalues in [0, 1)" needs no eigensolve. Phi is symmetric,
+has zero row sums and a nonpositive off-diagonal, so it is PSD by
+Gershgorin. H is similar to the PSD matrix Theta^(1/2) Phi Theta^(1/2),
+so its eigenvalues are real and >= 0, and each is at most ||H||_1 < 1.
 """
 
 import numpy as np

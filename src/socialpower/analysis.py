@@ -1,13 +1,14 @@
-"""Executable contraction machinery: Jacobians, the transform chain,
-certificates, radii, equilibrium bounds, rates, vertex stability and the
-interior equilibrium.
+"""Contraction machinery: Jacobians, certificates, radii, bounds, rates,
+vertex stability and the interior equilibrium.
 
-The transformed Jacobian H = Theta * Phi has induced 1-norm strictly
-below 1 on interior states, which is what forces exponential convergence
-of trajectory differences; `transform_chain` builds and certifies H at a
-concrete state, and `contraction_margin` gives 1 - ||H||_1 for a whole
-batch of states in closed form.  `fixed_point` solves the equilibrium
-relation x_i (1 - x_i) = c gamma_i as one scalar equation.
+H = Theta * Phi has induced 1-norm below 1 on interior states, which
+forces trajectory differences to shrink exponentially (a contraction
+metric: Lohmiller & Slotine, Automatica 1998).  `transform_chain`
+certifies H at a state by O(n^2) entry identities, no eigensolve: Phi
+is a graph Laplacian (PSD by Gershgorin), H is similar to
+Theta^(1/2) Phi Theta^(1/2) (real spectrum >= 0), and
+rho(H) <= ||H||_1 < 1 with trace(H) = 1.  `contraction_margin` is
+1 - ||H||_1 in closed form; `fixed_point` solves x_i (1 - x_i) = c gamma_i.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ class ContractionReport:
     phi: np.ndarray
     h: np.ndarray
     h_one_norm: float
-    phi_eigs: np.ndarray
-    h_eigs: np.ndarray
     certified: bool
 
 
@@ -61,7 +60,13 @@ def transform_chain(x_next: np.ndarray) -> ContractionReport:
 
     Phi is the weighted Laplacian of a complete undirected graph
     (phi_ii = x_i(1 - x_i), phi_ij = -x_i x_j); H = Theta Phi has
-    h_ii = x_i and h_ij = -x_i x_j/(1 - x_i).
+    h_ii = x_i and h_ij = -x_i x_j/(1 - x_i).  Entry identities place
+    the spectrum of H in [0, 1) with no eigensolve:
+    - Phi is symmetric with zero row and column sums and a nonpositive
+      off-diagonal: a graph Laplacian, PSD by Gershgorin;
+    - H = Theta Phi with Theta positive diagonal is similar to the PSD
+      Theta^(1/2) Phi Theta^(1/2), so its spectrum is real and >= 0;
+    - rho(H) <= ||H||_1 < 1, and trace(H) = 1.
     """
     x = np.asarray(x_next, dtype=float)
     _require_interior(x)
@@ -70,16 +75,8 @@ def transform_chain(x_next: np.ndarray) -> ContractionReport:
     np.fill_diagonal(phi, x * (1.0 - x))
     h = theta[:, None] * phi
     h_one_norm = float(np.abs(h).sum(axis=0).max())
-    phi_eigs = np.linalg.eigvalsh(phi)
-    h_eigs = np.linalg.eigvals(h)
     return ContractionReport(
-        theta=theta,
-        phi=phi,
-        h=h,
-        h_one_norm=h_one_norm,
-        phi_eigs=phi_eigs,
-        h_eigs=h_eigs,
-        certified=h_one_norm < 1.0,
+        theta=theta, phi=phi, h=h, h_one_norm=h_one_norm, certified=h_one_norm < 1.0
     )
 
 

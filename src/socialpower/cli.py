@@ -26,6 +26,7 @@ from .topology import (
     RandomUniform,
     TopologyProgram,
     _integer,
+    _read_json,
     classify_star,
     load_program,
     max_gamma_profile,
@@ -38,14 +39,6 @@ def _out_dir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _require(cfg: dict, key: str, path):
@@ -101,7 +94,7 @@ def _burn_in(cfg: dict, default: int, path) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _read_json(args.config)
     cfg_dir = Path(args.config).parent
     program = load_program(cfg_dir / _require(cfg, "program", args.config))
     inits = _require(cfg, "initial_conditions", args.config)
@@ -205,7 +198,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_periodic(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _read_json(args.config)
     cfg_dir = Path(args.config).parent
     program = load_program(cfg_dir / _require(cfg, "program", args.config))
     limit = periodic.periodic_fixed_points(program)
@@ -233,10 +226,11 @@ def cmd_periodic(args) -> int:
 
 def cmd_verify(args) -> int:
     program = load_program(args.path)
-    seed = args.seed if args.seed is not None else 0
+    if args.seed < 0:
+        raise ValidationError(f"random seed {args.seed} is negative")
     failed = None
     for k, matrix in enumerate(program.matrices):
-        for res in run_suite(matrix, args.samples, seed + k):
+        for res in run_suite(matrix, args.samples, args.seed + k):
             status = "pass" if res.passed else "FAIL"
             extra = f" ({res.detail})" if res.detail else ""
             print(f"matrix {k + 1} {res.name}: {status}, worst margin {res.worst_margin:.3e}{extra}")
@@ -295,6 +289,11 @@ def _plot_runs(runs, out: Path) -> None:
 
 
 def cmd_plot(args) -> int:
+    for k, path in enumerate(args.csvs):
+        for earlier in args.csvs[:k]:
+            if Path(earlier).stem == Path(path).stem:
+                raise ParseError(f"{earlier} and {path} would both be charted as {Path(path).stem}.svg")
+
     def runs():
         for path in args.csvs:
             data = _read_csv(path)
@@ -333,7 +332,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="randomized invariant suite on a matrix/program file")
     p.add_argument("path")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="render trajectory CSVs as SVG charts")

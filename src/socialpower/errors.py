@@ -34,9 +34,7 @@ class ParseError(SocialPowerError):
 
 
 class NoConvergence(SocialPowerError):
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
+    """A solver's result misses its residual tolerance."""
 
 
 class NumericalOverflow(SocialPowerError):

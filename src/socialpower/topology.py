@@ -405,12 +405,16 @@ def _signal_from_doc(doc) -> object:
     raise ParseError(f"unknown signal kind {kind!r}")
 
 
-def load_program(path) -> TopologyProgram:
+def _read_json(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def load_program(path) -> TopologyProgram:
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "matrices" not in doc or "signal" not in doc:
         raise ParseError(f"{path}: expected fields 'n', 'matrices', 'signal'")
     raw_matrices = doc["matrices"]

@@ -107,9 +107,12 @@ def test_criterion_4_contraction_certificate_bulk():
             assert rep.h_one_norm < 1.0, f"norm {rep.h_one_norm} at n={n}"
             assert np.abs(rep.phi - rep.phi.T).max() <= 1e-12
             assert np.abs(rep.phi.sum(axis=0)).max() <= 1e-12
-            assert rep.phi_eigs.min() >= -1e-10
-            assert np.abs(rep.h_eigs.imag).max() <= 1e-9
-            real = rep.h_eigs.real
+            # eigensolves here are an independent reference: the library
+            # certifies the spectrum from entry identities alone
+            assert np.linalg.eigvalsh(rep.phi).min() >= -1e-10
+            h_eigs = np.linalg.eigvals(rep.h)
+            assert np.abs(h_eigs.imag).max() <= 1e-9
+            real = h_eigs.real
             assert real.min() >= -1e-10 and real.max() < 1.0
             assert abs(np.trace(rep.h) - 1.0) <= 1e-10
             checked += 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import socialpower
-from socialpower import errors
+from socialpower import errors, verification
 from socialpower.analysis import (
     Tolerances,
     VertexStability,
@@ -19,7 +19,12 @@ from socialpower.analysis import (
 from socialpower.dynamics import df_map
 from socialpower.fixtures import interaction_set_6, star_matrix
 from socialpower.topology import TOLERANCES, dominant_left_eigenvector, max_gamma_profile, validate
-from socialpower.verification import finite_difference_jacobian, run_suite, sample_interior
+from socialpower.verification import (
+    check_contraction_certificates,
+    finite_difference_jacobian,
+    run_suite,
+    sample_interior,
+)
 
 GAMMA_EXAMPLE = np.array([0.4, 0.35, 0.25])
 
@@ -81,7 +86,7 @@ class TestTransformChain:
         for x in sample_interior(5, rng, 40):
             report = transform_chain(x)
             assert abs(np.trace(report.h) - 1) <= 1e-12
-            eigs = report.h_eigs
+            eigs = np.linalg.eigvals(report.h)
             assert np.abs(np.imag(eigs)).max() <= 1e-9
             real = np.real(eigs)
             assert real.min() >= -1e-10
@@ -224,3 +229,21 @@ class TestVerificationSuite:
         assert "contraction_certificate" in names
         assert "opinion_oracle_equivalence" in names
         assert "boundary_contraction_step" in names
+
+    def test_certificate_fails_on_positive_off_diagonal(self, monkeypatch):
+        # a Phi that is symmetric with zero sums but has phi_12 > 0 is no
+        # Laplacian: only the off-diagonal entry check can catch it
+        real = verification.transform_chain
+
+        def broken(x):
+            rep = real(x)
+            kick = np.zeros_like(rep.phi)
+            kick[:2, :2] = [[-1.0, 1.0], [1.0, -1.0]]
+            return dataclasses.replace(rep, phi=rep.phi + kick)
+
+        monkeypatch.setattr(verification, "transform_chain", broken)
+        gamma = dominant_left_eigenvector(validate(interaction_set_6()[1]))
+        res = check_contraction_certificates(gamma, np.random.default_rng(0), samples=20)
+        assert not res.passed
+        assert res.worst_margin < 1.0  # the norm itself still certifies
+        assert float(res.detail.split()[-1]) > 0.9

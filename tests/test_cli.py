@@ -410,6 +410,12 @@ class TestVerifyCommand:
         path.write_text("{not json")
         assert main(["verify", str(path)]) == 2
 
+    def test_negative_seed_rejected(self, program_file, capsys):
+        assert main(["verify", str(program_file), "--samples", "10", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "random seed -1 is negative" in captured.err
+        assert captured.out == ""
+
     def test_group6_stdout_is_pinned(self, capsys):
         assert main(["verify", str(EXPERIMENTS / "group6_random.json"), "--samples", "200"]) == 0
         assert capsys.readouterr().out == GROUP6_VERIFY_200
@@ -459,3 +465,15 @@ class TestPlotCommand:
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")
         assert main(["plot", str(path)]) == 2
+
+    def test_rejects_two_csvs_with_one_chart_name(self, tmp_path, capsys):
+        paths = [tmp_path / "a" / "run_hat.csv", tmp_path / "b" / "run_hat.csv"]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text("s,p,x_1,x_2,x_3\n0,0,0.2,0.3,0.5\n1,1,0.3,0.3,0.4\n")
+        plots = tmp_path / "plots"
+        assert main(["plot", *map(str, paths), "--out", str(plots)]) == 2
+        captured = capsys.readouterr()
+        assert f"{paths[0]} and {paths[1]} would both be charted as run_hat.svg" in captured.err
+        assert captured.out == ""
+        assert not plots.exists()
