@@ -33,9 +33,9 @@ class ContractionReport:
 
 
 def _require_interior(x: np.ndarray):
-    if np.any(1.0 - x < TOLERANCES.near_vertex):
+    if (1.0 - x < TOLERANCES.near_vertex).any():
         raise NearVertex(f"1 - x_i below {TOLERANCES.near_vertex}; state too close to a vertex")
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise NearVertex("state must be strictly interior")
 
 
@@ -71,8 +71,8 @@ def transform_chain(x_next: np.ndarray) -> ContractionReport:
     x = np.asarray(x_next, dtype=float)
     _require_interior(x)
     theta = 1.0 / (1.0 - x)
-    phi = -np.outer(x, x)
-    np.fill_diagonal(phi, x * (1.0 - x))
+    phi = -(x[:, None] * x)
+    phi.flat[::x.size + 1] = x * (1.0 - x)
     h = theta[:, None] * phi
     h_one_norm = float(np.abs(h).sum(axis=0).max())
     return ContractionReport(

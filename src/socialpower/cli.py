@@ -122,7 +122,9 @@ def cmd_simulate(args) -> int:
     gbar = max_gamma_profile(program)
     bounds = analysis.equilibrium_upper_bound(gbar)
     # the bound constrains the limit set, so transients are excluded
-    violations = int(np.any(batch.states[burn_in + 1:] > bounds + TOLERANCES.bound_slack, -1).sum())
+    checked = batch.states[burn_in + 1:]
+    violations = int(np.any(checked > bounds + TOLERANCES.bound_slack, -1).sum())
+    bound_checked = checked.shape[0] * checked.shape[1]
     post = batch.states[1:]
     interior = np.all(post > 0, axis=-1)
     near = interior & np.any(1.0 - post < TOLERANCES.near_vertex, axis=-1)
@@ -142,6 +144,7 @@ def cmd_simulate(args) -> int:
         "max_gamma_profile": gbar,
         "equilibrium_bounds": bounds,
         "bound_violation_count": violations,
+        "bound_checked_states": bound_checked,
         "min_contraction_margin": min_margin,
     }
     if gap is not None:
@@ -154,6 +157,9 @@ def cmd_simulate(args) -> int:
     if cfg.get("plot"):
         s = np.arange(issues + 1, dtype=float)
         _plot_runs([(f"run_{name}", s, run.states) for name, run in zip(names, runs)], out)
+    if bound_checked == 0:
+        print(f"warning: burn_in {burn_in} >= issues {issues}: no state was checked "
+              "against the equilibrium bound", file=sys.stderr)
     print(f"simulate: {len(names)} run(s), {issues} issues, "
           f"{violations} bound violations, min margin {min_margin:.4f}")
     return 0 if violations == 0 else 1
@@ -234,6 +240,8 @@ def cmd_verify(args) -> int:
             status = "pass" if res.passed else "FAIL"
             extra = f" ({res.detail})" if res.detail else ""
             print(f"matrix {k + 1} {res.name}: {status}, worst margin {res.worst_margin:.3e}{extra}")
+            if res.worst_margin == -np.inf:
+                print(f"warning: matrix {k + 1} {res.name} checked no state", file=sys.stderr)
             if not res.passed and failed is None:
                 failed = f"matrix {k + 1} {res.name}"
     if failed:
@@ -290,6 +298,9 @@ def _plot_runs(runs, out: Path) -> None:
 
 def cmd_plot(args) -> int:
     for k, path in enumerate(args.csvs):
+        if len(args.csvs) >= 2 and Path(path).stem == "comparison":
+            raise ParseError(f"{path} would be charted as comparison.svg, "
+                             "which the comparison chart overwrites")
         for earlier in args.csvs[:k]:
             if Path(earlier).stem == Path(path).stem:
                 raise ParseError(f"{earlier} and {path} would both be charted as {Path(path).stem}.svg")

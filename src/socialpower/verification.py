@@ -18,8 +18,9 @@ from .topology import TOLERANCES, RelativeInteractionMatrix
 
 FD_STEP = 1e-7
 # Checks evaluate their samples as stacks, in chunks whose per-sample
-# work (n floats for a state, n * n for a Jacobian or an influence
-# matrix) stays below this many floats per temporary array (8 MB).
+# work (n floats for a state, n * n for a Jacobian, an influence matrix
+# or a certificate state's Phi and H) stays below this many floats per
+# temporary array (8 MB).
 CHUNK_FLOATS = 2 ** 20
 
 
@@ -33,8 +34,8 @@ class CheckResult:
 
 def sample_interior(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """Interior simplex points, biased to include boundary-adjacent states."""
-    raw = rng.dirichlet(np.full(n, 0.5), size=count)
-    return np.clip(raw, 1e-9, None) / np.clip(raw, 1e-9, None).sum(axis=1, keepdims=True)
+    raw = np.clip(rng.dirichlet(np.full(n, 0.5), size=count), 1e-9, None)
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 def finite_difference_jacobian(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -73,22 +74,33 @@ def check_jacobian_fd(gamma: np.ndarray, rng, samples: int = 100) -> CheckResult
 
 
 def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000) -> CheckResult:
-    worst_norm = 0.0
-    worst_struct = 0.0
-    xs = sample_interior(gamma.size, rng, samples)
-    for x in _per_sample(lambda x: df_map(x, gamma), xs, gamma.size):
-        rep = transform_chain(x)
-        worst_norm = max(worst_norm, rep.h_one_norm)
-        worst_struct = max(
-            worst_struct,
-            np.abs(rep.phi.sum(axis=0)).max(),
-            np.abs(rep.phi - rep.phi.T).max(),
-            # the largest off-diagonal entry, or 0 from the zeroed diagonal:
-            # a positive one means Phi is no Laplacian
-            (rep.phi - np.diag(np.diag(rep.phi))).max(),
-            np.abs(rep.h.sum(axis=1)).max(),
-            abs(np.trace(rep.h) - 1.0),
-        )
+    """||H||_1 < 1 and the entry identities of `transform_chain` at mapped
+    states: one `transform_chain` call per state, the identities reduced
+    on each chunk's stacked Phi and H."""
+    n = gamma.size
+
+    def worst(xs):
+        # per state: ||H||_1 and the largest structural deviation
+        phi = np.empty((len(xs), n, n))
+        h = np.empty_like(phi)
+        norms = np.empty(len(xs))
+        for k, x in enumerate(df_map(xs, gamma)):
+            rep = transform_chain(x)
+            phi[k], h[k], norms[k] = rep.phi, rep.h, rep.h_one_norm
+        deviations = [
+            np.abs(phi.sum(axis=-2)).max(axis=-1),
+            np.abs(phi - np.swapaxes(phi, -1, -2)).max(axis=(-2, -1)),
+            np.abs(h.sum(axis=-1)).max(axis=-1),
+            np.abs(np.trace(h, axis1=-2, axis2=-1) - 1.0),
+        ]
+        # the largest off-diagonal entry, or 0 from the zeroed diagonal:
+        # a positive one means Phi is no Laplacian
+        phi.reshape(len(xs), -1)[:, ::n + 1] = 0.0
+        deviations.append(phi.max(axis=(-2, -1)))
+        return np.column_stack([norms, np.max(deviations, axis=0)])
+
+    xs = sample_interior(n, rng, samples)
+    worst_norm, worst_struct = np.maximum(_per_sample(worst, xs, n * n).max(axis=0), 0.0).tolist()
     passed = worst_norm < 1.0 and worst_struct <= TOLERANCES.certificate_structure
     return CheckResult(
         "contraction_certificate", passed, worst_norm,
@@ -114,21 +126,28 @@ def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckRes
     every draw is skipped has checked no state and passes with worst
     margin -inf.
     """
-    radii = contraction_radii(gamma)
+    radii = contraction_radii(gamma).tolist()
     n = gamma.size
-    draws = []
+    ones = np.ones(n - 1)
+    j, r, x_j, rest = [], [], [], []
+    # one draw at a time: a draw of radius 0 takes nothing from the
+    # stream after its index, so the stream's use depends on each index
     for _ in range(samples):
-        j = rng.integers(n)
-        if radii[j] <= 0:
+        k = rng.integers(n)
+        if radii[k] <= 0:
             continue
-        r = rng.uniform(0, radii[j])
-        x_j = 1.0 - r * rng.uniform(1.0, 1.5)
-        rest = rng.dirichlet(np.full(n - 1, 1.0)) * (1.0 - x_j)
-        draws.append((j, r, np.insert(rest, j, x_j)))
-    j = np.array([d[0] for d in draws], dtype=int)
-    r = np.array([d[1] for d in draws])
-    x = np.array([d[2] for d in draws]).reshape(-1, n)
-    keep = ~(np.any(x >= 1.0 - TOLERANCES.near_vertex, axis=1) | np.any(x <= 0, axis=1))
+        j.append(k)
+        r.append(rng.uniform(0, radii[k]))
+        x_j.append(1.0 - r[-1] * rng.uniform(1.0, 1.5))
+        rest.append(rng.dirichlet(ones))
+    j, r, x_j = np.array(j, dtype=int), np.array(r), np.array(x_j)
+    rows = np.arange(len(j))
+    x = np.empty((len(j), n))
+    x[rows, j] = x_j
+    others = np.ones(x.shape, dtype=bool)
+    others[rows, j] = False
+    x[others] = (np.reshape(rest, (-1, n - 1)) * (1.0 - x_j)[:, None]).ravel()
+    keep = ~((x >= 1.0 - TOLERANCES.near_vertex).any(axis=1) | (x <= 0).any(axis=1))
     worst = -np.inf
     if keep.any():
         mapped = _per_sample(lambda x: df_map(x, gamma), x[keep], n)

@@ -128,7 +128,9 @@ class TestSimulate:
         # e_3 is a fixed point above individual 3's bound: the 5 states
         # after the burn-in each count as a violation
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
-        assert json.loads((out / "report.json").read_text())["bound_violation_count"] == 5
+        report = json.loads((out / "report.json").read_text())
+        assert report["bound_violation_count"] == 5
+        assert report["bound_checked_states"] == 5
         rows = (out / "run_autocrat.csv").read_text().strip().split("\n")
         last = [float(v) for v in rows[-1].split(",")]
         assert last[2 + 2] == 1.0  # individual 3 holds all power
@@ -143,6 +145,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 1
         assert "run 'edge', issue 1: state within 1e-12 of a vertex" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("issues, checked", [(25, 10), (20, 0), (5, 0)])
+    def test_counts_states_checked_against_the_bound(self, simulate_config, tmp_path, capsys,
+                                                     issues, checked):
+        # the default burn_in is 20; two runs
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out),
+                     "--issues", str(issues)]) == 0
+        assert json.loads((out / "report.json").read_text())["bound_checked_states"] == checked
+        err = capsys.readouterr().err
+        warned = f"burn_in 20 >= issues {issues}: no state was checked" in err
+        assert warned == (checked == 0)
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -416,6 +430,18 @@ class TestVerifyCommand:
         assert "random seed -1 is negative" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seed, skipped", [(0, True), (2, False)])
+    def test_warns_when_boundary_check_tests_no_state(self, tmp_path, capsys, seed, skipped):
+        # gamma = (1/2, 1/4, 1/4): a draw of the centre has radius 0 and is
+        # skipped; at seed 0 the single draw is the centre
+        path = tmp_path / "star.json"
+        save_program(TopologyProgram((validate(star_matrix(3, center=0)),), Periodic((0,))), path)
+        assert main(["verify", str(path), "--samples", "1", "--seed", str(seed)]) == 0
+        captured = capsys.readouterr()
+        assert ("boundary_contraction_step: pass, worst margin -inf" in captured.out) == skipped
+        warning = "warning: matrix 1 boundary_contraction_step checked no state\n"
+        assert captured.err == (warning if skipped else "")
+
     def test_group6_stdout_is_pinned(self, capsys):
         assert main(["verify", str(EXPERIMENTS / "group6_random.json"), "--samples", "200"]) == 0
         assert capsys.readouterr().out == GROUP6_VERIFY_200
@@ -477,3 +503,17 @@ class TestPlotCommand:
         assert f"{paths[0]} and {paths[1]} would both be charted as run_hat.svg" in captured.err
         assert captured.out == ""
         assert not plots.exists()
+
+    def test_rejects_a_run_charted_as_the_comparison(self, tmp_path, capsys):
+        paths = [tmp_path / "comparison.csv", tmp_path / "run_b.csv"]
+        for path in paths:
+            path.write_text("s,p,x_1,x_2,x_3\n0,0,0.2,0.3,0.5\n1,1,0.3,0.3,0.4\n")
+        plots = tmp_path / "plots"
+        assert main(["plot", *map(str, paths), "--out", str(plots)]) == 2
+        captured = capsys.readouterr()
+        assert f"{paths[0]} would be charted as comparison.svg" in captured.err
+        assert captured.out == ""
+        assert not plots.exists()
+        # alone it draws no comparison, so nothing collides
+        assert main(["plot", str(paths[0]), "--out", str(plots)]) == 0
+        assert (plots / "comparison.svg").exists()

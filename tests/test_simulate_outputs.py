@@ -24,7 +24,7 @@ EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 FORGETTING_SHA256 = {
     "comparison.svg": "676a4549d3cc7bd00ff9b94c40315fc6dccb09d149185f011b0012a4986ca9f2",
     "limit_gap.csv": "d7585378c3505e101e549cf2c0206d9adb959efb422bd4d33b8b134f4b556718",
-    "report.json": "bfa2f3df46fe44dead559cc230a3f2946225b8b75d92f5504070d0162af6b135",
+    "report.json": "7ff4048cb3ffb2e8d02b8b3c7b2c189845fecffc51b687a3c885282b0fb2ade3",
     "run_hat.csv": "f5c9838b5b8e6f48afb624915e621cbfdeca229cc336d41dba03673006a8f1de",
     "run_hat.svg": "95e72aee2b48456c93a34f5a4c04a58c708db19a212c61ec8f430f66ad046594",
     "run_tilde.csv": "b668f9827d6045f6887c15c10fa73e52cd6bb413607926ef05e194b0afab761d",

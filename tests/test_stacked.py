@@ -1,18 +1,26 @@
 """Stacked evaluation: a stack of states or matrices gives, row for row,
 bit-identical results to one call per row, and `verify`'s chunked
-checks give the same results as one unchunked pass."""
+checks give the same results as one unchunked pass and as the per-state
+loops they replaced."""
 
 import numpy as np
 import pytest
 
-from socialpower.analysis import jacobian
+from socialpower.analysis import contraction_radii, jacobian, transform_chain
 from socialpower.degroot import appraisal_step_via_zeta, build_w
 from socialpower.dynamics import df_map
 from socialpower.errors import NoConvergence
-from socialpower.fixtures import interaction_set_6
-from socialpower.topology import stationary_vector, validate
+from socialpower.fixtures import interaction_set_6, star_matrix
+from socialpower.topology import TOLERANCES, stationary_vector, validate
 from socialpower import verification
-from socialpower.verification import finite_difference_jacobian, run_suite, sample_interior
+from socialpower.verification import (
+    CheckResult,
+    check_boundary_step,
+    check_contraction_certificates,
+    finite_difference_jacobian,
+    run_suite,
+    sample_interior,
+)
 
 # (n, rows): rows are few at n = 400, where one (n, n) stack entry is 1.3 MB
 SIZES = [(3, 20), (6, 20), (30, 20), (400, 2)]
@@ -104,3 +112,120 @@ def test_chunked_suite_equals_unchunked(monkeypatch, n):
     # 3 samples per chunk for the (n, n) stacks, 3 * n for the states
     monkeypatch.setattr(verification, "CHUNK_FLOATS", 3 * n * n)
     assert run_suite(matrix, 40, seed=3) == whole
+
+
+# The per-state loops that `check_contraction_certificates` and
+# `check_boundary_step` replaced, kept as references: the checks must
+# return equal results from the same random stream.
+
+def sample_interior_reference(n, rng, count):
+    raw = rng.dirichlet(np.full(n, 0.5), size=count)
+    return np.clip(raw, 1e-9, None) / np.clip(raw, 1e-9, None).sum(axis=1, keepdims=True)
+
+
+def certificate_reference(gamma, rng, samples):
+    worst_norm = 0.0
+    worst_struct = 0.0
+    xs = sample_interior_reference(gamma.size, rng, samples)
+    for x in verification._per_sample(lambda x: df_map(x, gamma), xs, gamma.size):
+        rep = transform_chain(x)
+        worst_norm = max(worst_norm, rep.h_one_norm)
+        worst_struct = max(
+            worst_struct,
+            np.abs(rep.phi.sum(axis=0)).max(),
+            np.abs(rep.phi - rep.phi.T).max(),
+            (rep.phi - np.diag(np.diag(rep.phi))).max(),
+            np.abs(rep.h.sum(axis=1)).max(),
+            abs(np.trace(rep.h) - 1.0),
+        )
+    passed = worst_norm < 1.0 and worst_struct <= TOLERANCES.certificate_structure
+    return CheckResult(
+        "contraction_certificate", passed, worst_norm,
+        detail=f"worst structural deviation {worst_struct:.2e}",
+    )
+
+
+def boundary_reference(gamma, rng, samples):
+    radii = contraction_radii(gamma)
+    n = gamma.size
+    draws = []
+    for _ in range(samples):
+        j = rng.integers(n)
+        if radii[j] <= 0:
+            continue
+        r = rng.uniform(0, radii[j])
+        x_j = 1.0 - r * rng.uniform(1.0, 1.5)
+        rest = rng.dirichlet(np.full(n - 1, 1.0)) * (1.0 - x_j)
+        draws.append((j, r, np.insert(rest, j, x_j)))
+    j = np.array([d[0] for d in draws], dtype=int)
+    r = np.array([d[1] for d in draws])
+    x = np.array([d[2] for d in draws]).reshape(-1, n)
+    keep = ~(np.any(x >= 1.0 - TOLERANCES.near_vertex, axis=1) | np.any(x <= 0, axis=1))
+    worst = -np.inf
+    if keep.any():
+        mapped = verification._per_sample(lambda x: df_map(x, gamma), x[keep], n)
+        worst = float((mapped[np.arange(len(mapped)), j[keep]] - (1.0 - r[keep])).max())
+    return CheckResult("boundary_contraction_step", worst < 0, worst)
+
+
+def assert_matches_references(gamma, samples, seed):
+    for check, reference in [(check_contraction_certificates, certificate_reference),
+                             (check_boundary_step, boundary_reference)]:
+        got = check(gamma, np.random.default_rng(seed), samples)
+        assert got == reference(gamma, np.random.default_rng(seed), samples), check.__name__
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_checks_match_per_state_references(n):
+    gamma = random_matrix(n, np.random.default_rng(n)).gamma
+    for seed in range(3):
+        assert_matches_references(gamma, 300, seed)
+        assert np.array_equal(sample_interior(n, np.random.default_rng(seed), 300),
+                              sample_interior_reference(n, np.random.default_rng(seed), 300))
+
+
+@pytest.mark.parametrize("samples", [1, 60])
+def test_checks_match_per_state_references_on_a_star(samples):
+    # gamma = (1/4, 1/4, 1/2): every draw of the centre is skipped, and at
+    # seed 0 the single draw of samples = 1 is the centre
+    gamma = validate(star_matrix(3, center=2)).gamma
+    assert_matches_references(gamma, samples, seed=0)
+    skipped = check_boundary_step(gamma, np.random.default_rng(0), samples).worst_margin == -np.inf
+    assert skipped == (samples == 1)
+
+
+def test_checks_match_per_state_references_across_chunks():
+    # n = 400: CHUNK_FLOATS // n**2 = 6 certificate states per chunk, and
+    # about 2600 boundary states per chunk of mapped states
+    n = 400
+    assert verification.CHUNK_FLOATS // n ** 2 == 6
+    gamma = random_matrix(n, np.random.default_rng(n)).gamma
+    got = check_contraction_certificates(gamma, np.random.default_rng(1), 13)
+    assert got == certificate_reference(gamma, np.random.default_rng(1), 13)
+    got = check_boundary_step(gamma, np.random.default_rng(1), 4000)
+    assert got == boundary_reference(gamma, np.random.default_rng(1), 4000)
+
+
+def test_certificate_makes_one_transform_chain_call_per_sample(monkeypatch):
+    calls = []
+    real = verification.transform_chain
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(verification, "transform_chain", counted)
+    monkeypatch.setattr(verification, "CHUNK_FLOATS", 4 * 36)  # chunks of 4 states
+    gamma = validate(interaction_set_6()[1]).gamma
+    check_contraction_certificates(gamma, np.random.default_rng(0), 37)
+    assert len(calls) == 37
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 30, 400])
+def test_transform_chain_matches_outer_product_construction(n):
+    for x in sample_interior(n, np.random.default_rng(n), 5):
+        phi = -np.outer(x, x)
+        np.fill_diagonal(phi, x * (1.0 - x))
+        rep = transform_chain(x)
+        assert np.array_equal(rep.phi, phi)
+        assert np.array_equal(rep.h, (1.0 / (1.0 - x))[:, None] * phi)
