@@ -100,6 +100,8 @@ def cmd_simulate(args) -> int:
     inits = _require(cfg, "initial_conditions", args.config)
     if not isinstance(inits, dict):
         raise ParseError(f"{args.config}: 'initial_conditions' must map run names to starts")
+    if not inits:
+        raise ParseError(f"{args.config}: 'initial_conditions' names no run")
     issues = _int_setting(args.issues, cfg, "issues", 100, args.config)
     seed = _int_setting(args.seed, cfg, "seed", None, args.config)
     burn_in = _burn_in(cfg, 20, args.config)
@@ -136,8 +138,7 @@ def cmd_simulate(args) -> int:
     gap = limit_gap(*runs[:2]) if len(runs) >= 2 else None
 
     out = _out_dir(args)
-    for name, run in zip(names, runs):
-        run.to_csv(out / f"run_{name}.csv")
+    batch.to_csv(*(out / f"run_{name}.csv" for name in names))
     report = {
         "issues": issues,
         "runs": {name: f"run_{name}.csv" for name in names},
@@ -204,6 +205,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_periodic(args) -> int:
+    if not args.tol >= 0:
+        raise ParseError(f"--tol must be a number >= 0, got {args.tol}")
     cfg = _read_json(args.config)
     cfg_dir = Path(args.config).parent
     program = load_program(cfg_dir / _require(cfg, "program", args.config))

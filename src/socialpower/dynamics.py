@@ -48,16 +48,37 @@ class Trajectory:
     def issues(self) -> int:
         return self.states.shape[0] - 1
 
-    def to_csv(self, path) -> None:
-        """One row per state; column p is the 1-based matrix index that
-        produced the state (0 for the initial row).  Single runs only."""
-        n = self.states.shape[-1]
-        row = "%d,%d," + ",".join(["%.17g"] * n)
+    def to_csv(self, *paths) -> None:
+        """Write each run to its own CSV, one row per state; column p is
+        the 1-based matrix index that produced the state (0 for the
+        initial row).
+
+        One path for a single run, shape (S+1, n); B paths, in run order,
+        for a batch, shape (S+1, B, n); any other count raises
+        ValidationError before a file is written.  Every value is written
+        with %.17g, and each distinct state row is formatted once, by
+        its bit pattern (-0.0 and 0.0 differ): runs that have forgotten
+        their start, or a run held at a vertex, share their rows.
+        """
+        steps, n = self.states.shape[0], self.states.shape[-1]
+        rows = np.ascontiguousarray(self.states).reshape(-1, n)
+        runs = rows.shape[0] // steps
+        if len(paths) != runs:
+            raise ValidationError(f"{len(paths)} CSV path(s) for {runs} run(s)")
+        # the void view compares bit patterns, so -0.0 and 0.0 stay distinct
+        keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        body = ",".join(["%.17g"] * n)
+        distinct = [body % tuple(x) for x in rows[first].tolist()]
         produced = [0] + (self.signal_log + 1).tolist()
-        lines = ["s,p," + ",".join(f"x_{i + 1}" for i in range(n))]
-        lines += [row % (s, p, *x) for s, (p, x) in enumerate(zip(produced, self.states.tolist()))]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = "s,p," + ",".join(f"x_{i + 1}" for i in range(n))
+        # every file interleaves the same row prefixes with its own rows
+        parts = [None] * (2 * steps)
+        parts[::2] = ["\n%d,%d," % sp for sp in enumerate(produced)]
+        for path, run in zip(paths, which.reshape(steps, runs).T.tolist()):
+            parts[1::2] = [distinct[k] for k in run]
+            with open(path, "w") as fh:
+                fh.write(header + "".join(parts) + "\n")
 
 
 def _check_init(x: np.ndarray, held: np.ndarray) -> None:

@@ -415,10 +415,15 @@ def _read_json(path):
 
 def load_program(path) -> TopologyProgram:
     doc = _read_json(path)
-    if not isinstance(doc, dict) or "matrices" not in doc or "signal" not in doc:
+    if not isinstance(doc, dict) or not {"n", "matrices", "signal"} <= doc.keys():
         raise ParseError(f"{path}: expected fields 'n', 'matrices', 'signal'")
     raw_matrices = doc["matrices"]
     if not isinstance(raw_matrices, list) or len(raw_matrices) == 0:
         raise ParseError(f"{path}: 'matrices' must be a nonempty list")
     matrices = tuple(validate(m) for m in raw_matrices)
+    n = doc["n"]
+    dims = sorted({m.n for m in matrices})
+    if isinstance(n, bool) or not isinstance(n, int) or dims != [n]:
+        raise ParseError(f"{path}: 'n' must be a JSON integer equal to the matrix dimension, "
+                         f"got {n!r} for matrices of n = {', '.join(map(str, dims))}")
     return TopologyProgram(matrices, _signal_from_doc(doc["signal"]))

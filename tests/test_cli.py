@@ -171,6 +171,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert repr(key) in err and "partial.json" in err
 
+    def test_empty_initial_conditions_is_config_error(self, tmp_path, capsys):
+        # forgetting.json with no run: nothing is simulated, checked or written
+        config = json.loads((EXPERIMENTS / "forgetting.json").read_text())
+        config.update(program=str(EXPERIMENTS / config["program"]), initial_conditions={})
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: 'initial_conditions' names no run\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_internal_key_error_propagates(self, simulate_config, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
@@ -258,6 +271,16 @@ class TestPeriodicCommand:
         assert main(argv) == 0
         assert ", verified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-8", "-inf"])
+    def test_tol_must_be_a_number_at_least_zero(self, periodic_setup, tmp_path, capsys, tol):
+        out = tmp_path / "out"
+        argv = ["periodic", "--config", str(periodic_setup), "--out", str(out), f"--tol={tol}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --tol must be a number >= 0, got {float(tol)}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_run_within_burn_in_rejected(self, tmp_path, capsys):
         # alternating.json has a burn-in of 40: 1 issue leaves no state to compare
         config = EXPERIMENTS / "alternating.json"
@@ -318,6 +341,30 @@ class TestMalformedProgram:
         self._edit(program_file, lambda doc: doc["matrices"][0][0].pop())
         assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 1
         assert "not a rectangular array of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [5, 7, 6.0, "6", True, None])
+    def test_n_must_be_the_matrix_dimension(self, program_file, tmp_path, capsys, n):
+        self._edit(program_file, lambda doc: doc.update(n=n))
+        assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 2
+        assert (f"error: {program_file}: 'n' must be a JSON integer equal to the matrix "
+                f"dimension, got {n!r} for matrices of n = 6\n") == capsys.readouterr().err
+
+    def test_missing_n_rejected(self, program_file, tmp_path, capsys):
+        self._edit(program_file, lambda doc: doc.pop("n"))
+        assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 2
+        assert "expected fields 'n', 'matrices', 'signal'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [6, 5])
+    def test_non_square_matrix_is_a_domain_error(self, program_file, tmp_path, capsys, n):
+        # the matrices are validated before n is compared with them
+        def drop_last_column(doc):
+            doc["n"] = n
+            for row in doc["matrices"][0]:
+                row.pop()
+
+        self._edit(program_file, drop_last_column)
+        assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 1
+        assert "expected a square matrix, got shape (6, 5)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, key", [("periodic", "order"), ("scripted", "sequence")])
     def test_index_string_is_not_a_list(self, program_file, tmp_path, capsys, kind, key):

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from socialpower import errors
+from socialpower.cli import main
 from socialpower.dynamics import (
     Trajectory,
     df_map,
@@ -15,6 +18,7 @@ from socialpower.topology import (
     Scripted,
     TopologyProgram,
     dominant_left_eigenvector,
+    save_program,
     validate,
 )
 
@@ -26,6 +30,17 @@ def df_map_reference(x, gamma):
     scaled = [g / (1 - xi) for g, xi in zip(gamma, x)]
     total = sum(scaled)
     return np.array([s / total for s in scaled])
+
+
+def to_csv_reference(states, signal_log, path):
+    # the writer before batching: one run, every row formatted on its own
+    n = states.shape[-1]
+    row = "%d,%d," + ",".join(["%.17g"] * n)
+    produced = [0] + (signal_log + 1).tolist()
+    lines = ["s,p," + ",".join(f"x_{i + 1}" for i in range(n))]
+    lines += [row % (s, p, *x) for s, (p, x) in enumerate(zip(produced, states.tolist()))]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 class TestDfMap:
@@ -239,6 +254,62 @@ class TestCsvExport:
             for s, (p, row) in enumerate(zip(produced, states.tolist()))
         ]
         assert path.read_text() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_matches_per_run_writer(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        steps, runs, n = int(rng.integers(2, 40)), 6, int(rng.integers(5, 9))
+        states = rng.random((steps, runs, n)) ** rng.integers(1, 60, (steps, runs, n))
+        states[:, 1] = states[:, 0]  # two bit-identical runs
+        states[:, 2] = np.eye(n)[1]  # a run held at the vertex e_2
+        # two rows of different runs that differ only in the sign of their zeros
+        states[0, 3, 1:] = 0.0
+        states[1, 4] = states[0, 3]
+        states[1, 4, 1:] = -0.0
+        states[-1, 5, :5] = [5e-324, 1 - 2**-53, -0.0, 0.1, 1e22]
+        signal_log = rng.integers(0, 12, steps - 1)
+        paths = [tmp_path / f"run_{b}.csv" for b in range(runs)]
+        Trajectory(states, signal_log).to_csv(*paths)
+        for b, path in enumerate(paths):
+            expected = tmp_path / f"expected_{b}.csv"
+            to_csv_reference(states[:, b], signal_log, expected)
+            assert path.read_bytes() == expected.read_bytes(), b
+
+    def test_signed_zeros_stay_distinct(self, tmp_path):
+        states = np.array([[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 1.0]]])
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        Trajectory(states, np.array([0])).to_csv(*paths)
+        assert paths[0].read_text() == "s,p,x_1,x_2\n0,0,0,1\n1,1,-0,1\n"
+        assert paths[1].read_text() == "s,p,x_1,x_2\n0,0,-0,1\n1,1,0,1\n"
+
+    @pytest.mark.parametrize("shape, count", [((5, 3), 2), ((5, 3), 0), ((5, 2, 3), 1), ((5, 2, 3), 3)])
+    def test_path_count_must_match_runs(self, tmp_path, shape, count):
+        traj = Trajectory(np.full(shape, 1 / 3), np.zeros(4, dtype=int))
+        with pytest.raises(errors.ValidationError, match=f"{count} CSV path"):
+            traj.to_csv(*(tmp_path / f"{k}.csv" for k in range(count)))
+        assert not any(tmp_path.iterdir())
+
+    def test_simulate_command_writes_in_one_call(self, tmp_path, monkeypatch):
+        calls = []
+        original = Trajectory.to_csv
+
+        def counting(self, *paths):
+            calls.append(len(paths))
+            return original(self, *paths)
+
+        monkeypatch.setattr(Trajectory, "to_csv", counting)
+        save_program(switching_program_6(seed=5), tmp_path / "program.json")
+        config = {
+            "program": "program.json",
+            "issues": 30,
+            "initial_conditions": {"a": [0.5, 0.1, 0.1, 0.1, 0.1, 0.1], "b": "vertex:2",
+                                   "c": [1 / 6] * 6},
+        }
+        (tmp_path / "sim.json").write_text(json.dumps(config))
+        main(["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "out")])
+        assert calls == [3]
+        assert sorted(p.name for p in (tmp_path / "out").glob("run_*.csv")) == [
+            "run_a.csv", "run_b.csv", "run_c.csv"]
 
 
 def test_star_center_accumulates_power():

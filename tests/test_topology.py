@@ -254,6 +254,15 @@ class TestProgramFiles:
         with pytest.raises(errors.ParseError):
             load_program(path)
 
+    def test_n_must_match_every_matrix(self, tmp_path):
+        # a 3- and a 4-node matrix: n names the first, not the second
+        doc = {"n": 3, "matrices": [STAR3.tolist(), cycle_matrix(4).tolist()],
+               "signal": {"kind": "constant", "index": 1}}
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(errors.ParseError, match=r"got 3 for matrices of n = 3, 4"):
+            load_program(path)
+
     def test_bad_row_sum_in_file(self, tmp_path):
         bad = STAR3.copy()
         bad[0, 1] = 0.49
