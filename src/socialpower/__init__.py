@@ -23,7 +23,6 @@ from .topology import (
     RandomUniform,
     RelativeInteractionMatrix,
     Scripted,
-    StarClassification,
     TopologyProgram,
     classify_star,
     dominant_left_eigenvector,

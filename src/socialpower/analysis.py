@@ -25,11 +25,9 @@ from .topology import TOLERANCES, Tolerances  # Tolerances is re-exported
 
 @dataclass(frozen=True)
 class ContractionReport:
-    theta: np.ndarray       # diagonal of Theta = diag(1/(1 - x_i))
     phi: np.ndarray
     h: np.ndarray
     h_one_norm: float
-    certified: bool
 
 
 def _require_interior(x: np.ndarray):
@@ -56,12 +54,13 @@ def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> np.ndarray:
 
 
 def transform_chain(x_next: np.ndarray) -> ContractionReport:
-    """Build Theta, Phi and H at a post-update state and certify ||H||_1 < 1.
+    """Phi, H = Theta Phi and ||H||_1 at a post-update state, with
+    Theta = diag(1/(1 - x_i)); the state is certified when ||H||_1 < 1.
 
     Phi is the weighted Laplacian of a complete undirected graph
-    (phi_ii = x_i(1 - x_i), phi_ij = -x_i x_j); H = Theta Phi has
-    h_ii = x_i and h_ij = -x_i x_j/(1 - x_i).  Entry identities place
-    the spectrum of H in [0, 1) with no eigensolve:
+    (phi_ii = x_i(1 - x_i), phi_ij = -x_i x_j); H has h_ii = x_i and
+    h_ij = -x_i x_j/(1 - x_i).  Entry identities place the spectrum of
+    H in [0, 1) with no eigensolve:
     - Phi is symmetric with zero row and column sums and a nonpositive
       off-diagonal: a graph Laplacian, PSD by Gershgorin;
     - H = Theta Phi with Theta positive diagonal is similar to the PSD
@@ -75,9 +74,7 @@ def transform_chain(x_next: np.ndarray) -> ContractionReport:
     phi.flat[::x.size + 1] = x * (1.0 - x)
     h = theta[:, None] * phi
     h_one_norm = float(np.abs(h).sum(axis=0).max())
-    return ContractionReport(
-        theta=theta, phi=phi, h=h, h_one_norm=h_one_norm, certified=h_one_norm < 1.0
-    )
+    return ContractionReport(phi=phi, h=h, h_one_norm=h_one_norm)
 
 
 def contraction_margin(states: np.ndarray) -> np.ndarray:

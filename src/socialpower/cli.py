@@ -3,7 +3,10 @@
 Exit codes: 0 all checks passed, 1 domain/validation failure, 2 IO or
 configuration failure.  Output directory precedence: --out flag, then
 the SOCIALPOWER_OUT environment variable, then the working directory.
-All indices printed or read from files are 1-based.
+A `simulate` or `periodic` run is set by its config file alone (issues,
+burn-in, seed, starts), and every threshold comes from `Tolerances`; no
+flag overrides either.  All indices printed or read from files are
+1-based.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ def _require(cfg: dict, key: str, path):
     return cfg[key]
 
 
-def _int_setting(flag, cfg: dict, key: str, default, path):
-    """`flag` if given, else `cfg[key]`, which must be a JSON integer, else `default`."""
-    if flag is not None or key not in cfg:
-        return default if flag is None else flag
+def _int_setting(cfg: dict, key: str, default, path):
+    """`cfg[key]`, which must be a JSON integer, else `default`."""
+    if key not in cfg:
+        return default
     try:
         return _integer(cfg[key], key)
     except TypeError as exc:
@@ -87,7 +90,7 @@ def _write_report(doc: dict, path: Path) -> None:
 
 def _burn_in(cfg: dict, default: int, path) -> int:
     """The config's `burn_in`, a JSON integer >= 0, else `default`."""
-    burn_in = _int_setting(None, cfg, "burn_in", default, path)
+    burn_in = _int_setting(cfg, "burn_in", default, path)
     if burn_in < 0:
         raise ValidationError(f"{path}: burn_in must be >= 0, got {burn_in}")
     return burn_in
@@ -102,9 +105,16 @@ def cmd_simulate(args) -> int:
         raise ParseError(f"{args.config}: 'initial_conditions' must map run names to starts")
     if not inits:
         raise ParseError(f"{args.config}: 'initial_conditions' names no run")
-    issues = _int_setting(args.issues, cfg, "issues", 100, args.config)
-    seed = _int_setting(args.seed, cfg, "seed", None, args.config)
+    for name in inits:
+        # each run becomes the file run_<name>.csv in the output directory
+        if any(c in name for c in "/\\\0"):
+            raise ParseError(f"{args.config}: run name {name!r} contains '/', '\\' or NUL")
+    issues = _int_setting(cfg, "issues", 100, args.config)
+    seed = _int_setting(cfg, "seed", None, args.config)
     burn_in = _burn_in(cfg, 20, args.config)
+    plot = cfg.get("plot", False)
+    if not isinstance(plot, bool):
+        raise ParseError(f"{args.config}: 'plot' must be true or false, got {plot!r}")
     if seed is not None:
         if not isinstance(program.signal, RandomUniform):
             kind = type(program.signal).__name__.lower()
@@ -155,7 +165,7 @@ def cmd_simulate(args) -> int:
         report["limit_gap"] = "limit_gap.csv"
         report["final_gap"] = float(gap[-1])
     _write_report(report, out / "report.json")
-    if cfg.get("plot"):
+    if plot:
         s = np.arange(issues + 1, dtype=float)
         _plot_runs([(f"run_{name}", s, run.states) for name, run in zip(names, runs)], out)
     if bound_checked == 0:
@@ -170,15 +180,15 @@ def cmd_analyze(args) -> int:
     program = load_program(args.path)
     gammas = program.gammas()
     gbar = max_gamma_profile(program)
-    stars = [classify_star(m) for m in program.matrices]
+    centers = [classify_star(m) for m in program.matrices]
     doc = {
         "n": program.n,
         "matrix_count": len(program.matrices),
         "gamma_per_matrix": gammas,
         "max_gamma_profile": gbar,
         "star": [
-            {"is_star": s.is_star, "center": (s.center + 1) if s.is_star else None}
-            for s in stars
+            {"is_star": c is not None, "center": None if c is None else c + 1}
+            for c in centers
         ],
         "contraction_radii": analysis.contraction_radii(gbar),
     }
@@ -205,18 +215,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_periodic(args) -> int:
-    if not args.tol >= 0:
-        raise ParseError(f"--tol must be a number >= 0, got {args.tol}")
     cfg = _read_json(args.config)
     cfg_dir = Path(args.config).parent
     program = load_program(cfg_dir / _require(cfg, "program", args.config))
     limit = periodic.periodic_fixed_points(program)
-    issues = _int_setting(args.issues, cfg, "issues", 200, args.config)
+    issues = _int_setting(cfg, "issues", 200, args.config)
     burn_in = _burn_in(cfg, 30, args.config)
     init = _parse_init(cfg.get("initial_condition", [1.0 / program.n] * program.n), program.n,
                        "initial condition", args.config)
     traj = simulate(program, init, issues)
-    ok, worst = periodic.verify_periodic_limit(traj, limit, burn_in, tol=args.tol)
+    ok, worst = periodic.verify_periodic_limit(traj, limit, burn_in)
     period = len(limit.fixed_points)
     doc = {
         "period": period,
@@ -254,17 +262,24 @@ def cmd_verify(args) -> int:
 
 
 def _read_csv(path):
+    """The rows of a trajectory CSV with header s,p,x_1,...,x_n (n >= 1),
+    every field a finite number."""
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    if len(rows) < 2 or not rows[0] or rows[0][0] != "s":
+    header = rows[0] if rows else []
+    n = len(header) - 2
+    if len(rows) < 2 or n < 1 or header != ["s", "p"] + [f"x_{i + 1}" for i in range(n)]:
         raise ParseError(f"{path}: not a trajectory export")
-    header = rows[0]
     if any(len(row) != len(header) for row in rows[1:]):
         raise ParseError(f"{path}: every row needs {len(header)} fields")
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ParseError(f"{path}: line {r + 2}: {header[c]} = {data[r, c]} is not a finite number")
     return data
 
 
@@ -327,8 +342,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("simulate", help="run configured initial conditions under one shared signal")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--issues", type=int)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="eigenvector profile, radii, bounds, rate, vertex table")
@@ -339,8 +352,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("periodic", help="per-phase fixed points and limit verification")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--issues", type=int)
-    p.add_argument("--tol", type=float, default=TOLERANCES.periodic_limit)
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("verify", help="randomized invariant suite on a matrix/program file")

@@ -25,8 +25,7 @@ def build_w(x: np.ndarray, C: RelativeInteractionMatrix) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or np.any(x >= 1):
         raise ValidationError("self-weights must satisfy 0 <= x_i < 1")
-    entries = C.entries if isinstance(C, RelativeInteractionMatrix) else np.asarray(C)
-    w = (1.0 - x)[..., :, None] * entries
+    w = (1.0 - x)[..., :, None] * C.entries
     diag = np.arange(x.shape[-1])
     w[..., diag, diag] += x
     return w

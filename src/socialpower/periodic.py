@@ -75,18 +75,13 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     return PeriodicLimit(program, tuple(points), residuals)
 
 
-def verify_periodic_limit(
-    traj: Trajectory,
-    limit: PeriodicLimit,
-    burn_in: int,
-    tol: float = TOLERANCES.periodic_limit,
-) -> tuple[bool, float]:
+def verify_periodic_limit(traj: Trajectory, limit: PeriodicLimit, burn_in: int) -> tuple[bool, float]:
     """Check that a simulated run settles onto the per-phase fixed points.
 
     The run's signal log must be the one the limit's program realizes.
     Each state s >= max(burn_in, 1) is compared with the fixed point of
     the phase that produced it, and the run is verified when the worst
-    1-norm deviation is at most `tol`.
+    1-norm deviation is at most `Tolerances.periodic_limit`.
     """
     program = limit.program
     if not np.array_equal(traj.signal_log, program.realize(traj.issues)):
@@ -100,4 +95,4 @@ def verify_periodic_limit(
     phases = program.signal.phases(traj.issues)[first - 1:]
     targets = np.asarray(limit.fixed_points)[phases]
     worst = float(np.abs(traj.states[first:] - targets).sum(axis=1).max())
-    return worst <= tol, worst
+    return worst <= TOLERANCES.periodic_limit, worst

@@ -17,18 +17,20 @@ _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 60, 150, 40, 50
 
 
-def _ticks(lo: float, hi: float, count: int = 6):
+def _ticks(lo: float, hi: float):
+    """Round tick values across [lo, hi], about six of them."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / count
+    raw = (hi - lo) / 6
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     start = np.ceil(lo / step) * step
     return np.arange(start, hi + step / 2, step)
 
 
-def line_chart(series: dict, path, title: str, xlabel: str = "s", ylabel: str = "x") -> None:
-    """Write one chart; `series` maps legend label -> (x, y, dashed)."""
+def line_chart(series: dict, path, title: str) -> None:
+    """Write one chart of issue s against power x; `series` maps legend
+    label -> (x, y, dashed)."""
     xs = np.concatenate([np.asarray(x, dtype=float) for x, _, _ in series.values()])
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y, _ in series.values()])
     x_lo, x_hi = float(xs.min()), float(max(xs.max(), xs.min() + 1))
@@ -62,9 +64,9 @@ def line_chart(series: dict, path, title: str, xlabel: str = "s", ylabel: str = 
             f'<text x="{_ML - 8}" y="{py(ty) + 4:.1f}" text-anchor="end">{ty:g}</text>'
         )
     out.append(
-        f'<text x="{_ML + pw / 2}" y="{_H - 10}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{_ML + pw / 2}" y="{_H - 10}" text-anchor="middle">s</text>'
         f'<text x="18" y="{_MT + ph / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_MT + ph / 2})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {_MT + ph / 2})">x</text>'
     )
     # every point's pixel pair, interleaved, from one px and one py call;
     # series k owns the slice ends[k]:ends[k + 1] of points

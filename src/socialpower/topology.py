@@ -30,10 +30,9 @@ class Tolerances:
     """The tolerance ledger: every threshold a check compares against.
 
     `TOLERANCES`, its one instance, is the only place these values are
-    set; no function takes a tolerance except
-    `periodic.verify_periodic_limit`, which defaults to `periodic_limit`.
-    Each comment names the code that reads the field.  Iterations stop
-    on their own progress, so no field is a stopping rule.
+    set; no function or command-line flag takes a tolerance.  Each
+    comment names the code that reads the field.  Iterations stop on
+    their own progress, so no field is a stopping rule.
     """
 
     # topology: entries at or below this are no edge of the support
@@ -59,8 +58,8 @@ class Tolerances:
     # ||F_{p+1}(y_p) - y_{p+1}||_1 above this is a bug; only the closing
     # one, ||F_0(y_{P-1}) - y_0||_1, is not 0 by construction
     chain: float = 1e-12
-    # periodic.verify_periodic_limit and `periodic --tol` by default:
-    # allowed 1-norm deviation of a run from the per-phase limit
+    # periodic.verify_periodic_limit: allowed 1-norm deviation of a run
+    # from the per-phase limit
     periodic_limit: float = 1e-8
     # verification: relative Jacobian error against central differences
     # (also the column-sum scale), the certificate's structural deviation
@@ -132,12 +131,6 @@ class RelativeInteractionMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class StarClassification:
-    is_star: bool
-    center: int | None = None
-
-
 def validate(matrix) -> RelativeInteractionMatrix:
     """Check all structural invariants, raising on the first violation.
 
@@ -201,8 +194,9 @@ def is_irreducible(matrix) -> bool:
     return reaches_all(support) and reaches_all(support.T)
 
 
-def classify_star(matrix: RelativeInteractionMatrix) -> StarClassification:
-    """Detect whether every edge of the support graph touches one node.
+def classify_star(matrix: RelativeInteractionMatrix) -> int | None:
+    """The 0-based centre that every edge of the support graph touches,
+    or None when the support graph is not a star.
 
     Node c is such a centre exactly when its in- and out-degrees add up
     to the edge count; the lowest such c is reported.
@@ -211,29 +205,18 @@ def classify_star(matrix: RelativeInteractionMatrix) -> StarClassification:
     np.fill_diagonal(support, False)
     touching = support.sum(axis=0) + support.sum(axis=1)
     centers = np.flatnonzero(touching == support.sum())
-    if centers.size:
-        return StarClassification(True, int(centers[0]))
-    return StarClassification(False, None)
+    return int(centers[0]) if centers.size else None
 
 
-def dominant_left_eigenvector(matrix: RelativeInteractionMatrix | np.ndarray) -> np.ndarray:
-    """Unique positive left eigenvector at eigenvalue 1, normalized to sum 1.
-
-    For a validated matrix this returns the vector solved once when the
-    matrix was built; a raw row-stochastic array is solved directly with
-    `stationary_vector`.
-    """
-    if isinstance(matrix, RelativeInteractionMatrix):
-        return matrix.gamma
-    return stationary_vector(np.asarray(matrix, dtype=float))
+def dominant_left_eigenvector(matrix: RelativeInteractionMatrix) -> np.ndarray:
+    """Unique positive left eigenvector at eigenvalue 1, normalized to sum 1:
+    the vector solved once when the matrix was validated."""
+    return matrix.gamma
 
 
-def max_gamma_profile(program) -> np.ndarray:
-    """Entrywise maximum of the dominant left eigenvectors over a matrix set."""
-    matrices = program.matrices if isinstance(program, TopologyProgram) else list(program)
-    if not matrices:
-        raise ValidationError("empty matrix set")
-    return np.max(np.vstack([m.gamma for m in matrices]), axis=0)
+def max_gamma_profile(program: TopologyProgram) -> np.ndarray:
+    """Entrywise maximum of the dominant left eigenvectors of a program's matrices."""
+    return np.max(np.vstack(program.gammas()), axis=0)
 
 
 # ---------------------------------------------------------------------------

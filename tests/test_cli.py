@@ -93,25 +93,16 @@ class TestSimulate:
         assert (out1 / "run_hat.csv").read_text() == (out2 / "run_hat.csv").read_text()
         assert (out1 / "limit_gap.csv").read_text() == (out2 / "limit_gap.csv").read_text()
 
-    def test_seed_flag_overrides_config(self, simulate_config, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--config", str(simulate_config), "--out", str(out1)])
-        main(["simulate", "--config", str(simulate_config), "--out", str(out2), "--seed", "7"])
-        assert (out1 / "run_hat.csv").read_text() != (out2 / "run_hat.csv").read_text()
-
-    @pytest.mark.parametrize("from_flag", [True, False])
-    def test_seed_on_non_random_signal_rejected(self, tmp_path, capsys, from_flag):
+    def test_seed_on_non_random_signal_rejected(self, tmp_path, capsys):
         config = {
             "program": str(EXPERIMENTS / "group6_alternating.json"),
             "issues": 10,
+            "seed": 5,
             "initial_conditions": {"flat": [1 / 6] * 6},
         }
-        if not from_flag:
-            config["seed"] = 5
         path = tmp_path / "simulate.json"
         path.write_text(json.dumps(config))
-        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
-        assert main(argv + (["--seed", "5"] if from_flag else [])) == 1
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "not to a periodic one" in capsys.readouterr().err
         assert not (tmp_path / "out" / "run_flat.csv").exists()
 
@@ -150,9 +141,10 @@ class TestSimulate:
     def test_counts_states_checked_against_the_bound(self, simulate_config, tmp_path, capsys,
                                                      issues, checked):
         # the default burn_in is 20; two runs
+        doc = json.loads(simulate_config.read_text())
+        simulate_config.write_text(json.dumps({**doc, "issues": issues}))
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(simulate_config), "--out", str(out),
-                     "--issues", str(issues)]) == 0
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["bound_checked_states"] == checked
         err = capsys.readouterr().err
         warned = f"burn_in 20 >= issues {issues}: no state was checked" in err
@@ -197,6 +189,20 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--config", str(simulate_config), "--out", str(tmp_path), "--tol", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", ["x/y", "x\\y", "x\0y"])
+    def test_run_name_that_is_no_file_name_rejected(self, simulate_config, tmp_path, capsys, name):
+        # the run becomes run_<name>.csv: checked with the config, before any file
+        doc = json.loads(simulate_config.read_text())
+        doc["initial_conditions"][name] = doc["initial_conditions"]["hat"]
+        simulate_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {simulate_config}: run name {name!r} "
+                                "contains '/', '\\' or NUL\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_env_var_out_dir(self, simulate_config, tmp_path, monkeypatch):
         env_out = tmp_path / "envout"
@@ -260,31 +266,23 @@ class TestPeriodicCommand:
 
     def test_zero_tol_is_not_the_default(self, periodic_setup, tmp_path, capsys):
         # after a burn-in of 20 the run is still ~1e-11 off the limit:
-        # within the default tolerance, but not exactly on it
+        # within Tolerances.periodic_limit, though not exactly on it
         config = json.loads(periodic_setup.read_text())
         config["burn_in"] = 20
         path = periodic_setup.with_name("short_burn_in.json")
         path.write_text(json.dumps(config))
         argv = ["periodic", "--config", str(path), "--out", str(tmp_path / "out")]
-        assert main(argv + ["--tol", "0"]) == 1
-        assert "NOT verified" in capsys.readouterr().out
         assert main(argv) == 0
         assert ", verified" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("tol", ["nan", "-1e-8", "-inf"])
-    def test_tol_must_be_a_number_at_least_zero(self, periodic_setup, tmp_path, capsys, tol):
-        out = tmp_path / "out"
-        argv = ["periodic", "--config", str(periodic_setup), "--out", str(out), f"--tol={tol}"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: --tol must be a number >= 0, got {float(tol)}\n"
-        assert captured.out == ""
-        assert not out.exists()
+        assert 0 < json.loads((tmp_path / "out" / "periodic.json").read_text())["worst_deviation"]
 
     def test_run_within_burn_in_rejected(self, tmp_path, capsys):
         # alternating.json has a burn-in of 40: 1 issue leaves no state to compare
-        config = EXPERIMENTS / "alternating.json"
-        argv = ["periodic", "--config", str(config), "--out", str(tmp_path / "out"), "--issues", "1"]
+        config = json.loads((EXPERIMENTS / "alternating.json").read_text())
+        config.update(program=str(EXPERIMENTS / config["program"]), issues=1)
+        path = tmp_path / "alternating.json"
+        path.write_text(json.dumps(config))
+        argv = ["periodic", "--config", str(path), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "1 issues, burn-in 40" in captured.err
@@ -310,10 +308,31 @@ class TestPeriodicCommand:
 def test_explicit_zero_issues_is_not_the_config_count(
     command, simulate_config, periodic_setup, tmp_path, capsys
 ):
+    # a config's "issues": 0 is read as 0, not replaced by the default count
     config = simulate_config if command == "simulate" else periodic_setup
-    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--issues", "0"]
+    config.write_text(json.dumps({**json.loads(config.read_text()), "issues": 0}))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "need at least one issue" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--seed", "7"),
+    ("simulate", "--issues", "5"),
+    ("periodic", "--issues", "1"),
+    ("periodic", "--tol", "inf"),
+])
+def test_config_and_ledger_flags_removed(
+    command, flag, value, simulate_config, periodic_setup, tmp_path, capsys
+):
+    # run settings come from the config alone, thresholds from Tolerances alone
+    config = simulate_config if command == "simulate" else periodic_setup
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestMalformedProgram:
@@ -327,9 +346,10 @@ class TestMalformedProgram:
         assert main(["simulate", "--config", str(simulate_config), "--out", str(tmp_path / "out")]) == 1
         assert "random seed -1 is negative" in capsys.readouterr().err
 
-    def test_negative_seed_flag_rejected(self, simulate_config, tmp_path, capsys):
+    def test_negative_seed_in_config_rejected(self, simulate_config, tmp_path, capsys):
+        simulate_config.write_text(json.dumps({**json.loads(simulate_config.read_text()), "seed": -1}))
         argv = ["simulate", "--config", str(simulate_config), "--out", str(tmp_path / "out")]
-        assert main(argv + ["--seed", "-1"]) == 1
+        assert main(argv) == 1
         assert "random seed -1 is negative" in capsys.readouterr().err
 
     def test_non_numeric_entry_rejected(self, program_file, tmp_path, capsys):
@@ -411,6 +431,14 @@ class TestMalformedConfig:
         assert main(["periodic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"'{key}' needs integers" in err and "edited.json" in err
+
+    @pytest.mark.parametrize("value", ["no", "true", 1, 0, None])
+    def test_plot_must_be_a_boolean(self, simulate_config, tmp_path, capsys, value):
+        path = self._rewrite(simulate_config, lambda doc: doc.update(plot=value))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: 'plot' must be true or false, got {value!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "periodic"])
     def test_negative_burn_in_rejected(self, command, simulate_config, periodic_setup, tmp_path, capsys):
@@ -523,6 +551,30 @@ class TestPlotCommand:
         path.write_text(body)
         assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 2
         assert "run_bad.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["s,p", "s,p,x_2", "s,p,y_1", "s,p,x_1,x_1", "s,p,x_1,s"])
+    def test_header_must_be_s_p_then_x_1_to_x_n(self, tmp_path, capsys, header):
+        path = tmp_path / "run_bad.csv"
+        path.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+        assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: not a trajectory export\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("row, field, value", [
+        ("1,1,nan,0.5", "x_1", "nan"),
+        ("1,1,0.5,inf", "x_2", "inf"),
+        ("-inf,1,0.5,0.5", "s", "-inf"),
+    ])
+    def test_rejects_non_finite_field(self, tmp_path, capsys, row, field, value):
+        path = tmp_path / "run_bad.csv"
+        path.write_text(f"s,p,x_1,x_2\n0,0,0.5,0.5\n{row}\n")
+        plots = tmp_path / "plots"
+        assert main(["plot", str(path), "--out", str(plots)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: line 3: {field} = {value} is not a finite number\n"
+        assert captured.out == ""
+        assert not list(plots.glob("*.svg"))
 
     def test_comparison_needs_equal_widths(self, simulate_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -12,17 +12,17 @@ STAR3 = np.array([[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]])
 
 class TestBuildW:
     def test_zero_state_gives_interaction_matrix(self):
-        c = interaction_set_6()[0]
-        assert np.array_equal(build_w(np.zeros(6), c), c)
+        c = validate(interaction_set_6()[0])
+        assert np.array_equal(build_w(np.zeros(6), c), c.entries)
 
     def test_star_row(self):
-        w = build_w(np.array([0.4, 0.3, 0.3]), STAR3)
+        w = build_w(np.array([0.4, 0.3, 0.3]), validate(STAR3))
         assert np.allclose(w[0], [0.4, 0.3, 0.3])
         assert np.allclose(w[1], [0.7, 0.3, 0.0])
 
     def test_rows_stochastic(self):
         rng = np.random.default_rng(2)
-        c = interaction_set_6()[1]
+        c = validate(interaction_set_6()[1])
         for _ in range(50):
             x = np.clip(rng.dirichlet(np.ones(6)), 0, 0.9)
             w = build_w(x, c)
@@ -31,10 +31,10 @@ class TestBuildW:
 
     def test_self_weight_one_rejected(self):
         with pytest.raises(errors.ValidationError):
-            build_w(np.array([1.0, 0.0, 0.0]), STAR3)
+            build_w(np.array([1.0, 0.0, 0.0]), validate(STAR3))
 
     def test_near_full_self_weight_row(self):
-        w = build_w(np.array([1 - 1e-9, 0.0, 0.0]), STAR3)
+        w = build_w(np.array([1 - 1e-9, 0.0, 0.0]), validate(STAR3))
         assert np.allclose(w[0], [1 - 1e-9, 0.5e-9, 0.5e-9])
 
 

@@ -1,9 +1,10 @@
-"""Byte-level checks on what `simulate` writes.
+"""Byte-level checks on what `simulate`, `analyze` and `periodic` write.
 
 `simulate` charts the states it holds in memory and `plot` charts the
 CSVs `simulate` wrote; since every CSV value is written with %.17g, which
 round-trips, both must draw the same bytes.  The golden hashes pin every
-file of the checked-in forgetting experiment.
+file of the checked-in forgetting experiment, and the report `analyze`
+and `periodic` each write for a checked-in program.
 """
 
 import hashlib
@@ -29,6 +30,13 @@ FORGETTING_SHA256 = {
     "run_hat.svg": "95e72aee2b48456c93a34f5a4c04a58c708db19a212c61ec8f430f66ad046594",
     "run_tilde.csv": "b668f9827d6045f6887c15c10fa73e52cd6bb413607926ef05e194b0afab761d",
     "run_tilde.svg": "ff1710d70fad469b77627cb5393e6b6908fdd61cbe6743bbcf350f8a09a27f56",
+}
+
+# sha256 of `analysis.json` from `analyze experiments/group6_random.json` and of
+# `periodic.json` from `periodic --config experiments/alternating.json`, same build
+REPORT_SHA256 = {
+    "analysis.json": "7e016af23d330ed26bdf5264fcb701c46f689e15ee300100dc37dd0a1480e21e",
+    "periodic.json": "b5cf75fddbcce03182f5231523911e0c1c6ef21b514769b52172b4b89d319927",
 }
 
 
@@ -78,3 +86,13 @@ def test_forgetting_outputs_are_pinned(tmp_path, capsys):
     assert _simulate(EXPERIMENTS / "forgetting.json", out) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == FORGETTING_SHA256
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["analyze", str(EXPERIMENTS / "group6_random.json")], "analysis.json"),
+    (["periodic", "--config", str(EXPERIMENTS / "alternating.json")], "periodic.json"),
+])
+def test_analyze_and_periodic_reports_are_pinned(argv, report, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / report).read_bytes()).hexdigest() == REPORT_SHA256[report]
