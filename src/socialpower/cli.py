@@ -4,8 +4,9 @@ Exit codes: 0 all checks passed, 1 domain/validation failure, 2 IO or
 configuration failure.  Output directory precedence: --out flag, then
 the SOCIALPOWER_OUT environment variable, then the working directory.
 A `simulate` or `periodic` run is set by its config file alone (issues,
-burn-in, seed, starts), and every threshold comes from `Tolerances`; no
-flag overrides either.  All indices printed or read from files are
+burn-in, seed, starts), read by `_read_config` against the command's
+table of keys, and every threshold comes from `Tolerances`; no flag
+overrides either.  All indices printed or read from files are
 1-based.
 """
 
@@ -44,20 +45,45 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _require(cfg: dict, key: str, path):
-    if key not in cfg:
-        raise ParseError(f"{path}: missing required key {key!r}")
-    return cfg[key]
+_REQUIRED = object()
+# Each command's config keys with their defaults; a key whose default is
+# None may be left out and then stays absent from the settings.
+_SIMULATE_KEYS = {"program": _REQUIRED, "initial_conditions": _REQUIRED,
+                  "issues": 100, "burn_in": 20, "seed": None, "plot": False}
+_PERIODIC_KEYS = {"program": _REQUIRED, "initial_condition": None, "issues": 200, "burn_in": 30}
 
 
-def _int_setting(cfg: dict, key: str, default, path):
-    """`cfg[key]`, which must be a JSON integer, else `default`."""
-    if key not in cfg:
-        return default
-    try:
-        return _integer(cfg[key], key)
-    except TypeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+def _read_config(path, keys: dict):
+    """The program a run config names, and the config's settings with
+    the defaults of `keys` filled in.
+
+    The config must be a JSON object with no key outside `keys` and
+    every _REQUIRED one; `issues`, `burn_in` and `seed` are JSON
+    integers, `burn_in` >= 0, and `program` is a path relative to the
+    config.
+    """
+    cfg = _read_json(path)
+    if not isinstance(cfg, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {cfg!r}")
+    unknown = [key for key in cfg if key not in keys]
+    if unknown:
+        raise ParseError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                         f"the keys are {', '.join(map(repr, keys))}")
+    for key, default in keys.items():
+        if default is _REQUIRED and key not in cfg:
+            raise ParseError(f"{path}: missing required key {key!r}")
+    settings = {key: default for key, default in keys.items() if default is not None} | cfg
+    for key in ("issues", "seed", "burn_in"):
+        if key in settings:  # a seed may be left out
+            try:
+                _integer(settings[key], key)
+            except TypeError as exc:
+                raise ParseError(f"{path}: {exc}") from exc
+    if settings["burn_in"] < 0:
+        raise ValidationError(f"{path}: burn_in must be >= 0, got {settings['burn_in']}")
+    if not isinstance(settings["program"], str):
+        raise ParseError(f"{path}: 'program' must be a file name, got {settings['program']!r}")
+    return load_program(Path(path).parent / settings["program"]), settings
 
 
 def _parse_init(spec, n: int, label: str, path) -> np.ndarray:
@@ -88,19 +114,9 @@ def _write_report(doc: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _burn_in(cfg: dict, default: int, path) -> int:
-    """The config's `burn_in`, a JSON integer >= 0, else `default`."""
-    burn_in = _int_setting(cfg, "burn_in", default, path)
-    if burn_in < 0:
-        raise ValidationError(f"{path}: burn_in must be >= 0, got {burn_in}")
-    return burn_in
-
-
 def cmd_simulate(args) -> int:
-    cfg = _read_json(args.config)
-    cfg_dir = Path(args.config).parent
-    program = load_program(cfg_dir / _require(cfg, "program", args.config))
-    inits = _require(cfg, "initial_conditions", args.config)
+    program, cfg = _read_config(args.config, _SIMULATE_KEYS)
+    inits = cfg["initial_conditions"]
     if not isinstance(inits, dict):
         raise ParseError(f"{args.config}: 'initial_conditions' must map run names to starts")
     if not inits:
@@ -109,10 +125,7 @@ def cmd_simulate(args) -> int:
         # each run becomes the file run_<name>.csv in the output directory
         if any(c in name for c in "/\\\0"):
             raise ParseError(f"{args.config}: run name {name!r} contains '/', '\\' or NUL")
-    issues = _int_setting(cfg, "issues", 100, args.config)
-    seed = _int_setting(cfg, "seed", None, args.config)
-    burn_in = _burn_in(cfg, 20, args.config)
-    plot = cfg.get("plot", False)
+    issues, burn_in, seed, plot = cfg["issues"], cfg["burn_in"], cfg.get("seed"), cfg["plot"]
     if not isinstance(plot, bool):
         raise ParseError(f"{args.config}: 'plot' must be true or false, got {plot!r}")
     if seed is not None:
@@ -215,12 +228,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_periodic(args) -> int:
-    cfg = _read_json(args.config)
-    cfg_dir = Path(args.config).parent
-    program = load_program(cfg_dir / _require(cfg, "program", args.config))
+    program, cfg = _read_config(args.config, _PERIODIC_KEYS)
     limit = periodic.periodic_fixed_points(program)
-    issues = _int_setting(cfg, "issues", 200, args.config)
-    burn_in = _burn_in(cfg, 30, args.config)
+    issues, burn_in = cfg["issues"], cfg["burn_in"]
     init = _parse_init(cfg.get("initial_condition", [1.0 / program.n] * program.n), program.n,
                        "initial condition", args.config)
     traj = simulate(program, init, issues)
@@ -283,26 +293,26 @@ def _read_csv(path):
     return data
 
 
-def _plot_runs(runs, out: Path) -> None:
+def _plot_runs(runs: list, out: Path) -> None:
     """Chart each run, then the first two runs against each other.
 
-    `runs` yields (stem, s, states) with states[t] the state at s[t],
-    shape (len(s), n); each chart is written before the next run is taken.
+    `runs` lists (stem, s, states) with states[t] the state at s[t],
+    shape (len(s), n); the first two runs' n are compared before any
+    chart is written.
     """
-    seen = []
+    widths = [states.shape[1] for _, _, states in runs[:2]]
+    if widths[-1] != widths[0]:
+        raise ParseError(f"{runs[1][0]} has {widths[1]} states per row, {runs[0][0]} has "
+                         f"{widths[0]}: no comparison chart")
     for stem, s, states in runs:
         n = states.shape[1]
         series = {f"x_{i + 1}": (s, states[:, i], False) for i in range(n)}
         chart = out / f"{stem}.svg"
         svg.line_chart(series, chart, f"Social power evolution: {stem}")
-        seen.append((stem, s, states))
         print(f"wrote {chart}")
-    if len(seen) >= 2:
-        (name_a, s_a, a), (name_b, s_b, b) = seen[:2]
+    if len(runs) >= 2:
+        (name_a, s_a, a), (name_b, s_b, b) = runs[:2]
         n = a.shape[1]
-        if b.shape[1] != n:
-            raise ParseError(f"{name_b} has {b.shape[1]} states per row, {name_a} has {n}: "
-                             "no comparison chart")
         series = {}
         for i in sorted({0, n // 2, n - 1}):
             series[f"{name_a} x_{i + 1}"] = (s_a, a[:, i], False)
@@ -322,13 +332,9 @@ def cmd_plot(args) -> int:
         for earlier in args.csvs[:k]:
             if Path(earlier).stem == Path(path).stem:
                 raise ParseError(f"{earlier} and {path} would both be charted as {Path(path).stem}.svg")
-
-    def runs():
-        for path in args.csvs:
-            data = _read_csv(path)
-            yield Path(path).stem, data[:, 0], data[:, 2:]
-
-    _plot_runs(runs(), _out_dir(args))
+    tables = [_read_csv(path) for path in args.csvs]
+    runs = [(Path(path).stem, t[:, 0], t[:, 2:]) for path, t in zip(args.csvs, tables)]
+    _plot_runs(runs, _out_dir(args))
     return 0
 
 

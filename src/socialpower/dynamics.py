@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalOverflow, ProgramMismatch, ValidationError
+from .errors import NearVertex, ValidationError
 from .topology import TOLERANCES, TopologyProgram
 
 
@@ -25,7 +25,7 @@ def df_map(x, gamma: np.ndarray) -> np.ndarray:
     """
     gap = 1.0 - np.asarray(x, dtype=float)
     if (gap < TOLERANCES.vertex_guard).any():
-        raise NumericalOverflow(
+        raise NearVertex(
             f"state within {TOLERANCES.vertex_guard:.0e} of a vertex; start the run at the vertex e_i"
         )
     scaled = gamma / gap
@@ -124,8 +124,8 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     for s in range(issues):
         try:
             path.append(df_map(path[-1], gammas[signal_log[s]]))
-        except NumericalOverflow as exc:
-            raise NumericalOverflow(f"issue {s}: {exc}") from exc
+        except NearVertex as exc:
+            raise NearVertex(f"issue {s}: {exc}") from exc
     states = np.empty((issues + 1,) + rows.shape)
     states[:] = rows  # held rows stay at their vertex
     states[:, free] = path
@@ -137,5 +137,5 @@ def limit_gap(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
     if traj_a.states.shape != traj_b.states.shape or not np.array_equal(
         traj_a.signal_log, traj_b.signal_log
     ):
-        raise ProgramMismatch("trajectories come from different signal realizations")
+        raise ValidationError("trajectories come from different signal realizations")
     return np.abs(traj_a.states - traj_b.states).sum(axis=-1)

@@ -6,27 +6,10 @@ class SocialPowerError(Exception):
 
 
 class ValidationError(SocialPowerError):
-    """An interaction matrix or program violates a structural invariant."""
-
-
-class DimensionTooSmall(ValidationError):
-    pass
-
-
-class NegativeEntry(ValidationError):
-    pass
-
-
-class NonzeroDiagonal(ValidationError):
-    pass
-
-
-class RowSumError(ValidationError):
-    pass
-
-
-class Reducible(ValidationError):
-    pass
+    """An input violates a structural invariant: a matrix (dimension,
+    entries, diagonal, row sums, irreducibility), a program, or a run
+    (trajectories under different signal realizations, a signal that is
+    not periodic or has fewer than two phases)."""
 
 
 class ParseError(SocialPowerError):
@@ -37,25 +20,10 @@ class NoConvergence(SocialPowerError):
     """A solver's result misses its residual tolerance."""
 
 
-class NumericalOverflow(SocialPowerError):
-    """An untagged state is too close to a vertex for the map formula."""
-
-
 class NearVertex(SocialPowerError):
-    """State too close to a vertex for well-conditioned Jacobian analysis."""
+    """A state is too close to a vertex: for the map's formula, or for
+    well-conditioned Jacobian analysis."""
 
 
 class StarTopology(SocialPowerError):
     """Operation undefined for star graphs (centre eigenvector entry 0.5)."""
-
-
-class ProgramMismatch(SocialPowerError):
-    """Two trajectories were not produced under the same signal realization."""
-
-
-class PhaseMismatch(SocialPowerError):
-    """Signal log is not periodic with the expected period."""
-
-
-class ChainInconsistency(SocialPowerError):
-    """Per-phase fixed points fail the cyclic mapping property."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, df_map
-from .errors import ChainInconsistency, PhaseMismatch, StarTopology, ValidationError
+from .errors import NoConvergence, StarTopology, ValidationError
 from .topology import TOLERANCES, Periodic, TopologyProgram
 
 
@@ -30,20 +30,21 @@ class PeriodicLimit:
 def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     """Fixed point of each composite map, with the chain property verified.
 
-    The program needs a `Periodic` signal with at least two phases and
-    no star phase.  y_0 solves G_0(x) = x by Newton's method from the
-    uniform vector, stopping once ||G_0(x) - x||_1 stops falling or a
-    step leaves the open simplex.  The other y_p = F_p(y_{p-1}) are the
-    states G_0 passes through, so only the closing chain residual
+    The program needs a `Periodic` signal with at least two phases,
+    else ValidationError, and no star phase, else StarTopology.  y_0
+    solves G_0(x) = x by Newton's method from the uniform vector,
+    stopping once ||G_0(x) - x||_1 stops falling or a step leaves the
+    open simplex.  The other y_p = F_p(y_{p-1}) are the states G_0
+    passes through, so only the closing chain residual
     ||F_0(y_{P-1}) - y_0||_1 is not 0 by construction; one beyond
-    `Tolerances.chain` raises ChainInconsistency.
+    `Tolerances.chain` raises NoConvergence.
     """
     signal = program.signal
     if not isinstance(signal, Periodic):
-        raise PhaseMismatch("program signal is not periodic")
+        raise ValidationError("program signal is not periodic")
     period = len(signal.order)
     if period < 2:
-        raise PhaseMismatch("need at least two phases")
+        raise ValidationError("need at least two phases")
     gammas = [program.matrices[i].gamma for i in signal.order]
     if any(np.any(g >= 0.5 - TOLERANCES.star_gamma) for g in gammas):
         raise StarTopology("periodic programs exclude star phases")
@@ -71,7 +72,7 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
         succ = (p + 1) % period
         residuals[p] = np.abs(df_map(points[p], gammas[succ]) - points[succ]).sum()
     if np.any(residuals > TOLERANCES.chain):
-        raise ChainInconsistency(f"chain residuals {residuals} exceed {TOLERANCES.chain}")
+        raise NoConvergence(f"chain residuals {residuals} exceed {TOLERANCES.chain}")
     return PeriodicLimit(program, tuple(points), residuals)
 
 
@@ -85,7 +86,7 @@ def verify_periodic_limit(traj: Trajectory, limit: PeriodicLimit, burn_in: int) 
     """
     program = limit.program
     if not np.array_equal(traj.signal_log, program.realize(traj.issues)):
-        raise PhaseMismatch("signal log is not the one the limit's periodic program realizes")
+        raise ValidationError("signal log is not the one the limit's periodic program realizes")
     first = max(burn_in, 1)
     if first > traj.issues:
         raise ValidationError(

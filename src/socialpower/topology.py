@@ -13,16 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionTooSmall,
-    NegativeEntry,
-    NoConvergence,
-    NonzeroDiagonal,
-    ParseError,
-    Reducible,
-    RowSumError,
-    ValidationError,
-)
+from .errors import NoConvergence, ParseError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -42,8 +33,8 @@ class Tolerances:
     row_sum: float = 1e-12
     # topology.stationary_vector: accepted residual ||vM - v||_1
     eigen_residual: float = 1e-12
-    # dynamics.df_map: an untagged state with some 1 - x_i below this is
-    # a caller error (honest trajectories stay away from vertices)
+    # dynamics.df_map: a state with some 1 - x_i below this is a caller
+    # error; `simulate` holds a vertex start instead of mapping it
     vertex_guard: float = 1e-14
     # analysis (Jacobians, certificates, margins) and
     # verification.check_boundary_step: minimum 1 - x_i of a state
@@ -150,21 +141,21 @@ def validate(matrix) -> RelativeInteractionMatrix:
         raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
     n = entries.shape[0]
     if n < 3:
-        raise DimensionTooSmall(f"need n >= 3, got n = {n}")
+        raise ValidationError(f"need n >= 3, got n = {n}")
     if np.any(entries < 0):
         i, j = np.argwhere(entries < 0)[0]
-        raise NegativeEntry(f"entry ({i + 1},{j + 1}) = {entries[i, j]} is negative")
+        raise ValidationError(f"entry ({i + 1},{j + 1}) = {entries[i, j]} is negative")
     diag = np.diagonal(entries)
     if np.any(diag != 0.0):
         i = int(np.argwhere(diag != 0.0)[0, 0])
-        raise NonzeroDiagonal(f"diagonal entry {i + 1} = {diag[i]} must be exactly 0")
+        raise ValidationError(f"diagonal entry {i + 1} = {diag[i]} must be exactly 0")
     row_sums = entries.sum(axis=1)
     bad = np.abs(row_sums - 1.0) > TOLERANCES.row_sum
     if np.any(bad):
         i = int(np.argwhere(bad)[0, 0])
-        raise RowSumError(f"row {i + 1} sums to {row_sums[i]}, expected 1")
+        raise ValidationError(f"row {i + 1} sums to {row_sums[i]}, expected 1")
     if not is_irreducible(entries):
-        raise Reducible("support graph is not strongly connected")
+        raise ValidationError("support graph is not strongly connected")
     return RelativeInteractionMatrix(entries)
 
 
@@ -406,7 +397,11 @@ def load_program(path) -> TopologyProgram:
     matrices = tuple(validate(m) for m in raw_matrices)
     n = doc["n"]
     dims = sorted({m.n for m in matrices})
-    if isinstance(n, bool) or not isinstance(n, int) or dims != [n]:
+    try:
+        fits = dims == [_integer(n, "n")]
+    except TypeError:
+        fits = False
+    if not fits:
         raise ParseError(f"{path}: 'n' must be a JSON integer equal to the matrix dimension, "
                          f"got {n!r} for matrices of n = {', '.join(map(str, dims))}")
     return TopologyProgram(matrices, _signal_from_doc(doc["signal"]))

@@ -163,6 +163,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert repr(key) in err and "partial.json" in err
 
+    def test_misspelt_key_rejected(self, simulate_config, tmp_path, capsys):
+        # "isues" would otherwise leave the run at the default 100 issues
+        doc = json.loads(simulate_config.read_text())
+        doc["isues"] = doc.pop("issues")
+        simulate_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {simulate_config}: unknown key(s) 'isues'; ")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_empty_initial_conditions_is_config_error(self, tmp_path, capsys):
         # forgetting.json with no run: nothing is simulated, checked or written
         config = json.loads((EXPERIMENTS / "forgetting.json").read_text())
@@ -263,6 +275,18 @@ class TestPeriodicCommand:
         assert main(["periodic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "'program'" in err and "partial.json" in err
+
+    def test_simulate_key_rejected(self, periodic_setup, tmp_path, capsys):
+        # periodic runs one start, "initial_condition"; the plural is simulate's
+        doc = json.loads(periodic_setup.read_text())
+        doc["initial_conditions"] = {"a": doc.pop("initial_condition")}
+        periodic_setup.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["periodic", "--config", str(periodic_setup), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {periodic_setup}: unknown key(s) 'initial_conditions'; ")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_zero_tol_is_not_the_default(self, periodic_setup, tmp_path, capsys):
         # after a burn-in of 20 the run is still ~1e-11 off the limit:
@@ -415,7 +439,7 @@ class TestMalformedConfig:
         path.write_text(json.dumps(doc))
         return path
 
-    @pytest.mark.parametrize("value", [1.7, "2", True])
+    @pytest.mark.parametrize("value", [1.7, "2", True, None])
     @pytest.mark.parametrize("key", ["issues", "burn_in", "seed"])
     def test_simulate_setting_needs_integer(self, simulate_config, tmp_path, capsys, key, value):
         # int() would truncate 1.7 to 1 and read "2" and true as 2 and 1
@@ -424,7 +448,7 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert f"'{key}' needs integers" in err and "edited.json" in err
 
-    @pytest.mark.parametrize("value", [1.7, "2", True])
+    @pytest.mark.parametrize("value", [1.7, "2", True, None])
     @pytest.mark.parametrize("key", ["issues", "burn_in"])
     def test_periodic_setting_needs_integer(self, periodic_setup, tmp_path, capsys, key, value):
         path = self._rewrite(periodic_setup, lambda doc: doc.update({key: value}))
@@ -478,6 +502,31 @@ class TestMalformedConfig:
             initial_condition=[doc["initial_condition"]]))
         assert main(["periodic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "initial condition must be a flat list" in capsys.readouterr().err
+
+    def test_null_periodic_initial_condition_is_not_the_default(self, periodic_setup, tmp_path, capsys):
+        path = self._rewrite(periodic_setup, lambda doc: doc.update(initial_condition=None))
+        assert main(["periodic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "initial condition must be a flat list of numbers or \"vertex:k\", got None" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["simulate", "periodic"])
+    @pytest.mark.parametrize("text", ['"program"', "123"])
+    def test_config_that_is_no_object_rejected(self, tmp_path, capsys, command, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: expected a JSON object, got {json.loads(text)!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "periodic"])
+    def test_program_must_be_a_file_name(self, command, simulate_config, periodic_setup, tmp_path, capsys):
+        config = simulate_config if command == "simulate" else periodic_setup
+        path = self._rewrite(config, lambda doc: doc.update(program=5))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: 'program' must be a file name, got 5\n"
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -584,7 +633,18 @@ class TestPlotCommand:
         plots = tmp_path / "plots"
         assert main(["plot", str(out / "run_hat.csv"), str(small), "--out", str(plots)]) == 2
         assert "run_small has 3 states per row, run_hat has 6" in capsys.readouterr().err
-        assert not (plots / "comparison.svg").exists()
+        assert not list(plots.glob("*.svg"))
+
+    def test_later_bad_csv_rejected_before_any_chart(self, tmp_path, capsys):
+        good, bad = tmp_path / "run_good.csv", tmp_path / "run_bad.csv"
+        good.write_text("s,p,x_1,x_2\n0,0,0.5,0.5\n1,1,0.4,0.6\n")
+        bad.write_text("s,p,x_1,x_2\n0,0,0.5,0.5\n1,1,nan,0.5\n")
+        plots = tmp_path / "plots"
+        assert main(["plot", str(good), str(bad), "--out", str(plots)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: line 3: x_1 = nan is not a finite number\n"
+        assert captured.out == ""
+        assert not list(plots.glob("*.svg"))
 
     def test_rejects_non_trajectory_csv(self, tmp_path):
         path = tmp_path / "junk.csv"

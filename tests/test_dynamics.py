@@ -45,7 +45,7 @@ def to_csv_reference(states, signal_log, path):
 
 class TestDfMap:
     def test_untagged_vertex_array_rejected(self):
-        with pytest.raises(errors.NumericalOverflow, match="start the run at the vertex"):
+        with pytest.raises(errors.NearVertex, match="start the run at the vertex"):
             df_map(np.eye(4)[1], np.full(4, 0.25))
 
     def test_uniform_maps_to_gamma(self):
@@ -60,7 +60,7 @@ class TestDfMap:
         assert np.abs(out - [0.32110091743119255, 0.44954128440366975, 0.2293577981651376]).max() <= 1e-15
 
     def test_overflow_guard(self):
-        with pytest.raises(errors.NumericalOverflow):
+        with pytest.raises(errors.NearVertex, match="state within 1e-14 of a vertex"):
             df_map(np.array([1 - 1e-15, 1e-15, 0.0]), GAMMA_EXAMPLE)
 
     def test_simplex_preserved(self):
@@ -214,7 +214,7 @@ class TestLimitGap:
         p2 = switching_program_6(seed=4)
         t1 = simulate(p1, np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]), 10)
         t2 = simulate(p2, np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]), 10)
-        with pytest.raises(errors.ProgramMismatch):
+        with pytest.raises(errors.ValidationError, match="different signal realizations"):
             limit_gap(t1, t2)
 
     def test_forgetting_initial_conditions(self):

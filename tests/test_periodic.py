@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from socialpower import errors
+from socialpower import errors, periodic
 from socialpower.analysis import fixed_point
 from socialpower.dynamics import df_map, simulate
 from socialpower.fixtures import cycle_matrix, interaction_set_6, star_matrix
 from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 from socialpower.topology import (
+    TOLERANCES,
     Periodic,
     RandomUniform,
     TopologyProgram,
@@ -43,7 +46,7 @@ class TestPeriodicProgram:
         program = TopologyProgram(
             tuple(validate(m) for m in interaction_set_6()[1:3]), RandomUniform(0)
         )
-        with pytest.raises(errors.PhaseMismatch):
+        with pytest.raises(errors.ValidationError, match="not periodic"):
             periodic_fixed_points(program)
 
     def test_star_phase_rejected(self):
@@ -53,7 +56,7 @@ class TestPeriodicProgram:
 
     def test_single_phase_rejected(self):
         program = TopologyProgram((validate(cycle_matrix(4)),), Periodic((0,)))
-        with pytest.raises(errors.PhaseMismatch):
+        with pytest.raises(errors.ValidationError, match="at least two phases"):
             periodic_fixed_points(program)
 
 
@@ -86,6 +89,12 @@ class TestPeriodicFixedPoints:
         for p, y in enumerate(limit.fixed_points):
             assert np.abs(composite(program, p, y) - y).max() <= 1e-12
 
+    def test_chain_residual_beyond_tolerance_rejected(self, monkeypatch):
+        # every residual, even an exact 0, exceeds a negative tolerance
+        monkeypatch.setattr(periodic, "TOLERANCES", dataclasses.replace(TOLERANCES, chain=-1.0))
+        with pytest.raises(errors.NoConvergence, match=r"chain residuals .* exceed -1.0"):
+            periodic_fixed_points(two_phase_program())
+
 
 class TestVerifyPeriodicLimit:
     def test_two_phase_simulation_settles(self):
@@ -108,14 +117,14 @@ class TestVerifyPeriodicLimit:
         limit = periodic_fixed_points(program)
         random_program = TopologyProgram(program.matrices, RandomUniform(33))
         traj = simulate(random_program, np.full(6, 1 / 6), issues=40)
-        with pytest.raises(errors.PhaseMismatch):
+        with pytest.raises(errors.ValidationError, match="signal log is not the one"):
             verify_periodic_limit(traj, limit, burn_in=10)
 
     def test_reversed_phase_order_rejected(self):
         # a (1, 0) run is a relabelling of the (0, 1) cycle, but not its run
         limit = periodic_fixed_points(two_phase_program((0, 1)))
         traj = simulate(two_phase_program((1, 0)), np.full(6, 1 / 6), issues=80)
-        with pytest.raises(errors.PhaseMismatch):
+        with pytest.raises(errors.ValidationError, match="signal log is not the one"):
             verify_periodic_limit(traj, limit, burn_in=40)
 
     def test_short_burn_in_fails_cleanly(self):
