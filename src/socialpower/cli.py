@@ -108,10 +108,13 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_report(doc: dict, path: Path) -> None:
+def _write_report(doc: dict, path: Path) -> str:
+    """Write `doc` as indented JSON and a newline; return the JSON text."""
+    text = json.dumps(doc, indent=2, default=_json_default)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=_json_default)
+        fh.write(text)
         fh.write("\n")
+    return text
 
 
 def cmd_simulate(args) -> int:
@@ -180,7 +183,7 @@ def cmd_simulate(args) -> int:
     _write_report(report, out / "report.json")
     if plot:
         s = np.arange(issues + 1, dtype=float)
-        _plot_runs([(f"run_{name}", s, run.states) for name, run in zip(names, runs)], out)
+        _plot_runs([(out / f"run_{name}.csv", s, run.states) for name, run in zip(names, runs)], out)
     if bound_checked == 0:
         print(f"warning: burn_in {burn_in} >= issues {issues}: no state was checked "
               "against the equilibrium bound", file=sys.stderr)
@@ -222,8 +225,7 @@ def cmd_analyze(args) -> int:
         for cls in [analysis.vertex_stability(gbar, i)]
     ]
     out = _out_dir(args)
-    _write_report(doc, out / "analysis.json")
-    print(json.dumps(doc, indent=2, default=_json_default))
+    print(_write_report(doc, out / "analysis.json"))
     return 0
 
 
@@ -296,31 +298,37 @@ def _read_csv(path):
 def _plot_runs(runs: list, out: Path) -> None:
     """Chart each run, then the first two runs against each other.
 
-    `runs` lists (stem, s, states) with states[t] the state at s[t],
-    shape (len(s), n); the first two runs' n are compared before any
+    `runs` lists (csv, s, states): the run's CSV, whose stem names its
+    chart, and states[t], the state at s[t], of shape (len(s), n).  The
+    first two runs' n and every chart's ranges are checked before any
     chart is written.
     """
     widths = [states.shape[1] for _, _, states in runs[:2]]
     if widths[-1] != widths[0]:
-        raise ParseError(f"{runs[1][0]} has {widths[1]} states per row, {runs[0][0]} has "
-                         f"{widths[0]}: no comparison chart")
-    for stem, s, states in runs:
-        n = states.shape[1]
-        series = {f"x_{i + 1}": (s, states[:, i], False) for i in range(n)}
-        chart = out / f"{stem}.svg"
-        svg.line_chart(series, chart, f"Social power evolution: {stem}")
-        print(f"wrote {chart}")
+        raise ParseError(f"{Path(runs[1][0]).stem} has {widths[1]} states per row, "
+                         f"{Path(runs[0][0]).stem} has {widths[0]}: no comparison chart")
+    charts = []  # (chart path, series, title, the CSVs it draws)
+    for csv_path, s, states in runs:
+        stem = Path(csv_path).stem
+        series = {f"x_{i + 1}": (s, states[:, i], False) for i in range(states.shape[1])}
+        charts.append((out / f"{stem}.svg", series, f"Social power evolution: {stem}", [csv_path]))
     if len(runs) >= 2:
-        (name_a, s_a, a), (name_b, s_b, b) = runs[:2]
+        (csv_a, s_a, a), (csv_b, s_b, b) = runs[:2]
         n = a.shape[1]
         series = {}
         for i in sorted({0, n // 2, n - 1}):
-            series[f"{name_a} x_{i + 1}"] = (s_a, a[:, i], False)
-            series[f"{name_b} x_{i + 1}"] = (s_b, b[:, i], True)
-        chart = out / "comparison.svg"
-        svg.line_chart(series, chart, "Initial-condition comparison")
+            series[f"{Path(csv_a).stem} x_{i + 1}"] = (s_a, a[:, i], False)
+            series[f"{Path(csv_b).stem} x_{i + 1}"] = (s_b, b[:, i], True)
+        charts.append((out / "comparison.svg", series, "Initial-condition comparison", [csv_a, csv_b]))
+    for _, series, _, sources in charts:
+        try:
+            svg.frame(series)
+        except ValueError as exc:
+            raise ParseError(f"{' and '.join(map(str, sources))}: {exc}") from exc
+    for chart, series, title, _ in charts:
+        svg.line_chart(series, chart, title)
         print(f"wrote {chart}")
-    else:
+    if len(runs) < 2:
         print("single run: comparison chart skipped")
 
 
@@ -333,8 +341,7 @@ def cmd_plot(args) -> int:
             if Path(earlier).stem == Path(path).stem:
                 raise ParseError(f"{earlier} and {path} would both be charted as {Path(path).stem}.svg")
     tables = [_read_csv(path) for path in args.csvs]
-    runs = [(Path(path).stem, t[:, 0], t[:, 2:]) for path, t in zip(args.csvs, tables)]
-    _plot_runs(runs, _out_dir(args))
+    _plot_runs([(path, t[:, 0], t[:, 2:]) for path, t in zip(args.csvs, tables)], _out_dir(args))
     return 0
 
 

@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,9 @@ matrix 5 contraction_certificate: pass, worst margin 9.911e-01 (worst structural
 matrix 5 opinion_oracle_equivalence: pass, worst margin 4.710e-16
 matrix 5 boundary_contraction_step: pass, worst margin -2.656e-03
 """
+
+
+SVG = "http://www.w3.org/2000/svg"
 
 
 @pytest.fixture
@@ -216,6 +220,19 @@ class TestSimulate:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_run_name_is_escaped_in_charts(self, simulate_config, tmp_path):
+        doc = json.loads(simulate_config.read_text())
+        doc["plot"] = True
+        doc["initial_conditions"] = {"a&b<c": doc["initial_conditions"]["hat"],
+                                     "tilde": doc["initial_conditions"]["tilde"]}
+        simulate_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 0
+        texts = {chart: [t.text for t in ET.parse(out / chart).iter(f"{{{SVG}}}text")]
+                 for chart in ("run_a&b<c.svg", "comparison.svg")}
+        assert "Social power evolution: run_a&b<c" in texts["run_a&b<c.svg"]
+        assert "run_a&b<c x_1" in texts["comparison.svg"]
+
     def test_env_var_out_dir(self, simulate_config, tmp_path, monkeypatch):
         env_out = tmp_path / "envout"
         monkeypatch.setenv("SOCIALPOWER_OUT", str(env_out))
@@ -237,6 +254,7 @@ class TestAnalyze:
         assert doc["convergence_rate"] == "not applicable"
         assert doc["vertex_stability"][0]["individual"] == 1
         assert all(not entry["is_star"] for entry in doc["star"])
+        assert capsys.readouterr().out == (out / "analysis.json").read_text()
 
     def test_star_program_omits_bound(self, tmp_path):
         path = tmp_path / "star.json"
@@ -645,6 +663,34 @@ class TestPlotCommand:
         assert captured.err == f"error: {bad}: line 3: x_1 = nan is not a finite number\n"
         assert captured.out == ""
         assert not list(plots.glob("*.svg"))
+
+    @pytest.mark.parametrize("rows", [
+        "0,0,1e308\n1,1,-1e308\n",  # the x range overflows
+        "1e17,0,0.5\n1e17,1,0.25\n",  # s + 1 rounds to s: no s range
+    ])
+    def test_rejects_ranges_that_cannot_be_charted(self, tmp_path, capsys, rows):
+        path = tmp_path / "run_wide.csv"
+        path.write_text("s,p,x_1\n" + rows)
+        plots = tmp_path / "plots"
+        assert main(["plot", str(path), "--out", str(plots)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: cannot chart s from ")
+        assert captured.err.endswith(": a span is zero or overflows\n")
+        assert captured.out == ""
+        assert not list(plots.glob("*.svg"))
+
+    def test_rejects_a_comparison_whose_range_overflows(self, tmp_path, capsys):
+        paths = [tmp_path / "run_high.csv", tmp_path / "run_low.csv"]
+        paths[0].write_text("s,p,x_1\n0,0,1e308\n1,1,1e308\n")
+        paths[1].write_text("s,p,x_1\n0,0,-1e308\n1,1,-1e308\n")
+        plots = tmp_path / "plots"
+        assert main(["plot", *map(str, paths), "--out", str(plots)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {paths[0]} and {paths[1]}: cannot chart ")
+        assert not list(plots.glob("*.svg"))
+        # each run alone charts
+        for path in paths:
+            assert main(["plot", str(path), "--out", str(plots)]) == 0
 
     def test_rejects_non_trajectory_csv(self, tmp_path):
         path = tmp_path / "junk.csv"

@@ -1,0 +1,73 @@
+"""The vectorised polyline formatter writes exactly what one `%` format
+per value writes, value by value and chart by chart, and chart text is
+escaped as `xml.sax.saxutils.escape` escapes it."""
+
+from xml.sax.saxutils import escape
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from socialpower import svg
+
+
+def polylines_reference(pixels, ends):
+    """One "%.2f,%.2f" per pixel pair, series joined by spaces: the
+    reference `svg._polylines` must match byte for byte."""
+    values = pixels.ravel().tolist()
+    return [" ".join(["%.2f,%.2f"] * (b - a)) % tuple(values[2 * a:2 * b])
+            for a, b in zip(ends, ends[1:])]
+
+
+def assert_formats_like_percent(values):
+    values = np.asarray(values, dtype=float)
+    pixels = np.column_stack((values, values[::-1]))
+    ends = [0, len(values)]
+    assert svg._polylines(pixels, ends) == polylines_reference(pixels, ends)
+
+
+def test_binary_exact_ties():
+    # m + j/8 for odd j is a tie at the third decimal, which "%.2f" rounds to even
+    assert_formats_like_percent((np.arange(1, 1000)[:, None] + np.arange(8) / 8).ravel())
+
+
+def test_neighbours_of_decimal_ties():
+    # the doubles nearest 1.005 .. 999.985; 999.995 would round to 1000.00,
+    # past the formatter's range and far past the plot box
+    ties = (10 * np.arange(100, 99999) + 5) / 1000
+    assert_formats_like_percent(np.concatenate([
+        np.nextafter(ties, 0), ties, np.nextafter(ties, np.inf)]))
+
+
+def test_ends_of_the_range():
+    assert_formats_like_percent([1.0, 999.99])
+
+
+def test_uniform_pixels():
+    assert_formats_like_percent(np.random.default_rng(0).uniform(40, 570, 10**5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(min_value=1.0, max_value=999.99), min_size=1, max_size=50))
+def test_generated_values(values):
+    assert_formats_like_percent(values)
+
+
+@pytest.mark.parametrize("count", [1, 6, 30, 400])
+def test_chart_bytes_match_percent_formatting(count, tmp_path, monkeypatch):
+    rng = np.random.default_rng(count)
+    series = {}
+    for k in range(count):
+        length = int(rng.integers(1, 60))  # series of unequal length
+        s = np.arange(length, dtype=float) + k % 7
+        series[f"x_{k + 1}"] = (s, rng.dirichlet(np.ones(3), length)[:, 0], k % 2 == 1)
+    svg.line_chart(series, tmp_path / "new.svg", "chart")
+    monkeypatch.setattr(svg, "_polylines", polylines_reference)
+    svg.line_chart(series, tmp_path / "reference.svg", "chart")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
+
+
+@pytest.mark.parametrize("text", ["run_a&b<c x_1", "a > b && c", "&amp;", "plain"])
+def test_escape_matches_saxutils(text):
+    assert svg._escape(text) == escape(text)
