@@ -7,12 +7,22 @@ fast, and an entrywise bound built from the worst-case eigenvector
 profile still holds after the transient.
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from socialpower import equilibrium_upper_bound, limit_gap, max_gamma_profile, simulate
-from socialpower.fixtures import switching_program_6
+from socialpower import (
+    equilibrium_upper_bound,
+    limit_gap,
+    load_program,
+    max_gamma_profile,
+    simulate,
+)
 
-program = switching_program_6(seed=20170825)
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+
+# the five matrices under uniform random switching, seed 20170825
+program = load_program(EXPERIMENTS / "group6_random.json")
 profile = max_gamma_profile(program)
 bound = equilibrium_upper_bound(profile)
 print("entrywise worst-case eigenvector profile:", np.round(profile, 4))

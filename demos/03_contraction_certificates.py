@@ -13,14 +13,17 @@ Gershgorin. H is similar to the PSD matrix Theta^(1/2) Phi Theta^(1/2),
 so its eigenvalues are real and >= 0, and each is at most ||H||_1 < 1.
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from socialpower import df_map, jacobian, transform_chain, validate
-from socialpower.fixtures import interaction_set_6
+from socialpower import df_map, jacobian, load_program, transform_chain
 from socialpower.topology import dominant_left_eigenvector
 from socialpower.verification import run_suite, sample_interior
 
-matrix = validate(interaction_set_6()[2])
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+
+matrix = load_program(EXPERIMENTS / "group6_random.json").matrices[2]
 gamma = dominant_left_eigenvector(matrix)
 rng = np.random.default_rng(0)
 

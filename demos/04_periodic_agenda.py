@@ -6,14 +6,17 @@ point is the fixed point of the corresponding composite map, and the
 points are chained to each other by the single-issue maps.
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from socialpower import Periodic, TopologyProgram, simulate, validate
-from socialpower.fixtures import interaction_set_6
+from socialpower import load_program, simulate
 from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 
-matrices = tuple(validate(m) for m in interaction_set_6()[1:3])
-program = TopologyProgram(matrices, Periodic((0, 1)))
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+
+# matrices 2 and 3 of the six-person group, applied in turn
+program = load_program(EXPERIMENTS / "group6_alternating.json")
 
 limit = periodic_fixed_points(program)
 for p, y in enumerate(limit.fixed_points):

@@ -125,9 +125,12 @@ def cmd_simulate(args) -> int:
     if not inits:
         raise ParseError(f"{args.config}: 'initial_conditions' names no run")
     for name in inits:
-        # each run becomes the file run_<name>.csv in the output directory
-        if any(c in name for c in "/\\\0"):
-            raise ParseError(f"{args.config}: run name {name!r} contains '/', '\\' or NUL")
+        # each run becomes the file run_<name>.csv in the output directory and a
+        # chart legend: XML 1.0 cannot carry a control character, even escaped,
+        # and a lone surrogate cannot be written as UTF-8
+        if any(c in "/\\" or c < " " or "\ud800" <= c <= "\udfff" for c in name):
+            raise ParseError(f"{args.config}: run name {name!r} contains '/', '\\', "
+                             "a control character or a surrogate")
     issues, burn_in, seed, plot = cfg["issues"], cfg["burn_in"], cfg.get("seed"), cfg["plot"]
     if not isinstance(plot, bool):
         raise ParseError(f"{args.config}: 'plot' must be true or false, got {plot!r}")

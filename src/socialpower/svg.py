@@ -30,13 +30,12 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float):
-    """Round tick values across [lo, hi], about six of them."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick values across [lo, hi], about six of them; `frame`
+    makes lo < hi. `+ 0.0` turns a -0.0 start into 0.0, which prints "0"."""
     raw = (hi - lo) / 6
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
-    start = np.ceil(lo / step) * step
+    start = np.ceil(lo / step) * step + 0.0
     return np.arange(start, hi + step / 2, step)
 
 

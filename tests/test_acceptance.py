@@ -22,13 +22,6 @@ from socialpower.analysis import (
 from socialpower.cli import main
 from socialpower.degroot import appraisal_step_via_zeta
 from socialpower.dynamics import df_map, limit_gap, simulate
-from socialpower.fixtures import (
-    cycle_matrix,
-    interaction_set_6,
-    shift_mix_matrix,
-    star_matrix,
-    switching_program_6,
-)
 from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 from socialpower.topology import (
     Constant,
@@ -41,6 +34,13 @@ from socialpower.topology import (
     validate,
 )
 from socialpower.verification import finite_difference_jacobian, sample_interior
+from networks import (
+    cycle_matrix,
+    interaction_set_6,
+    shift_mix_matrix,
+    star_matrix,
+    switching_program_6,
+)
 
 GBAR_EXPECTED = np.array([0.4737, 0.2371, 0.2439, 0.2439, 0.2439, 0.2392])
 BOUND_EXPECTED = np.array([0.9, 0.3108, 0.3226, 0.3226, 0.3226, 0.3144])

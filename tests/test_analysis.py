@@ -17,7 +17,6 @@ from socialpower.analysis import (
     vertex_stability,
 )
 from socialpower.dynamics import df_map
-from socialpower.fixtures import interaction_set_6, star_matrix, switching_program_6
 from socialpower.topology import TOLERANCES, dominant_left_eigenvector, max_gamma_profile, validate
 from socialpower.verification import (
     check_contraction_certificates,
@@ -25,6 +24,7 @@ from socialpower.verification import (
     run_suite,
     sample_interior,
 )
+from networks import interaction_set_6, star_matrix, switching_program_6
 
 GAMMA_EXAMPLE = np.array([0.4, 0.35, 0.25])
 

@@ -1,15 +1,12 @@
 import json
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from socialpower.cli import main
-from socialpower.fixtures import interaction_set_6, star_matrix, switching_program_6
 from socialpower.topology import Periodic, TopologyProgram, save_program, validate
-
-EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+from networks import EXPERIMENTS, interaction_set_6, star_matrix, switching_program_6
 
 # `verify experiments/group6_random.json --samples 200`, exactly as printed
 GROUP6_VERIFY_200 = """\
@@ -206,7 +203,7 @@ class TestSimulate:
             main(["simulate", "--config", str(simulate_config), "--out", str(tmp_path), "--tol", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("name", ["x/y", "x\\y", "x\0y"])
+    @pytest.mark.parametrize("name", ["x/y", "x\\y", "x\0y", "a\x01b", "a\tb", "a\ud800b"])
     def test_run_name_that_is_no_file_name_rejected(self, simulate_config, tmp_path, capsys, name):
         # the run becomes run_<name>.csv: checked with the config, before any file
         doc = json.loads(simulate_config.read_text())
@@ -215,8 +212,8 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (f"error: {simulate_config}: run name {name!r} "
-                                "contains '/', '\\' or NUL\n")
+        assert captured.err == (f"error: {simulate_config}: run name {name!r} contains "
+                                "'/', '\\', a control character or a surrogate\n")
         assert captured.out == ""
         assert not out.exists()
 

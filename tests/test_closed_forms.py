@@ -9,7 +9,6 @@ converges slowly.
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +19,9 @@ from socialpower.cli import main
 from socialpower.dynamics import df_map, simulate
 from socialpower.topology import RandomUniform, TopologyProgram, load_program, validate
 from socialpower.verification import sample_interior
+from networks import GROUP6
 from test_solvers import near_star
 
-GROUP6 = Path(__file__).resolve().parent.parent / "experiments" / "group6_random.json"
 VERTEX_EPS = 1e-9
 SEEDS = (1, 2, 3)
 ISSUES = 50

@@ -4,10 +4,8 @@ import pytest
 from socialpower import errors
 from socialpower.degroot import appraisal_step_via_zeta, build_w
 from socialpower.dynamics import df_map
-from socialpower.fixtures import interaction_set_6
 from socialpower.topology import dominant_left_eigenvector, validate
-
-STAR3 = np.array([[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]])
+from networks import interaction_set_6, star_matrix
 
 
 class TestBuildW:
@@ -16,7 +14,7 @@ class TestBuildW:
         assert np.array_equal(build_w(np.zeros(6), c), c.entries)
 
     def test_star_row(self):
-        w = build_w(np.array([0.4, 0.3, 0.3]), validate(STAR3))
+        w = build_w(np.array([0.4, 0.3, 0.3]), validate(star_matrix(3)))
         assert np.allclose(w[0], [0.4, 0.3, 0.3])
         assert np.allclose(w[1], [0.7, 0.3, 0.0])
 
@@ -31,16 +29,16 @@ class TestBuildW:
 
     def test_self_weight_one_rejected(self):
         with pytest.raises(errors.ValidationError):
-            build_w(np.array([1.0, 0.0, 0.0]), validate(STAR3))
+            build_w(np.array([1.0, 0.0, 0.0]), validate(star_matrix(3)))
 
     def test_near_full_self_weight_row(self):
-        w = build_w(np.array([1 - 1e-9, 0.0, 0.0]), validate(STAR3))
+        w = build_w(np.array([1 - 1e-9, 0.0, 0.0]), validate(star_matrix(3)))
         assert np.allclose(w[0], [1 - 1e-9, 0.5e-9, 0.5e-9])
 
 
 class TestAppraisalEquivalence:
     def test_uniform_gives_gamma(self):
-        c = validate(STAR3)
+        c = validate(star_matrix(3))
         out = appraisal_step_via_zeta(np.full(3, 1 / 3), c)
         assert np.abs(out - dominant_left_eigenvector(c)).max() <= 1e-10
 

@@ -11,7 +11,6 @@ from socialpower.dynamics import (
     limit_gap,
     simulate,
 )
-from socialpower.fixtures import cycle_matrix, interaction_set_6, star_matrix, switching_program_6
 from socialpower.topology import (
     Constant,
     RandomUniform,
@@ -21,6 +20,7 @@ from socialpower.topology import (
     save_program,
     validate,
 )
+from networks import cycle_matrix, interaction_set_6, star_matrix, switching_program_6
 
 GAMMA_EXAMPLE = np.array([0.4, 0.35, 0.25])
 

@@ -6,7 +6,6 @@ import pytest
 from socialpower import errors, periodic
 from socialpower.analysis import fixed_point
 from socialpower.dynamics import df_map, simulate
-from socialpower.fixtures import cycle_matrix, interaction_set_6, star_matrix
 from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 from socialpower.topology import (
     TOLERANCES,
@@ -15,6 +14,7 @@ from socialpower.topology import (
     TopologyProgram,
     validate,
 )
+from networks import cycle_matrix, interaction_set_6, star_matrix
 
 
 def two_phase_program(order=(0, 1)):

@@ -14,22 +14,20 @@ from pathlib import Path
 import pytest
 
 from socialpower.cli import main
-from socialpower.fixtures import switching_program_6
 from socialpower.topology import save_program
-
-EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+from networks import EXPERIMENTS, switching_program_6
 
 # sha256 of each file `simulate --config experiments/forgetting.json` writes,
 # recorded with Python 3.11, numpy 2.4.6 (scipy-openblas 0.3.31) on x86-64;
 # another numpy or BLAS build may move the last bit of a state, and with it a hash
 FORGETTING_SHA256 = {
-    "comparison.svg": "676a4549d3cc7bd00ff9b94c40315fc6dccb09d149185f011b0012a4986ca9f2",
+    "comparison.svg": "a50a4a98c0d0d338b97e6a9476b9f30ceb3a2338ecdf71cf0f24bbf990f80cb3",
     "limit_gap.csv": "d7585378c3505e101e549cf2c0206d9adb959efb422bd4d33b8b134f4b556718",
     "report.json": "7ff4048cb3ffb2e8d02b8b3c7b2c189845fecffc51b687a3c885282b0fb2ade3",
     "run_hat.csv": "f5c9838b5b8e6f48afb624915e621cbfdeca229cc336d41dba03673006a8f1de",
-    "run_hat.svg": "95e72aee2b48456c93a34f5a4c04a58c708db19a212c61ec8f430f66ad046594",
+    "run_hat.svg": "3dca6bd4162beb4735ba7c02dac2c6a821f78c8a883b5f17d7a0f1435e0cb067",
     "run_tilde.csv": "b668f9827d6045f6887c15c10fa73e52cd6bb413607926ef05e194b0afab761d",
-    "run_tilde.svg": "ff1710d70fad469b77627cb5393e6b6908fdd61cbe6743bbcf350f8a09a27f56",
+    "run_tilde.svg": "e9f6c13aada3950854928e801fe399f6298a094d4cc9ca35728671cc47bbca59",
 }
 
 # sha256 of `analysis.json` from `analyze experiments/group6_random.json` and of

@@ -10,7 +10,6 @@ from socialpower.analysis import contraction_radii, jacobian, transform_chain
 from socialpower.degroot import appraisal_step_via_zeta, build_w
 from socialpower.dynamics import df_map
 from socialpower.errors import NoConvergence
-from socialpower.fixtures import interaction_set_6, star_matrix
 from socialpower.topology import TOLERANCES, stationary_vector, validate
 from socialpower import verification
 from socialpower.verification import (
@@ -21,6 +20,7 @@ from socialpower.verification import (
     run_suite,
     sample_interior,
 )
+from networks import interaction_set_6, star_matrix
 
 # (n, rows): rows are few at n = 400, where one (n, n) stack entry is 1.3 MB
 SIZES = [(3, 20), (6, 20), (30, 20), (400, 2)]

@@ -2,6 +2,7 @@
 per value writes, value by value and chart by chart, and chart text is
 escaped as `xml.sax.saxutils.escape` escapes it."""
 
+import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -71,3 +72,13 @@ def test_chart_bytes_match_percent_formatting(count, tmp_path, monkeypatch):
 @pytest.mark.parametrize("text", ["run_a&b<c x_1", "a > b && c", "&amp;", "plain"])
 def test_escape_matches_saxutils(text):
     assert svg._escape(text) == escape(text)
+
+
+def test_zero_tick_is_not_signed(tmp_path):
+    # y data from 0 pads the range to just below 0, where ceil(lo / step) is -0.0
+    s = np.arange(10, dtype=float)
+    svg.line_chart({"x_1": (s, s / 9, False)}, tmp_path / "chart.svg", "chart")
+    root = ET.parse(tmp_path / "chart.svg").getroot()
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "-0" not in labels
+    assert labels.count("0") == 2  # s = 0 and x = 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from socialpower import errors
-from socialpower.fixtures import cycle_matrix, interaction_set_6, star_matrix, switching_program_6
 from socialpower.topology import (
     Constant,
     Periodic,
@@ -19,8 +18,13 @@ from socialpower.topology import (
     save_program,
     validate,
 )
-
-STAR3 = np.array([[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]])
+from networks import (
+    EXPERIMENTS,
+    cycle_matrix,
+    interaction_set_6,
+    star_matrix,
+    switching_program_6,
+)
 
 
 def reachable_closure(adj):
@@ -59,13 +63,13 @@ class TestValidate:
             validate(bad)
 
     def test_negative_entry_rejected(self):
-        bad = STAR3.copy()
+        bad = star_matrix(3)
         bad[0, 1], bad[0, 2] = -0.5, 1.5
         with pytest.raises(errors.ValidationError, match=r"entry \(1,2\) = -0.5 is negative"):
             validate(bad)
 
     def test_bad_row_sum_rejected(self):
-        bad = STAR3.copy()
+        bad = star_matrix(3)
         bad[0, 1] = 0.49
         with pytest.raises(errors.ValidationError, match="row 1 sums to 0.99"):
             validate(bad)
@@ -73,7 +77,7 @@ class TestValidate:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entry_rejected_first(self, value):
         # a NaN passes every comparison-based check, so it is caught first
-        bad = STAR3.copy()
+        bad = star_matrix(3)
         bad[1, 2] = value
         with pytest.raises(errors.ValidationError, match=r"entry \(2,3\) = (nan|inf)"):
             validate(bad)
@@ -95,7 +99,7 @@ class TestIrreducibility:
 
 class TestStarClassification:
     def test_three_node_star(self):
-        assert classify_star(validate(STAR3)) == 0
+        assert classify_star(validate(star_matrix(3))) == 0
 
     def test_cycle_not_star(self):
         assert classify_star(validate(interaction_set_6()[0])) is None
@@ -109,7 +113,7 @@ class TestStarClassification:
 
     def test_spectral_cross_check_on_fixtures(self):
         # structural star test must agree with max-gamma = 0.5 on every fixture
-        for m in interaction_set_6() + [star_matrix(5), star_matrix(6, 2), STAR3]:
+        for m in interaction_set_6() + [star_matrix(5), star_matrix(6, 2), star_matrix(3)]:
             validated = validate(m)
             gamma = dominant_left_eigenvector(validated)
             is_star = classify_star(validated) is not None
@@ -159,7 +163,7 @@ class TestStarClassification:
 
 class TestDominantLeftEigenvector:
     def test_star_center_half(self):
-        gamma = dominant_left_eigenvector(validate(STAR3))
+        gamma = dominant_left_eigenvector(validate(star_matrix(3)))
         assert np.allclose(gamma, [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_doubly_stochastic_uniform(self):
@@ -211,7 +215,7 @@ class TestMaxGammaProfile:
         assert np.abs(profile - expected).max() <= 5e-5
 
     def test_singleton(self):
-        m = validate(STAR3)
+        m = validate(star_matrix(3))
         assert np.allclose(max_gamma_profile(program_of(m)), dominant_left_eigenvector(m))
 
     def test_duplicates_idempotent(self):
@@ -237,6 +241,13 @@ class TestProgramFiles:
             assert np.array_equal(a.entries, b.entries)
         assert loaded.signal == program.signal
 
+    # the tests and demos read the six-person group from these files, so the
+    # file -> memory -> file direction must keep every byte
+    @pytest.mark.parametrize("name", ["group6_random.json", "group6_alternating.json"])
+    def test_experiment_program_files_round_trip_byte_for_byte(self, tmp_path, name):
+        save_program(load_program(EXPERIMENTS / name), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (EXPERIMENTS / name).read_bytes()
+
     def test_round_trip_awkward_decimals(self, tmp_path):
         m = np.zeros((3, 3))
         m[0, 1] = 1 / 3
@@ -257,7 +268,7 @@ class TestProgramFiles:
 
     def test_n_must_match_every_matrix(self, tmp_path):
         # a 3- and a 4-node matrix: n names the first, not the second
-        doc = {"n": 3, "matrices": [STAR3.tolist(), cycle_matrix(4).tolist()],
+        doc = {"n": 3, "matrices": [star_matrix(3).tolist(), cycle_matrix(4).tolist()],
                "signal": {"kind": "constant", "index": 1}}
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(doc))
@@ -265,7 +276,7 @@ class TestProgramFiles:
             load_program(path)
 
     def test_bad_row_sum_in_file(self, tmp_path):
-        bad = STAR3.copy()
+        bad = star_matrix(3)
         bad[0, 1] = 0.49
         doc = {"n": 3, "matrices": [bad.tolist()], "signal": {"kind": "constant", "index": 1}}
         path = tmp_path / "bad.json"
