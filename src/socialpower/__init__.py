@@ -3,8 +3,6 @@
 from .analysis import (
     ContractionReport,
     Tolerances,
-    VertexClassification,
-    VertexStability,
     contraction_margin,
     contraction_radii,
     convergence_rate,

@@ -14,13 +14,12 @@ rho(H) <= ||H||_1 < 1 with trace(H) = 1.  `contraction_margin` is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .dynamics import df_map
 from .errors import NearVertex, NoConvergence, StarTopology, ValidationError
-from .topology import TOLERANCES, Tolerances  # Tolerances is re-exported
+from .topology import TOLERANCES, Tolerances, at_star  # Tolerances is re-exported
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def equilibrium_upper_bound(gamma: np.ndarray) -> np.ndarray:
     is the entrywise max profile of a switching set.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma >= 0.5 - TOLERANCES.star_gamma):
+    if at_star(gamma).any():
         raise StarTopology("bound undefined at a star centre (gamma_i = 0.5)")
     return gamma / (1.0 - gamma)
 
@@ -141,31 +140,17 @@ def convergence_rate(gammas) -> float | None:
     return 2.0 * beta
 
 
-class VertexStability(Enum):
-    UNSTABLE = "unstable"
-    ASYMPTOTICALLY_STABLE_NOT_EXPONENTIAL = "asymptotically_stable_not_exponential"
-
-
-@dataclass(frozen=True)
-class VertexClassification:
-    stability: VertexStability
-    eigenvalue: float
-
-
-def vertex_stability(gamma: np.ndarray, i: int) -> VertexClassification:
-    """Stability of the autocratic fixed point e_i.
+def vertex_stability(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stability of every autocratic fixed point e_i, in one pass.
 
     The linearization at e_i has a single nonzero eigenvalue
     (1 - gamma_i)/gamma_i: above 1 (unstable) when gamma_i < 0.5, exactly
     1 at a star centre, where e_i is attracting but not exponentially.
+    Returns the eigenvalues, as 1/gamma - 1 to round exactly at round
+    weights, and the `at_star` mask of those centres.
     """
-    g = float(np.asarray(gamma, dtype=float)[i])
-    eig = 1.0 / g - 1.0  # (1 - g)/g, written to round exactly at round weights
-    if abs(g - 0.5) <= TOLERANCES.star_gamma:
-        return VertexClassification(
-            VertexStability.ASYMPTOTICALLY_STABLE_NOT_EXPONENTIAL, eig
-        )
-    return VertexClassification(VertexStability.UNSTABLE, eig)
+    gamma = np.asarray(gamma, dtype=float)
+    return 1.0 / gamma - 1.0, at_star(gamma)
 
 
 def fixed_point(gamma: np.ndarray) -> np.ndarray:
@@ -182,7 +167,7 @@ def fixed_point(gamma: np.ndarray) -> np.ndarray:
     ||F(x) - x||_1 is at most `Tolerances.fixed_point`.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma >= 0.5 - TOLERANCES.star_gamma):
+    if at_star(gamma).any():
         raise StarTopology("no interior fixed point for a star topology")
     k = int(np.argmax(gamma))
     rho = np.delete(gamma, k) / gamma[k]

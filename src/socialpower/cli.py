@@ -131,6 +131,9 @@ def cmd_simulate(args) -> int:
         if any(c in "/\\" or c < " " or "\ud800" <= c <= "\udfff" for c in name):
             raise ParseError(f"{args.config}: run name {name!r} contains '/', '\\', "
                              "a control character or a surrogate")
+        if len(f"run_{name}.csv".encode()) > 255:
+            raise ParseError(f"{args.config}: run name {name!r} makes run_<name>.csv "
+                             "longer than 255 bytes")
     issues, burn_in, seed, plot = cfg["issues"], cfg["burn_in"], cfg.get("seed"), cfg["plot"]
     if not isinstance(plot, bool):
         raise ParseError(f"{args.config}: 'plot' must be true or false, got {plot!r}")
@@ -218,14 +221,11 @@ def cmd_analyze(args) -> int:
         doc["equilibrium_upper_bound_note"] = str(exc)
     rate = analysis.convergence_rate(gammas)
     doc["convergence_rate"] = rate if rate is not None else "not applicable"
+    eigenvalues, centres = analysis.vertex_stability(gbar)
+    labels = np.where(centres, "asymptotically_stable_not_exponential", "unstable").tolist()
     doc["vertex_stability"] = [
-        {
-            "individual": i + 1,
-            "stability": cls.stability.value,
-            "eigenvalue": cls.eigenvalue,
-        }
-        for i in range(program.n)
-        for cls in [analysis.vertex_stability(gbar, i)]
+        {"individual": i + 1, "stability": label, "eigenvalue": eigenvalue}
+        for i, (label, eigenvalue) in enumerate(zip(labels, eigenvalues.tolist()))
     ]
     out = _out_dir(args)
     print(_write_report(doc, out / "analysis.json"))

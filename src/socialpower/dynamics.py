@@ -125,7 +125,11 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
         try:
             path.append(df_map(path[-1], gammas[signal_log[s]]))
         except NearVertex as exc:
-            raise NearVertex(f"issue {s}: {exc}") from exc
+            # mapping states[s] is issue s + 1; a batch also names the row
+            near = np.any(1.0 - path[-1] < TOLERANCES.vertex_guard, axis=-1)
+            row = np.flatnonzero(free)[np.argmax(near)] + 1
+            where = f"initial condition row {row}, " if x.ndim == 2 else ""
+            raise NearVertex(f"{where}issue {s + 1}: {exc}") from exc
     states = np.empty((issues + 1,) + rows.shape)
     states[:] = rows  # held rows stay at their vertex
     states[:, free] = path

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import Trajectory, df_map
 from .errors import NoConvergence, StarTopology, ValidationError
-from .topology import TOLERANCES, Periodic, TopologyProgram
+from .topology import TOLERANCES, Periodic, TopologyProgram, at_star
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     if period < 2:
         raise ValidationError("need at least two phases")
     gammas = [program.matrices[i].gamma for i in signal.order]
-    if any(np.any(g >= 0.5 - TOLERANCES.star_gamma) for g in gammas):
+    if at_star(gammas).any():
         raise StarTopology("periodic programs exclude star phases")
     n = program.n
     cycle = gammas[1:] + gammas[:1]  # G_0: phase 1 first, phase 0 last

@@ -39,7 +39,7 @@ class Tolerances:
     # analysis (Jacobians, certificates, margins) and
     # verification.check_boundary_step: minimum 1 - x_i of a state
     near_vertex: float = 1e-12
-    # analysis and periodic: gamma_i this close to 1/2 is a star centre
+    # topology.at_star: gamma_i this close to 1/2 is a star centre
     star_gamma: float = 1e-9
     # analysis.contraction_margin: allowed |row sum - 1| of a state
     structure: float = 1e-10
@@ -63,6 +63,16 @@ class Tolerances:
 
 
 TOLERANCES = Tolerances()
+
+
+def at_star(gamma) -> np.ndarray:
+    """Per entry, whether gamma_i >= 1/2 - `star_gamma`: a star centre.
+
+    gamma_i = 1/2 exactly when every edge of the support graph touches
+    node i (Jia, Mirtabatabaei, Friedkin & Bullo, SIAM Review 2015); every
+    star decision in the package is this one test.
+    """
+    return np.asarray(gamma, dtype=float) >= 0.5 - TOLERANCES.star_gamma
 
 
 def stationary_vector(matrix: np.ndarray) -> np.ndarray:
@@ -159,10 +169,6 @@ def validate(matrix) -> RelativeInteractionMatrix:
     return RelativeInteractionMatrix(entries)
 
 
-def _support(entries: np.ndarray) -> np.ndarray:
-    return np.asarray(entries) > TOLERANCES.structural_zero
-
-
 def is_irreducible(matrix) -> bool:
     """Strong connectivity of the support graph, decided structurally.
 
@@ -170,7 +176,7 @@ def is_irreducible(matrix) -> bool:
     node 0 must reach every node along the support pattern and along its
     transpose.
     """
-    support = _support(np.asarray(matrix, dtype=float))
+    support = np.asarray(matrix, dtype=float) > TOLERANCES.structural_zero
 
     def reaches_all(adj):
         # breadth-first search, one array step per level
@@ -187,16 +193,11 @@ def is_irreducible(matrix) -> bool:
 
 def classify_star(matrix: RelativeInteractionMatrix) -> int | None:
     """The 0-based centre that every edge of the support graph touches,
-    or None when the support graph is not a star.
-
-    Node c is such a centre exactly when its in- and out-degrees add up
-    to the edge count; the lowest such c is reported.
+    or None when the support graph is not a star: the node of largest
+    gamma, if `at_star` holds there.
     """
-    support = _support(matrix.entries)
-    np.fill_diagonal(support, False)
-    touching = support.sum(axis=0) + support.sum(axis=1)
-    centers = np.flatnonzero(touching == support.sum())
-    return int(centers[0]) if centers.size else None
+    c = int(np.argmax(matrix.gamma))
+    return c if at_star(matrix.gamma[c]) else None
 
 
 def dominant_left_eigenvector(matrix: RelativeInteractionMatrix) -> np.ndarray:
@@ -380,9 +381,20 @@ def _signal_from_doc(doc) -> object:
 
 
 def _read_json(path):
+    """The JSON document in `path`; a key repeated in any object is a
+    ParseError, where `json` would keep the last value silently."""
+
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ParseError(f"{path}: duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

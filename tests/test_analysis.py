@@ -7,7 +7,6 @@ import socialpower
 from socialpower import errors, verification
 from socialpower.analysis import (
     Tolerances,
-    VertexStability,
     contraction_radii,
     convergence_rate,
     equilibrium_upper_bound,
@@ -158,19 +157,19 @@ class TestConvergenceRate:
 
 class TestVertexStability:
     def test_unstable_when_gamma_large(self):
-        result = vertex_stability(GAMMA_EXAMPLE, 0)
-        assert result.stability is VertexStability.UNSTABLE
-        assert result.eigenvalue == pytest.approx(1.5, abs=1e-12)
+        eigenvalues, centres = vertex_stability(GAMMA_EXAMPLE)
+        assert not centres[0]
+        assert eigenvalues[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_star_center_boundary(self):
-        result = vertex_stability(np.array([0.5, 0.25, 0.25]), 0)
-        assert result.stability is VertexStability.ASYMPTOTICALLY_STABLE_NOT_EXPONENTIAL
-        assert result.eigenvalue == pytest.approx(1.0, abs=1e-12)
+        eigenvalues, centres = vertex_stability(np.array([0.5, 0.25, 0.25]))
+        assert centres[0]
+        assert eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_small_gamma_eigenvalue(self):
-        result = vertex_stability(np.full(6, 1 / 6), 2)
-        assert result.eigenvalue == pytest.approx(5.0, abs=1e-12)
-        assert result.stability is VertexStability.UNSTABLE
+        eigenvalues, centres = vertex_stability(np.full(6, 1 / 6))
+        assert eigenvalues[2] == pytest.approx(5.0, abs=1e-12)
+        assert not centres[2]
 
 
 class TestFixedPoint:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from socialpower import verification
 from socialpower.cli import main
 from socialpower.topology import Periodic, TopologyProgram, save_program, validate
 from networks import EXPERIMENTS, interaction_set_6, star_matrix, switching_program_6
@@ -138,6 +140,16 @@ class TestSimulate:
         assert "run 'edge', issue 1: state within 1e-12 of a vertex" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_start_within_the_map_guard_names_issue_one(self, simulate_config, tmp_path, capsys):
+        # too close to e_1 for the map itself: the first issue cannot be applied
+        doc = json.loads(simulate_config.read_text())
+        doc["initial_conditions"]["edge"] = [0.999999999999999, 1e-15, 0, 0, 0, 0]
+        simulate_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 1
+        assert "initial condition row 3, issue 1: state within 1e-14 of a vertex" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("issues, checked", [(25, 10), (20, 0), (5, 0)])
     def test_counts_states_checked_against_the_bound(self, simulate_config, tmp_path, capsys,
                                                      issues, checked):
@@ -216,6 +228,22 @@ class TestSimulate:
                                 "'/', '\\', a control character or a surrogate\n")
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("length, code", [(247, 0), (248, 2)])
+    def test_run_name_bounded_by_a_file_name(self, simulate_config, tmp_path, capsys, length, code):
+        # run_<name>.csv may take the 255 bytes a file name has, and no more
+        doc = json.loads(simulate_config.read_text())
+        name = "a" * length
+        doc["initial_conditions"][name] = doc["initial_conditions"].pop("tilde")
+        simulate_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == code
+        if code == 0:
+            assert (out / f"run_{name}.csv").exists()
+        else:
+            assert capsys.readouterr().err == (f"error: {simulate_config}: run name {name!r} makes "
+                                               "run_<name>.csv longer than 255 bytes\n")
+            assert not out.exists()
 
     def test_run_name_is_escaped_in_charts(self, simulate_config, tmp_path):
         doc = json.loads(simulate_config.read_text())
@@ -432,6 +460,19 @@ class TestMalformedProgram:
         assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 2
         assert f"'{key}' must be a list" in capsys.readouterr().err
 
+    def test_unknown_signal_kind_rejected(self, program_file, tmp_path, capsys):
+        self._edit(program_file, lambda doc: doc.update(signal={"kind": "markov"}))
+        assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: unknown signal kind 'markov'\n"
+
+    def test_duplicate_signal_rejected(self, program_file, tmp_path, capsys):
+        # json would keep the second signal silently
+        text = program_file.read_text().rstrip()
+        program_file.write_text(text[:-1] + ', "signal": {"kind": "constant", "index": 1}}\n')
+        assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {program_file}: duplicate key 'signal'\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind, key, value", [
         ("constant", "index", 1.7),
         ("periodic", "order", [1.7, 2]),
@@ -524,6 +565,27 @@ class TestMalformedConfig:
         assert "initial condition must be a flat list of numbers or \"vertex:k\", got None" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda text: text[:-1] + ', "issues": 3}', "issues"),
+        (lambda text: text.replace('"tilde"', '"hat"'), "hat"),
+    ])
+    def test_duplicate_key_rejected(self, simulate_config, tmp_path, capsys, edit, key):
+        # json would keep the last value: 3 issues, or one run named hat
+        simulate_config.write_text(edit(simulate_config.read_text()))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {simulate_config}: duplicate key {key!r}\n"
+        assert not out.exists()
+
+    def test_initial_conditions_must_be_an_object(self, simulate_config, tmp_path, capsys):
+        path = self._rewrite(simulate_config, lambda doc: doc.update(
+            initial_conditions=list(doc["initial_conditions"].values())))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: 'initial_conditions' must map run names "
+                                           "to starts\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "periodic"])
     @pytest.mark.parametrize("text", ['"program"', "123"])
     def test_config_that_is_no_object_rejected(self, tmp_path, capsys, command, text):
@@ -580,6 +642,24 @@ class TestVerifyCommand:
         assert ("boundary_contraction_step: pass, worst margin -inf" in captured.out) == skipped
         warning = "warning: matrix 1 boundary_contraction_step checked no state\n"
         assert captured.err == (warning if skipped else "")
+
+    def test_names_the_first_failing_check(self, program_file, capsys, monkeypatch):
+        # every check passes on a valid matrix: fail matrix 2's certificate and
+        # matrix 3's Jacobian check by hand (run_suite gets seed + k for matrix k)
+        failing = {1: "contraction_certificate", 2: "jacobian_finite_difference"}
+
+        def run_suite(matrix, samples, seed):
+            return [dataclasses.replace(res, passed=res.name != failing.get(seed))
+                    for res in verification.run_suite(matrix, samples, seed)]
+
+        monkeypatch.setattr("socialpower.cli.run_suite", run_suite)
+        assert main(["verify", str(program_file), "--samples", "10", "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 21
+        assert lines[5].startswith("matrix 2 contraction_certificate: FAIL, worst margin ")
+        assert lines[8].startswith("matrix 3 jacobian_finite_difference: FAIL, worst margin ")
+        assert sum("FAIL" in line for line in lines) == 2
+        assert lines[-1] == "first failing property: matrix 2 contraction_certificate"
 
     def test_group6_stdout_is_pinned(self, capsys):
         assert main(["verify", str(EXPERIMENTS / "group6_random.json"), "--samples", "200"]) == 0

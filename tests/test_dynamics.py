@@ -195,6 +195,16 @@ class TestBatch:
         with pytest.raises(errors.ValidationError, match=message):
             simulate(program, init, issues=5)
 
+    def test_near_vertex_row_named_with_its_issue(self):
+        # admissible, but within the map's 1e-14 guard of e_1; the held
+        # first row is not mapped, so the row is found among the free ones
+        program = switching_program_6(seed=1)
+        init = np.array([np.eye(6)[2], [1 - 1e-15, 1e-15, 0, 0, 0, 0], [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]])
+        with pytest.raises(errors.NearVertex, match="^initial condition row 2, issue 1: state within 1e-14"):
+            simulate(program, init, issues=5)
+        with pytest.raises(errors.NearVertex, match="^issue 1: state within 1e-14"):
+            simulate(program, init[1], issues=5)
+
     def test_wrong_shape_rejected(self):
         program = switching_program_6(seed=1)
         with pytest.raises(errors.ValidationError, match=r"expected \(B, 6\)"):

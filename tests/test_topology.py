@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from socialpower import errors
+from socialpower.analysis import equilibrium_upper_bound
 from socialpower.topology import (
     Constant,
     Periodic,
     RandomUniform,
     Scripted,
     TopologyProgram,
+    at_star,
     classify_star,
     dominant_left_eigenvector,
     is_irreducible,
@@ -161,6 +163,22 @@ class TestStarClassification:
             assert classify_star(m) == c == self.brute_force_center(m.entries)
 
 
+    def test_at_star_is_one_sided(self):
+        # gamma_i >= 1/2 - 1e-9; gamma_i never exceeds 1/2 on a validated matrix
+        assert at_star([0.5 - 1e-9, 0.5 - 2e-9, 0.5, 0.25]).tolist() == [True, False, True, False]
+
+    def test_near_star_decided_once(self):
+        # a leaf-to-leaf edge of weight 1e-12 leaves gamma_1 within 1e-9 of
+        # 1/2: classify_star and the bound both treat node 1 as a star centre
+        m = star_matrix(3)
+        m[1, 0], m[1, 2] = 1 - 1e-12, 1e-12
+        near = validate(m)
+        assert self.brute_force_center(near.entries) is None
+        assert classify_star(near) == 0
+        with pytest.raises(errors.StarTopology, match="undefined at a star centre"):
+            equilibrium_upper_bound(near.gamma)
+
+
 class TestDominantLeftEigenvector:
     def test_star_center_half(self):
         gamma = dominant_left_eigenvector(validate(star_matrix(3)))
@@ -301,6 +319,17 @@ class TestProgramFiles:
             path = tmp_path / "sig.json"
             save_program(program, path)
             assert load_program(path).signal == signal
+
+
+class TestTopologyProgram:
+    @pytest.mark.parametrize("matrices, message", [
+        ((), "needs at least one matrix"),
+        ((validate(cycle_matrix(4)), cycle_matrix(4)), "must be validated first"),
+        ((validate(cycle_matrix(4)), validate(cycle_matrix(5))), "must share one dimension"),
+    ])
+    def test_constructor_rejects(self, matrices, message):
+        with pytest.raises(errors.ValidationError, match=message):
+            TopologyProgram(matrices, Constant(0))
 
 
 class TestSignals:
