@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, periodic, svg
-from .dynamics import Trajectory, limit_gap, simulate
+from .dynamics import Trajectory, limit_gap, near_vertex_error, simulate
 from .errors import NearVertex, ParseError, SocialPowerError, ValidationError
 from .topology import (
     TOLERANCES,
@@ -149,7 +149,10 @@ def cmd_simulate(args) -> int:
 
     # One batch under one signal realization: limit-gap comparison is only
     # meaningful when every run sees the identical switching sequence.
-    batch = simulate(program, init, issues)
+    try:
+        batch = simulate(program, init, issues)
+    except NearVertex as exc:
+        raise near_vertex_error(f"run {names[exc.row]!r}, issue {exc.issue}: ") from exc
     runs = [Trajectory(batch.states[:, b], batch.signal_log) for b in range(len(names))]
 
     # every check runs before any file is written

@@ -2,9 +2,9 @@
 
 The map sends the power vector x on the simplex to
 alpha(x) * (gamma_i / (1 - x_i))_i, where alpha(x) normalizes the
-result to sum 1.  The formula divides by zero at a vertex e_i, a fixed
-point, so `simulate` holds a row equal to e_i instead of mapping it.
-Under a switching program the applied eigenvector changes per issue.
+result to sum 1.  It divides by zero at a vertex e_i, a fixed point:
+`simulate` holds a row equal to e_i, maps the others in place under each
+issue's eigenvector, and checks every mapped state against the vertex guard.
 """
 
 from __future__ import annotations
@@ -17,6 +17,12 @@ from .errors import NearVertex, ValidationError
 from .topology import TOLERANCES, TopologyProgram
 
 
+def near_vertex_error(where: str = "") -> NearVertex:
+    """The vertex guard's error, its message led by `where`."""
+    return NearVertex(f"{where}state within {TOLERANCES.vertex_guard:.0e} of a vertex; "
+                      "start the run at the vertex e_i")
+
+
 def df_map(x, gamma: np.ndarray) -> np.ndarray:
     """One issue of the social power update, away from the vertices.
 
@@ -25,9 +31,7 @@ def df_map(x, gamma: np.ndarray) -> np.ndarray:
     """
     gap = 1.0 - np.asarray(x, dtype=float)
     if (gap < TOLERANCES.vertex_guard).any():
-        raise NearVertex(
-            f"state within {TOLERANCES.vertex_guard:.0e} of a vertex; start the run at the vertex e_i"
-        )
+        raise near_vertex_error()
     scaled = gamma / gap
     scaled /= scaled.sum(axis=-1, keepdims=True)
     return scaled
@@ -106,7 +110,9 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     (B, n), run under the program's one signal realization; the states
     have shape (issues + 1,) + init.shape.  A row equal to a vertex e_i
     is held there; every other row must be admissible (0 <= x_i < 1,
-    some x_j > 0) and goes through one `df_map` call per issue.
+    some x_j > 0) and is mapped in place with `df_map`'s arithmetic; the
+    first mapped state within its vertex guard raises NearVertex, with
+    the 0-based batch row and the 1-based issue as `row` and `issue`.
     """
     if issues < 1:
         raise ValidationError("need at least one issue")
@@ -120,19 +126,24 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     rows = x.reshape(-1, n)
     free = ~(np.any(rows == 1.0, axis=1) & (np.count_nonzero(rows, axis=1) == 1))
     _check_init(x, ~free)
-    path = [rows[free]]
-    for s in range(issues):
-        try:
-            path.append(df_map(path[-1], gammas[signal_log[s]]))
-        except NearVertex as exc:
-            # mapping states[s] is issue s + 1; a batch also names the row
-            near = np.any(1.0 - path[-1] < TOLERANCES.vertex_guard, axis=-1)
-            row = np.flatnonzero(free)[np.argmax(near)] + 1
-            where = f"initial condition row {row}, " if x.ndim == 2 else ""
-            raise NearVertex(f"{where}issue {s + 1}: {exc}") from exc
     states = np.empty((issues + 1,) + rows.shape)
-    states[:] = rows  # held rows stay at their vertex
-    states[:, free] = path
+    states[0] = rows
+    # a held row, or a state inside the guard, may divide by zero: the held
+    # rows are reset after the loop, and the check below names the state
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s, k in enumerate(signal_log.tolist()):
+            nxt = np.subtract(1.0, states[s], out=states[s + 1])
+            np.divide(gammas[k], nxt, out=nxt)
+            np.divide(nxt, np.add.reduce(nxt, -1, keepdims=True), out=nxt)
+    states[:, ~free] = rows[~free]  # held rows stay at their vertex
+    near = np.any(1.0 - states[:-1] < TOLERANCES.vertex_guard, axis=-1) & free
+    if near.any():
+        # mapping states[s] is issue s + 1; a batch also names the row
+        s, b = np.argwhere(near)[0].tolist()
+        where = f"initial condition row {b + 1}, " if x.ndim == 2 else ""
+        exc = near_vertex_error(f"{where}issue {s + 1}: ")
+        exc.row, exc.issue = b, s + 1
+        raise exc
     return Trajectory(states.reshape((issues + 1,) + x.shape), signal_log)
 
 

@@ -33,8 +33,8 @@ class Tolerances:
     row_sum: float = 1e-12
     # topology.stationary_vector: accepted residual ||vM - v||_1
     eigen_residual: float = 1e-12
-    # dynamics.df_map: a state with some 1 - x_i below this is a caller
-    # error; `simulate` holds a vertex start instead of mapping it
+    # dynamics.df_map and dynamics.simulate (after its loop): some 1 - x_i
+    # below this is a caller error; `simulate` holds a vertex start instead
     vertex_guard: float = 1e-14
     # analysis (Jacobians, certificates, margins) and
     # verification.check_boundary_step: minimum 1 - x_i of a state

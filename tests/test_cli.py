@@ -147,7 +147,7 @@ class TestSimulate:
         simulate_config.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 1
-        assert "initial condition row 3, issue 1: state within 1e-14 of a vertex" in capsys.readouterr().err
+        assert "run 'edge', issue 1: state within 1e-14 of a vertex" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("issues, checked", [(25, 10), (20, 0), (5, 0)])

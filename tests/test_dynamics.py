@@ -13,6 +13,7 @@ from socialpower.dynamics import (
 )
 from socialpower.topology import (
     Constant,
+    Periodic,
     RandomUniform,
     Scripted,
     TopologyProgram,
@@ -204,6 +205,37 @@ class TestBatch:
             simulate(program, init, issues=5)
         with pytest.raises(errors.NearVertex, match="^issue 1: state within 1e-14"):
             simulate(program, init[1], issues=5)
+
+    @pytest.mark.parametrize("signal", [
+        RandomUniform(7),
+        Periodic((0, 3, 1, 4)),
+        Scripted(tuple(i * i % 5 for i in range(300))),
+    ])
+    def test_states_equal_a_df_map_loop_bit_for_bit(self, signal):
+        # the in-place kernel against one df_map call per issue, for every
+        # row of the batch and for each row run on its own
+        program = TopologyProgram(switching_program_6().matrices, signal)
+        batch = simulate(program, self.BATCH, 300)
+        gammas = program.gammas()
+        for b, row in enumerate(self.BATCH):
+            expected = [row]
+            for k in batch.signal_log:
+                expected.append(row if b == 3 else df_map(expected[-1], gammas[k]))
+            assert np.array_equal(batch.states[:, b], expected)
+            assert np.array_equal(simulate(program, row, 300).states, expected)
+
+    def test_guard_names_the_row_even_where_the_map_divides_by_zero(self):
+        # one ulp below e_1: the first mapped state rounds to e_1 exactly,
+        # so issue 2 divides by zero; pytest makes a RuntimeWarning fail
+        program = TopologyProgram(switching_program_6().matrices, Constant(4))
+        top = np.nextafter(1.0, 0.0)
+        init = np.array([np.eye(6)[2], [top, 1 - top, 0, 0, 0, 0]])
+        with pytest.raises(errors.NearVertex, match="^initial condition row 2, issue 1: state within 1e-14") as info:
+            simulate(program, init, 50)
+        assert (info.value.row, info.value.issue) == (1, 1)
+        with pytest.raises(errors.NearVertex, match="^issue 1: state within 1e-14") as info:
+            simulate(program, init[1], 50)
+        assert (info.value.row, info.value.issue) == (0, 1)
 
     def test_wrong_shape_rejected(self):
         program = switching_program_6(seed=1)
