@@ -29,6 +29,7 @@ from .topology import (
     TOLERANCES,
     RandomUniform,
     TopologyProgram,
+    _format_rows,
     _integer,
     _read_json,
     classify_star,
@@ -186,7 +187,7 @@ def cmd_simulate(args) -> int:
     if gap is not None:
         with open(out / "limit_gap.csv", "w") as fh:
             fh.write("s,gap\n")
-            fh.writelines(["%d,%.17g\n" % sg for sg in enumerate(gap.tolist())])
+            fh.writelines([f"{s},{g}\n" for s, g in enumerate(_format_rows(gap[:, None], ","))])
         report["limit_gap"] = "limit_gap.csv"
         report["final_gap"] = float(gap[-1])
     _write_report(report, out / "report.json")
@@ -279,9 +280,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# a decimal number as `float` reads it, without the blanks, underscores
+# and non-ASCII digits it also accepts; nan and inf pass here and are
+# rejected, with their own message, once read
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+                     re.IGNORECASE)
+
+
 def _read_csv(path):
     """The rows of a trajectory CSV with header s,p,x_1,...,x_n (n >= 1),
-    every field a finite number."""
+    every field a finite decimal number."""
     with open(path) as fh:
         rows = list(csv.reader(fh))
     header = rows[0] if rows else []
@@ -290,10 +298,11 @@ def _read_csv(path):
         raise ParseError(f"{path}: not a trajectory export")
     if any(len(row) != len(header) for row in rows[1:]):
         raise ParseError(f"{path}: every row needs {len(header)} fields")
-    try:
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    for r, row in enumerate(rows[1:]):
+        for c, v in enumerate(row):
+            if not _NUMBER.fullmatch(v):
+                raise ParseError(f"{path}: line {r + 2}: {header[c]} = {v!r} is not a decimal number")
+    data = np.array([[float(v) for v in row] for row in rows[1:]])
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearVertex, ValidationError
-from .topology import TOLERANCES, TopologyProgram
+from .topology import TOLERANCES, TopologyProgram, _format_rows
 
 
 def near_vertex_error(where: str = "") -> NearVertex:
@@ -60,9 +60,10 @@ class Trajectory:
         One path for a single run, shape (S+1, n); B paths, in run order,
         for a batch, shape (S+1, B, n); any other count raises
         ValidationError before a file is written.  Every value is written
-        with %.17g, and each distinct state row is formatted once, by
-        its bit pattern (-0.0 and 0.0 differ): runs that have forgotten
-        their start, or a run held at a vertex, share their rows.
+        with 17 significant digits, and each distinct state row is
+        formatted once, by its bit pattern (-0.0 and 0.0 differ): runs
+        that have forgotten their start, or a run held at a vertex, share
+        their rows.
         """
         steps, n = self.states.shape[0], self.states.shape[-1]
         rows = np.ascontiguousarray(self.states).reshape(-1, n)
@@ -72,8 +73,7 @@ class Trajectory:
         # the void view compares bit patterns, so -0.0 and 0.0 stay distinct
         keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
         _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        body = ",".join(["%.17g"] * n)
-        distinct = [body % tuple(x) for x in rows[first].tolist()]
+        distinct = _format_rows(rows[first], ",")
         produced = [0] + (self.signal_log + 1).tolist()
         header = "s,p," + ",".join(f"x_{i + 1}" for i in range(n))
         # every file interleaves the same row prefixes with its own rows

@@ -3,7 +3,9 @@
 An interaction matrix is row-stochastic with zero diagonal and an
 irreducible support graph.  Its dominant left eigenvector encodes
 eigenvector centrality of trust and drives the social power map; it is
-solved for once, when the matrix is validated, and stored on it.
+solved for once, when the matrix is validated, and stored on it.  This
+module, at the bottom of the package's imports, also holds its one
+writer of doubles, `_format_rows`.
 """
 
 from __future__ import annotations
@@ -312,12 +314,123 @@ class TopologyProgram:
 
 
 # ---------------------------------------------------------------------------
+# Writing doubles: every float the package writes to a file goes through
+# `_format_rows`, as "%.17g" writes it, so reading the file back is bit-exact.
+
+# values per pass of `_format_rows`: bounds its temporaries (about 150
+# bytes a value) and keeps them in cache
+FORMAT_CHUNK = 2048
+# the double 1e-j lies at or above 10^-j for j = 1..4, so the class
+# searchsorted(_TENTHS, v, "right") of v in [1e-4, 1) is 5 + floor(log10 v)
+_TENTHS = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+# per class: "0." and the zeros before the 17 digits (NUL is dropped), and
+# the exact scale 10^(21 - class) that makes those digits an integer, with
+# its Veltkamp split into two 26-bit halves
+_HEADS = np.frombuffer(b"\0\0\0\0\0" b"0.000" b"0.00\0" b"0.0\0\0" b"0.\0\0\0", "V5")
+_SCALE = np.array([1e21, 1e20, 1e19, 1e18, 1e17])
+_SPLIT = 134217729.0  # 2^27 + 1
+_SCALE_HI = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+# "00" .. "99" without their trailing zeros ("1" for "10", nothing for
+# "00"), then "00" .. "99"
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)) * 2, "<u2").copy()
+_PAIRS[:100:10] &= 0xFF
+_PAIRS[0] = 0
+_WIDE = 24  # the longest "%.17g" of a double: "-2.2250738585072014e-308"
+
+
+def _write_digits(cells: np.ndarray, v: np.ndarray, cls: np.ndarray) -> None:
+    """Fill `cells` with "0.", its zeros and the 17 significant digits of
+    each v in [1e-4, 1) of class `cls`, correctly rounded (ties to even),
+    with NUL for each trailing zero.
+
+    v * 10^k (k = 21 - cls <= 20, so 10^k is exact) equals hi + lo
+    exactly by Dekker's two-product.  hi lies in [10^16, 10^17), where
+    every double is an even integer, so the rounded digits are
+    hi + rint(lo).  No double below 10^-j for j = 1..4 rounds up to it,
+    so the digits never carry into an 18th.
+    """
+    hi = v * _SCALE.take(cls)
+    v_hi = _SPLIT * v
+    v_hi -= v_hi - v
+    v_lo = v - v_hi
+    scale_hi, scale_lo = _SCALE_HI.take(cls), _SCALE_LO.take(cls)
+    lo = v_hi * scale_hi - hi
+    lo += v_hi * scale_lo
+    lo += v_lo * scale_hi
+    lo += v_lo * scale_lo
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # cut the 16 digits after the lead into halves, quads and pairs, one
+    # row per group, by floor divisions by a scalar, which numpy does far
+    # faster than by an array
+    top = digits // 10**8
+    lead = top // 10**8
+    halves = np.empty((2, len(v)), np.int64)
+    np.subtract(top, lead * 10**8, out=halves[0])
+    np.subtract(digits, top * 10**8, out=halves[1])
+    quads = np.empty((2, 2, len(v)), np.int32)
+    np.floor_divide(halves, 10**4, out=quads[:, 0], casting="unsafe")
+    np.subtract(halves, quads[:, 0] * 10**4, out=quads[:, 1], casting="unsafe")
+    quads = quads.reshape(4, -1)
+    pairs = np.empty((4, 2, len(v)), np.int32)
+    np.floor_divide(quads, 100, out=pairs[:, 0])
+    np.subtract(quads, pairs[:, 0] * 100, out=pairs[:, 1])
+    pairs = pairs.reshape(8, -1)
+    # a pair followed by one that is not "00" is written whole, from the
+    # table's second half; any other drops its trailing zeros
+    later = np.zeros(pairs.shape, np.int32)
+    for j in range(6, -1, -1):
+        np.maximum(later[j + 1], pairs[j + 1], out=later[j])
+    pairs += np.minimum(later, 1) * 100
+    cells["head"] = _HEADS.take(cls)
+    cells["lead"] = lead + 48
+    cells["pairs"] = np.ascontiguousarray(_PAIRS.take(pairs).T).view("V16")[:, 0]
+
+
+def _format_rows(rows: np.ndarray, sep: str) -> list:
+    """Each row of the 2-D float array `rows` as one string: its values
+    joined by `sep` (one or more ASCII characters, no newline), each
+    written exactly as "%.17g" writes it, that is, with 17 significant
+    digits and trailing zeros dropped.
+
+    Values in [1e-4, 1), 0.0 and 1.0 are written from digit tables with
+    no Python work per value; every other value (-0.0, subnormals, the
+    exponent form, values above 1, nan and inf) is formatted one at a
+    time in the same pass.
+    """
+    rows = np.asarray(rows, dtype=float)
+    width = rows.shape[1]
+    step = max(1, FORMAT_CHUNK // width)
+    # one value as written: "0." and up to 3 zeros, the lead digit, 8 digit
+    # pairs and 2 spare bytes (a value formatted on its own fills all 24),
+    # then `sep`, or a newline after the last value of a row
+    dtype = np.dtype([("head", "V5"), ("lead", "u1"), ("pairs", "V16"),
+                      ("spare", "V2"), ("sep", f"S{len(sep)}")])
+    written = []
+    for start in range(0, rows.shape[0], step):
+        v = rows[start:start + step].ravel()
+        cls = np.searchsorted(_TENTHS, v, "right")
+        fast = (cls >= 1) & (cls <= 4)
+        cells = np.zeros(len(v), dtype)
+        # stand-ins of class 4 keep the digit arithmetic free of warnings
+        _write_digits(cells, np.where(fast, v, 0.5), np.where(fast, cls, 4))
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            x = v[slow]
+            words = np.where(x == 1.0, b"1", b"0").astype(f"S{_WIDE}")
+            other = np.flatnonzero((x != 1.0) & ((x != 0.0) | np.signbit(x)))
+            words[other] = ["%.17g" % y for y in x[other].tolist()]
+            raw = cells.view(np.uint8).reshape(len(v), -1)
+            raw[slow, :_WIDE] = words.view(np.uint8).reshape(-1, _WIDE)
+        cells["sep"] = sep
+        cells["sep"][width - 1::width] = "\n"
+        written += cells.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    return written
+
+
+# ---------------------------------------------------------------------------
 # Program files: human-readable JSON, decimals at 17 significant digits,
 # all indices 1-based.
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _signal_to_doc(signal) -> str:
@@ -338,10 +451,9 @@ def save_program(program: TopologyProgram, path) -> None:
     lines = ["{", f'  "n": {program.n},', '  "matrices": [']
     for k, m in enumerate(program.matrices):
         lines.append("    [")
-        for i in range(m.n):
-            row = ", ".join(_fmt(v) for v in m.entries[i])
-            comma = "," if i < m.n - 1 else ""
-            lines.append(f"      [{row}]{comma}")
+        rows = _format_rows(m.entries, ", ")
+        lines.extend(f"      [{row}]," for row in rows[:-1])
+        lines.append(f"      [{rows[-1]}]")
         comma = "," if k < len(program.matrices) - 1 else ""
         lines.append(f"    ]{comma}")
     lines.append("  ],")

@@ -720,6 +720,29 @@ class TestPlotCommand:
         assert captured.out == ""
         assert not list(plots.glob("*.svg"))
 
+    @pytest.mark.parametrize("row, field, value", [
+        ("1,1,1_0, 0.25", "x_1", "1_0"),  # float() reads 10.0 and 0.25
+        ("1,1,0.75, 0.25", "x_2", " 0.25"),
+        ("1,1,0.75,0.25 ", "x_2", "0.25 "),
+        ("1,1,0.75,\u0660.25", "x_2", "\u0660.25"),  # an Arabic-Indic zero
+        ("1,1,0.75,", "x_2", ""),
+        ("0x1,1,0.75,0.25", "s", "0x1"),
+    ])
+    def test_rejects_a_field_that_is_no_decimal_number(self, tmp_path, capsys, row, field, value):
+        path = tmp_path / "run_bad.csv"
+        path.write_text(f"s,p,x_1,x_2\n0,0,0.5,0.5\n{row}\n")
+        plots = tmp_path / "plots"
+        assert main(["plot", str(path), "--out", str(plots)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: line 3: {field} = {value!r} is not a decimal number\n"
+        assert captured.out == ""
+        assert not plots.exists()
+
+    def test_reads_every_decimal_form(self, tmp_path):
+        path = tmp_path / "run_forms.csv"
+        path.write_text("s,p,x_1,x_2\n0,0,.5,5.\n+1,1,1E-3,-0.0\n2,2,2.5e+0,0.125\n")
+        assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 0
+
     def test_comparison_needs_equal_widths(self, simulate_config, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(simulate_config), "--out", str(out)])

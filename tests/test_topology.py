@@ -11,6 +11,7 @@ from socialpower.topology import (
     RandomUniform,
     Scripted,
     TopologyProgram,
+    _signal_to_doc,
     at_star,
     classify_star,
     dominant_left_eigenvector,
@@ -248,6 +249,25 @@ class TestMaxGammaProfile:
             assert np.all(profile >= dominant_left_eigenvector(m) - 1e-15)
 
 
+def save_program_per_value(program, path):
+    """The program file as written one value at a time with "%.17g": the
+    reference `save_program` must match byte for byte."""
+    lines = ["{", f'  "n": {program.n},', '  "matrices": [']
+    for k, m in enumerate(program.matrices):
+        lines.append("    [")
+        for i in range(m.n):
+            row = ", ".join(format(float(v), ".17g") for v in m.entries[i])
+            comma = "," if i < m.n - 1 else ""
+            lines.append(f"      [{row}]{comma}")
+        comma = "," if k < len(program.matrices) - 1 else ""
+        lines.append(f"    ]{comma}")
+    lines.append("  ],")
+    lines.append(f'  "signal": {_signal_to_doc(program.signal)}')
+    lines.append("}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 class TestProgramFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         program = switching_program_6(seed=42)
@@ -265,6 +285,26 @@ class TestProgramFiles:
     def test_experiment_program_files_round_trip_byte_for_byte(self, tmp_path, name):
         save_program(load_program(EXPERIMENTS / name), tmp_path / name)
         assert (tmp_path / name).read_bytes() == (EXPERIMENTS / name).read_bytes()
+
+    @pytest.mark.parametrize("n", range(3, 51))
+    def test_bytes_match_the_per_value_writer(self, tmp_path, n):
+        # sparse random weights plus the cycle i -> i + 1, which keeps each
+        # matrix irreducible; about a third of the rows put all their
+        # weight, 1.0, on the successor: zeros, ones and 17-digit decimals
+        rng = np.random.default_rng(n)
+        successor = cycle_matrix(n)
+        matrices = []
+        for _ in range(2):
+            m = rng.random((n, n)) * (rng.random((n, n)) < 0.3) + successor * rng.uniform(0.01, 1, (n, 1))
+            np.fill_diagonal(m, 0.0)
+            m /= m.sum(axis=1, keepdims=True)
+            ones = rng.random(n) < 0.3
+            m[ones] = successor[ones]
+            matrices.append(validate(m))
+        program = TopologyProgram(tuple(matrices), Periodic((1, 0)))
+        save_program(program, tmp_path / "p.json")
+        save_program_per_value(program, tmp_path / "reference.json")
+        assert (tmp_path / "p.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_round_trip_awkward_decimals(self, tmp_path):
         m = np.zeros((3, 3))
