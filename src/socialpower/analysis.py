@@ -29,11 +29,17 @@ class ContractionReport:
     h_one_norm: float
 
 
+def _interior(x: np.ndarray) -> np.ndarray:
+    """Rows of `x` (..., n) in the certificate's domain: x_i > 0 and 1 - x_i >= near_vertex."""
+    return np.all((x > 0) & (1.0 - x >= TOLERANCES.near_vertex), axis=-1)  # NaN fails both
+
+
 def _require_interior(x: np.ndarray):
-    if (1.0 - x < TOLERANCES.near_vertex).any():
-        raise NearVertex(f"1 - x_i below {TOLERANCES.near_vertex}; state too close to a vertex")
-    if (x <= 0).any():
-        raise NearVertex("state must be strictly interior")
+    if not (inside := _interior(x)).all():
+        exc = NearVertex(f"state within {TOLERANCES.near_vertex:.0e} of a vertex or with some "
+                         "x_i <= 0, where the contraction certificate is not defined")
+        exc.row = int(np.argmin(inside))  # the first failing row, 0-based over a stack's rows
+        raise exc
 
 
 def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> np.ndarray:

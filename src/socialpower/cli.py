@@ -164,13 +164,12 @@ def cmd_simulate(args) -> int:
     violations = int(np.any(checked > bounds + TOLERANCES.bound_slack, -1).sum())
     bound_checked = checked.shape[0] * checked.shape[1]
     post = batch.states[1:]
-    interior = np.all(post > 0, axis=-1)
-    near = interior & np.any(1.0 - post < TOLERANCES.near_vertex, axis=-1)
-    if near.any():
-        t, b = np.argwhere(near)[0].tolist()
-        raise NearVertex(f"run {names[b]!r}, issue {t + 1}: state within {TOLERANCES.near_vertex:.0e} "
-                         "of a vertex, where the contraction margin is not defined")
-    min_margin = float(analysis.contraction_margin(post[interior]).min(initial=1.0))
+    interior = np.all(post > 0, axis=-1)  # a run held at its vertex has no margin
+    try:
+        min_margin = float(analysis.contraction_margin(post[interior]).min(initial=1.0))
+    except NearVertex as exc:
+        t, b = np.argwhere(interior)[exc.row].tolist()
+        raise NearVertex(f"run {names[b]!r}, issue {t + 1}: {exc}") from exc
     gap = limit_gap(*runs[:2]) if len(runs) >= 2 else None
 
     out = _out_dir(args)

@@ -23,7 +23,7 @@ def build_w(x: np.ndarray, C: RelativeInteractionMatrix) -> np.ndarray:
     influence matrices, shape (..., n, n).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x >= 1):
+    if not np.all((x >= 0) & (x < 1)):  # a NaN entry fails too
         raise ValidationError("self-weights must satisfy 0 <= x_i < 1")
     w = (1.0 - x)[..., :, None] * C.entries
     diag = np.arange(x.shape[-1])

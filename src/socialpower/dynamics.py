@@ -29,12 +29,17 @@ def df_map(x, gamma: np.ndarray) -> np.ndarray:
     `x` may be a stack of states with shape (..., n); each row is mapped
     exactly as it would be on its own.
     """
-    gap = 1.0 - np.asarray(x, dtype=float)
-    if (gap < TOLERANCES.vertex_guard).any():
+    x = np.asarray(x, dtype=float)
+    if not np.all(1.0 - x >= TOLERANCES.vertex_guard):  # a NaN entry fails too
         raise near_vertex_error()
-    scaled = gamma / gap
-    scaled /= scaled.sum(axis=-1, keepdims=True)
-    return scaled
+    return _issue(x, gamma)
+
+
+def _issue(x: np.ndarray, gamma: np.ndarray, out=None) -> np.ndarray:
+    """The map's arithmetic, unguarded, into `out` (a new array by default)."""
+    nxt = np.subtract(1.0, x, out=out)
+    np.divide(gamma, nxt, out=nxt)
+    return np.divide(nxt, np.add.reduce(nxt, -1, keepdims=True), out=nxt)
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     (B, n), run under the program's one signal realization; the states
     have shape (issues + 1,) + init.shape.  A row equal to a vertex e_i
     is held there; every other row must be admissible (0 <= x_i < 1,
-    some x_j > 0) and is mapped in place with `df_map`'s arithmetic; the
+    some x_j > 0) and is mapped in place by `df_map`'s kernel; the
     first mapped state within its vertex guard raises NearVertex, with
     the 0-based batch row and the 1-based issue as `row` and `issue`.
     """
@@ -132,11 +137,9 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     # rows are reset after the loop, and the check below names the state
     with np.errstate(divide="ignore", invalid="ignore"):
         for s, k in enumerate(signal_log.tolist()):
-            nxt = np.subtract(1.0, states[s], out=states[s + 1])
-            np.divide(gammas[k], nxt, out=nxt)
-            np.divide(nxt, np.add.reduce(nxt, -1, keepdims=True), out=nxt)
+            _issue(states[s], gammas[k], states[s + 1])
     states[:, ~free] = rows[~free]  # held rows stay at their vertex
-    near = np.any(1.0 - states[:-1] < TOLERANCES.vertex_guard, axis=-1) & free
+    near = ~np.all(1.0 - states[:-1] >= TOLERANCES.vertex_guard, axis=-1) & free
     if near.any():
         # mapping states[s] is issue s + 1; a batch also names the row
         s, b = np.argwhere(near)[0].tolist()

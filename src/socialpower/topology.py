@@ -35,11 +35,11 @@ class Tolerances:
     row_sum: float = 1e-12
     # topology.stationary_vector: accepted residual ||vM - v||_1
     eigen_residual: float = 1e-12
-    # dynamics.df_map and dynamics.simulate (after its loop): some 1 - x_i
-    # below this is a caller error; `simulate` holds a vertex start instead
+    # dynamics alone (the guard of df_map and simulate): some 1 - x_i below
+    # this is a caller error; `simulate` holds a vertex start instead
     vertex_guard: float = 1e-14
-    # analysis (Jacobians, certificates, margins) and
-    # verification.check_boundary_step: minimum 1 - x_i of a state
+    # analysis._interior alone, the certificate's domain (also for the draws
+    # of verification.check_boundary_step): minimum 1 - x_i of a state
     near_vertex: float = 1e-12
     # topology.at_star: gamma_i this close to 1/2 is a star centre
     star_gamma: float = 1e-9

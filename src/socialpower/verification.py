@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import contraction_radii, jacobian, transform_chain
+from .analysis import _interior, contraction_radii, jacobian, transform_chain
 from .degroot import appraisal_step_via_zeta
 from .dynamics import df_map
 from .errors import ValidationError
@@ -122,9 +122,9 @@ def check_oracle_equivalence(matrix: RelativeInteractionMatrix, rng, samples: in
 def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckResult:
     """x_j <= 1 - r with r <= r_j must imply F_j(x) < 1 - r.
 
-    A draw whose state leaves the simplex is skipped; a run in which
-    every draw is skipped has checked no state and passes with worst
-    margin -inf.
+    A draw whose state lies outside the certificate's domain (the rule
+    of `analysis._interior`) is skipped; a run in which every draw is
+    skipped has checked no state and passes with worst margin -inf.
     """
     radii = contraction_radii(gamma).tolist()
     n = gamma.size
@@ -147,7 +147,7 @@ def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckRes
     others = np.ones(x.shape, dtype=bool)
     others[rows, j] = False
     x[others] = (np.reshape(rest, (-1, n - 1)) * (1.0 - x_j)[:, None]).ravel()
-    keep = ~((x >= 1.0 - TOLERANCES.near_vertex).any(axis=1) | (x <= 0).any(axis=1))
+    keep = _interior(x)
     worst = -np.inf
     if keep.any():
         mapped = _per_sample(lambda x: df_map(x, gamma), x[keep], n)

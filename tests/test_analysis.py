@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import socialpower
-from socialpower import errors, verification
+from socialpower import analysis, errors, verification
 from socialpower.analysis import (
     Tolerances,
     contraction_radii,
@@ -193,6 +193,15 @@ class TestFixedPoint:
         gamma = dominant_left_eigenvector(validate(star_matrix(5)))
         with pytest.raises(errors.StarTopology):
             fixed_point(gamma)
+
+    def test_residual_beyond_tolerance_rejected(self, monkeypatch):
+        # every residual, even an exact 0, exceeds a negative tolerance
+        x = fixed_point(GAMMA_EXAMPLE)
+        residual = np.abs(df_map(x, GAMMA_EXAMPLE) - x).sum()
+        monkeypatch.setattr(analysis, "TOLERANCES", dataclasses.replace(TOLERANCES, fixed_point=-1.0))
+        with pytest.raises(errors.NoConvergence) as info:
+            fixed_point(GAMMA_EXAMPLE)
+        assert str(info.value) == f"fixed point residual {residual:.3e} above -1e+00"
 
 
 class TestTolerances:

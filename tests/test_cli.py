@@ -150,6 +150,18 @@ class TestSimulate:
         assert "run 'edge', issue 1: state within 1e-14 of a vertex" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_star_program_exits_before_any_output(self, tmp_path, capsys):
+        # gamma = (1/2, 1/4, 1/4): the bound every run is checked against is
+        # undefined at the star's centre, so nothing is written (analyze
+        # reports the same bound as null, with a note)
+        save_program(TopologyProgram((validate(star_matrix(3)),), Periodic((0, 0))), tmp_path / "star.json")
+        config = tmp_path / "star_run.json"
+        config.write_text(json.dumps({"program": "star.json", "initial_conditions": {"a": [0.2, 0.3, 0.5]}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert "bound undefined at a star centre (gamma_i = 0.5)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("issues, checked", [(25, 10), (20, 0), (5, 0)])
     def test_counts_states_checked_against_the_bound(self, simulate_config, tmp_path, capsys,
                                                      issues, checked):

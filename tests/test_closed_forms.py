@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from socialpower import errors
-from socialpower.analysis import contraction_margin, fixed_point, transform_chain
+from socialpower.analysis import contraction_margin, fixed_point, jacobian, transform_chain
 from socialpower.cli import main
 from socialpower.dynamics import df_map, simulate
 from socialpower.topology import RandomUniform, TopologyProgram, load_program, validate
@@ -69,11 +69,16 @@ def test_margin_matches_exact_arithmetic_near_every_vertex():
 
 
 def test_margin_rejects_the_states_transform_chain_rejects():
-    for x in (np.array([1 - 1e-13, 1e-13, 0.0]), np.array([0.5, 0.5, 0.0])):
+    ok = np.full(3, 1 / 3)
+    for x in (np.array([1 - 1e-13, 1e-13, 0.0]), np.array([0.5, 0.5, 0.0]), np.array([0.5, np.nan, 0.5])):
         with pytest.raises(errors.NearVertex):
             transform_chain(x)
         with pytest.raises(errors.NearVertex):
-            contraction_margin(np.vstack([np.full(3, 1 / 3), x]))
+            jacobian(x, ok)
+        # a stack names its first failing row, counted over all its rows
+        with pytest.raises(errors.NearVertex) as info:
+            contraction_margin(np.array([[ok, ok], [x, x]]))
+        assert info.value.row == 2
 
 
 def test_margin_rejects_rows_off_the_simplex():

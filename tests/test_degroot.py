@@ -31,6 +31,13 @@ class TestBuildW:
         with pytest.raises(errors.ValidationError):
             build_w(np.array([1.0, 0.0, 0.0]), validate(star_matrix(3)))
 
+    def test_nan_self_weight_rejected(self):
+        # NaN fails every comparison, so it must fail the check as written, not
+        # surface later as a stationary vector rejected with residual nan
+        x = np.array([[0.1, 0.2, 0.3], [0.2, np.nan, 0.1]])
+        with pytest.raises(errors.ValidationError, match="0 <= x_i < 1"):
+            appraisal_step_via_zeta(x, validate(star_matrix(3)))
+
     def test_near_full_self_weight_row(self):
         w = build_w(np.array([1 - 1e-9, 0.0, 0.0]), validate(star_matrix(3)))
         assert np.allclose(w[0], [1 - 1e-9, 0.5e-9, 0.5e-9])

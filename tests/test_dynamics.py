@@ -64,6 +64,10 @@ class TestDfMap:
         with pytest.raises(errors.NearVertex, match="state within 1e-14 of a vertex"):
             df_map(np.array([1 - 1e-15, 1e-15, 0.0]), GAMMA_EXAMPLE)
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(errors.NearVertex, match="state within 1e-14 of a vertex"):
+            df_map(np.array([[0.2, 0.5, 0.3], [0.2, np.nan, 0.3]]), GAMMA_EXAMPLE)
+
     def test_simplex_preserved(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

@@ -95,6 +95,19 @@ class TestPeriodicFixedPoints:
         with pytest.raises(errors.NoConvergence, match=r"chain residuals .* exceed -1.0"):
             periodic_fixed_points(two_phase_program())
 
+    def test_newton_step_off_the_simplex_stops_the_solve(self, monkeypatch):
+        # the solve stops at the last iterate inside the simplex, here the
+        # uniform start, and reports that iterate's closing residual (only a
+        # further step would reach df_map's vertex guard)
+        program = two_phase_program()
+        u = np.full(6, 1 / 6)
+        first, second = (m.gamma for m in program.matrices)
+        closing = np.abs(df_map(df_map(u, second), first) - u).sum()
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.ones_like(b))
+        with pytest.raises(errors.NoConvergence) as info:
+            periodic_fixed_points(program)
+        assert str(info.value) == f"chain residuals {np.array([0.0, closing])} exceed {TOLERANCES.chain}"
+
 
 class TestVerifyPeriodicLimit:
     def test_two_phase_simulation_settles(self):

@@ -6,7 +6,7 @@ loops they replaced."""
 import numpy as np
 import pytest
 
-from socialpower.analysis import contraction_radii, jacobian, transform_chain
+from socialpower.analysis import _interior, contraction_radii, jacobian, transform_chain
 from socialpower.degroot import appraisal_step_via_zeta, build_w
 from socialpower.dynamics import df_map
 from socialpower.errors import NoConvergence
@@ -145,6 +145,10 @@ def certificate_reference(gamma, rng, samples):
     )
 
 
+def boundary_keep_reference(x):
+    return ~(np.any(x >= 1.0 - TOLERANCES.near_vertex, axis=1) | np.any(x <= 0, axis=1))
+
+
 def boundary_reference(gamma, rng, samples):
     radii = contraction_radii(gamma)
     n = gamma.size
@@ -160,7 +164,7 @@ def boundary_reference(gamma, rng, samples):
     j = np.array([d[0] for d in draws], dtype=int)
     r = np.array([d[1] for d in draws])
     x = np.array([d[2] for d in draws]).reshape(-1, n)
-    keep = ~(np.any(x >= 1.0 - TOLERANCES.near_vertex, axis=1) | np.any(x <= 0, axis=1))
+    keep = boundary_keep_reference(x)
     worst = -np.inf
     if keep.any():
         mapped = verification._per_sample(lambda x: df_map(x, gamma), x[keep], n)
@@ -204,6 +208,18 @@ def test_checks_match_per_state_references_across_chunks():
     assert got == certificate_reference(gamma, np.random.default_rng(1), 13)
     got = check_boundary_step(gamma, np.random.default_rng(1), 4000)
     assert got == boundary_reference(gamma, np.random.default_rng(1), 4000)
+
+
+def test_boundary_check_keeps_the_reference_draws_at_the_edges():
+    # the check keeps a draw by analysis._interior, 1 - x_i >= near_vertex and
+    # x_i > 0; the reference writes x_i < 1 - near_vertex: equal on the floats
+    # at and beside 1 - near_vertex and at the zero, sign and subnormal edges
+    edge = 1.0 - TOLERANCES.near_vertex
+    firsts = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 0.5, 1.0]
+    seconds = [0.25, 0.0, -0.0, 5e-324, -5e-324]
+    x = np.array([[a, b, 0.25] for a in firsts for b in seconds])
+    assert np.array_equal(_interior(x), boundary_keep_reference(x))
+    assert _interior(x).any() and not _interior(x).all()
 
 
 def test_certificate_makes_one_transform_chain_call_per_sample(monkeypatch):
