@@ -52,6 +52,7 @@ def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> np.ndarray:
     x_now = np.asarray(x_now, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
     _require_interior(x_now)
+    _require_interior(x_next)
     J = -(x_next[..., :, None] * (x_next / (1.0 - x_now))[..., None, :])
     diag = np.arange(x_next.shape[-1])
     J[..., diag, diag] = x_next * (1.0 - x_next) / (1.0 - x_now)

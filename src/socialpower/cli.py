@@ -160,7 +160,7 @@ def cmd_simulate(args) -> int:
     gbar = max_gamma_profile(program)
     bounds = analysis.equilibrium_upper_bound(gbar)
     # the bound constrains the limit set, so transients are excluded
-    checked = batch.states[burn_in + 1:]
+    checked = batch.post_burn_in(burn_in)
     violations = int(np.any(checked > bounds + TOLERANCES.bound_slack, -1).sum())
     bound_checked = checked.shape[0] * checked.shape[1]
     post = batch.states[1:]

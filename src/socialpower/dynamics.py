@@ -57,6 +57,13 @@ class Trajectory:
     def issues(self) -> int:
         return self.states.shape[0] - 1
 
+    def post_burn_in(self, burn_in: int) -> np.ndarray:
+        """States s = burn_in + 1 ... issues (none when burn_in >= issues):
+        the one window every check of a run's limit reads."""
+        if burn_in < 0:
+            raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+        return self.states[burn_in + 1:]
+
     def to_csv(self, *paths) -> None:
         """Write each run to its own CSV, one row per state; column p is
         the 1-based matrix index that produced the state (0 for the

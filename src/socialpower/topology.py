@@ -47,9 +47,9 @@ class Tolerances:
     structure: float = 1e-10
     # analysis.fixed_point: accepted residual ||F(x) - x||_1
     fixed_point: float = 1e-13
-    # periodic.periodic_fixed_points: a chain residual
-    # ||F_{p+1}(y_p) - y_{p+1}||_1 above this is a bug; only the closing
-    # one, ||F_0(y_{P-1}) - y_0||_1, is not 0 by construction
+    # periodic.periodic_fixed_points: the closing chain residual
+    # ||F_0(y_{P-1}) - y_0||_1, Newton's own, above this raises
+    # NoConvergence; the other links are 0 by construction
     chain: float = 1e-12
     # periodic.verify_periodic_limit: allowed 1-norm deviation of a run
     # from the per-phase limit

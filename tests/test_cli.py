@@ -162,10 +162,11 @@ class TestSimulate:
         assert "bound undefined at a star centre (gamma_i = 0.5)" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("issues, checked", [(25, 10), (20, 0), (5, 0)])
+    @pytest.mark.parametrize("issues, checked", [(25, 10), (21, 2), (20, 0), (5, 0)])
     def test_counts_states_checked_against_the_bound(self, simulate_config, tmp_path, capsys,
                                                      issues, checked):
-        # the default burn_in is 20; two runs
+        # the default burn_in is 20; two runs, each checked at s = 21 ... issues:
+        # (issues - burn_in) * runs states, or none
         doc = json.loads(simulate_config.read_text())
         simulate_config.write_text(json.dumps({**doc, "issues": issues}))
         out = tmp_path / "out"
@@ -356,16 +357,19 @@ class TestPeriodicCommand:
         assert 0 < json.loads((tmp_path / "out" / "periodic.json").read_text())["worst_deviation"]
 
     def test_run_within_burn_in_rejected(self, tmp_path, capsys):
-        # alternating.json has a burn-in of 40: 1 issue leaves no state to compare
+        # alternating.json has a burn-in of 40: 1 or 40 issues leave no state
+        # to compare, since the states s = 41 ... issues are compared
         config = json.loads((EXPERIMENTS / "alternating.json").read_text())
-        config.update(program=str(EXPERIMENTS / config["program"]), issues=1)
-        path = tmp_path / "alternating.json"
-        path.write_text(json.dumps(config))
-        argv = ["periodic", "--config", str(path), "--out", str(tmp_path / "out")]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert "1 issues, burn-in 40" in captured.err
-        assert "verified" not in captured.out
+        config["program"] = str(EXPERIMENTS / config["program"])
+        for issues in (1, 40):
+            config["issues"] = issues
+            path = tmp_path / "alternating.json"
+            path.write_text(json.dumps(config))
+            argv = ["periodic", "--config", str(path), "--out", str(tmp_path / "out")]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert f"{issues} issues, burn-in 40" in captured.err
+            assert "verified" not in captured.out
 
     def test_order_past_matrix_list_rejected(self, tmp_path, capsys):
         doc = json.loads((EXPERIMENTS / "group6_alternating.json").read_text())

@@ -75,6 +75,8 @@ def test_margin_rejects_the_states_transform_chain_rejects():
             transform_chain(x)
         with pytest.raises(errors.NearVertex):
             jacobian(x, ok)
+        with pytest.raises(errors.NearVertex):
+            jacobian(ok, x)
         # a stack names its first failing row, counted over all its rows
         with pytest.raises(errors.NearVertex) as info:
             contraction_margin(np.array([[ok, ok], [x, x]]))

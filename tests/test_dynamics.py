@@ -241,6 +241,14 @@ class TestBatch:
             simulate(program, init[1], 50)
         assert (info.value.row, info.value.issue) == (0, 1)
 
+    @pytest.mark.parametrize("burn_in", [0, 20, 29, 30, 45])
+    def test_post_burn_in_window(self, burn_in):
+        # states s = burn_in + 1 ... issues, of every run; none from s = issues on
+        batch = simulate(switching_program_6(seed=1), self.BATCH[:2], 30)
+        window = batch.post_burn_in(burn_in)
+        assert window.shape == (max(30 - burn_in, 0), 2, 6)
+        assert np.array_equal(window, batch.states[31 - window.shape[0]:])
+
     def test_wrong_shape_rejected(self):
         program = switching_program_6(seed=1)
         with pytest.raises(errors.ValidationError, match=r"expected \(B, 6\)"):

@@ -12,9 +12,10 @@ from socialpower.topology import (
     Periodic,
     RandomUniform,
     TopologyProgram,
+    load_program,
     validate,
 )
-from networks import cycle_matrix, interaction_set_6, star_matrix
+from networks import EXPERIMENTS, cycle_matrix, interaction_set_6, star_matrix
 
 
 def two_phase_program(order=(0, 1)):
@@ -148,7 +149,7 @@ class TestVerifyPeriodicLimit:
         assert not ok
         assert worst > 1e-8
 
-    @pytest.mark.parametrize("issues", [1, 39])
+    @pytest.mark.parametrize("issues", [1, 39, 40])
     def test_run_within_burn_in_rejected(self, issues):
         program = two_phase_program()
         limit = periodic_fixed_points(program)
@@ -157,9 +158,31 @@ class TestVerifyPeriodicLimit:
             verify_periodic_limit(traj, limit, burn_in=40)
 
     def test_last_state_alone_is_compared(self):
+        # 20 issues from near e_1 leave the run off the limit, closer to it
+        # at s = 20 than at s = 19
         program = two_phase_program()
         limit = periodic_fixed_points(program)
+        traj = simulate(program, np.array([0.9, 0.02, 0.02, 0.02, 0.02, 0.02]), issues=20)
+        ok, worst = verify_periodic_limit(traj, limit, burn_in=19)
+        phase = program.signal.phases(20)[-1]
+        assert 0 < worst == np.abs(traj.states[20] - limit.fixed_points[phase]).sum()
+
+    def test_negative_burn_in_rejected(self):
+        # a negative slice start would select the last states instead
+        program = two_phase_program()
         traj = simulate(program, np.full(6, 1 / 6), issues=40)
-        ok, worst = verify_periodic_limit(traj, limit, burn_in=40)
-        phase = program.signal.phases(40)[-1]
-        assert worst == np.abs(traj.states[40] - limit.fixed_points[phase]).sum()
+        with pytest.raises(errors.ValidationError, match="burn_in must be >= 0, got -1"):
+            verify_periodic_limit(traj, periodic_fixed_points(program), burn_in=-1)
+
+    # 2 compared states, as many as runs, and 30
+    @pytest.mark.parametrize("issues", [12, 40])
+    def test_batch_compares_each_run(self, issues):
+        # a burn-in of 10 leaves both runs off the limit, so a deviation
+        # summed over anything but the entries of one state shows
+        program = load_program(EXPERIMENTS / "group6_alternating.json")
+        limit = periodic_fixed_points(program)
+        starts = np.array([[0.9, 0.02, 0.02, 0.02, 0.02, 0.02], np.full(6, 1 / 6)])
+        batch = simulate(program, starts, issues)
+        runs = [verify_periodic_limit(simulate(program, x, issues), limit, 10) for x in starts]
+        assert min(worst for _, worst in runs) > 0
+        assert verify_periodic_limit(batch, limit, 10) == max(runs, key=lambda r: r[1])

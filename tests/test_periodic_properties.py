@@ -64,12 +64,31 @@ def check_chain_residuals(program):
     limit = periodic_fixed_points(program)
     assert limit.chain_residuals.shape == (len(program.signal.order),)
     assert np.all(limit.chain_residuals <= TOLERANCES.chain)
+    # every link ||F_{p+1}(y_p) - y_{p+1}||_1 recomputed, bit for bit
+    gammas = [program.matrices[i].gamma for i in program.signal.order]
+    points, period = limit.fixed_points, len(gammas)
+    chain = [np.abs(df_map(points[p], gammas[(p + 1) % period]) - points[(p + 1) % period]).sum()
+             for p in range(period)]
+    assert np.array_equal(limit.chain_residuals, chain)
 
 
 def check_invariant_under_composite(program):
     limit = periodic_fixed_points(program)
     for p, y in enumerate(limit.fixed_points):
         assert np.abs(composite(program, p, y) - y).sum() <= TOLERANCES.chain
+
+
+def sparse_cycle_program():
+    """Two sparse 4-node phases whose Newton solve stops at a closing
+    residual of 1.1e-16: most programs reach exactly 0."""
+    rng = np.random.default_rng(63)
+    matrices = tuple(validate(sparse_irreducible(4, rng)) for _ in range(2))
+    return TopologyProgram(matrices, Periodic((0, 1)))
+
+
+def test_nonzero_closing_residual_is_the_chain_links():
+    assert periodic_fixed_points(sparse_cycle_program()).chain_residuals[-1] > 0
+    check_chain_residuals(sparse_cycle_program())
 
 
 @PROPERTY_SETTINGS
