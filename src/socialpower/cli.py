@@ -32,6 +32,7 @@ from .topology import (
     _format_rows,
     _integer,
     _read_json,
+    _write_text,
     classify_star,
     load_program,
     max_gamma_profile,
@@ -112,10 +113,20 @@ def _json_default(obj):
 def _write_report(doc: dict, path: Path) -> str:
     """Write `doc` as indented JSON and a newline; return the JSON text."""
     text = json.dumps(doc, indent=2, default=_json_default)
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    _write_text(path, text + "\n")
     return text
+
+
+def _check_name(name: str, template: str, label: str) -> None:
+    """Reject a run name or CSV stem that cannot name its output file,
+    `template` with <name> replaced, or be drawn in a chart."""
+    # the name becomes a file name and a chart title and legend: XML 1.0
+    # cannot carry a control character, even escaped, and a lone surrogate
+    # cannot be written as UTF-8
+    if any(c in "/\\" or c < " " or "\ud800" <= c <= "\udfff" for c in name):
+        raise ParseError(f"{label} {name!r} contains '/', '\\', a control character or a surrogate")
+    if len(template.replace("<name>", name).encode()) > 255:
+        raise ParseError(f"{label} {name!r} makes {template} longer than 255 bytes")
 
 
 def cmd_simulate(args) -> int:
@@ -126,15 +137,7 @@ def cmd_simulate(args) -> int:
     if not inits:
         raise ParseError(f"{args.config}: 'initial_conditions' names no run")
     for name in inits:
-        # each run becomes the file run_<name>.csv in the output directory and a
-        # chart legend: XML 1.0 cannot carry a control character, even escaped,
-        # and a lone surrogate cannot be written as UTF-8
-        if any(c in "/\\" or c < " " or "\ud800" <= c <= "\udfff" for c in name):
-            raise ParseError(f"{args.config}: run name {name!r} contains '/', '\\', "
-                             "a control character or a surrogate")
-        if len(f"run_{name}.csv".encode()) > 255:
-            raise ParseError(f"{args.config}: run name {name!r} makes run_<name>.csv "
-                             "longer than 255 bytes")
+        _check_name(name, "run_<name>.csv", f"{args.config}: run name")
     issues, burn_in, seed, plot = cfg["issues"], cfg["burn_in"], cfg.get("seed"), cfg["plot"]
     if not isinstance(plot, bool):
         raise ParseError(f"{args.config}: 'plot' must be true or false, got {plot!r}")
@@ -184,9 +187,8 @@ def cmd_simulate(args) -> int:
         "min_contraction_margin": min_margin,
     }
     if gap is not None:
-        with open(out / "limit_gap.csv", "w") as fh:
-            fh.write("s,gap\n")
-            fh.writelines([f"{s},{g}\n" for s, g in enumerate(_format_rows(gap[:, None], ","))])
+        rows = [f"{s},{g}\n" for s, g in enumerate(_format_rows(gap[:, None], ","))]
+        _write_text(out / "limit_gap.csv", "s,gap\n" + "".join(rows))
         report["limit_gap"] = "limit_gap.csv"
         report["final_gap"] = float(gap[-1])
     _write_report(report, out / "report.json")
@@ -348,6 +350,7 @@ def _plot_runs(runs: list, out: Path) -> None:
 
 def cmd_plot(args) -> int:
     for k, path in enumerate(args.csvs):
+        _check_name(Path(path).stem, "<name>.svg", f"{path}: file stem")
         if len(args.csvs) >= 2 and Path(path).stem == "comparison":
             raise ParseError(f"{path} would be charted as comparison.svg, "
                              "which the comparison chart overwrites")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearVertex, ValidationError
-from .topology import TOLERANCES, TopologyProgram, _format_rows
+from .topology import TOLERANCES, TopologyProgram, _format_rows, _write_text
 
 
 def near_vertex_error(where: str = "") -> NearVertex:
@@ -93,8 +93,7 @@ class Trajectory:
         parts[::2] = ["\n%d,%d," % sp for sp in enumerate(produced)]
         for path, run in zip(paths, which.reshape(steps, runs).T.tolist()):
             parts[1::2] = [distinct[k] for k in run]
-            with open(path, "w") as fh:
-                fh.write(header + "".join(parts) + "\n")
+            _write_text(path, header + "".join(parts) + "\n")
 
 
 def _check_init(x: np.ndarray, held: np.ndarray) -> None:

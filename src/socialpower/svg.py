@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .topology import _write_text
+
 _COLORS = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2",
@@ -137,5 +139,4 @@ def line_chart(series: dict, path, title: str) -> None:
             f'<text x="{_W - _MR + 44}" y="{ly}">{_escape(label)}</text>'
         )
     out.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+    _write_text(path, "\n".join(out) + "\n")

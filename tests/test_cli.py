@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from socialpower import verification
 from socialpower.cli import main
-from socialpower.topology import Periodic, TopologyProgram, save_program, validate
+from socialpower.topology import Periodic, TopologyProgram, load_program, save_program, validate
 from networks import EXPERIMENTS, interaction_set_6, star_matrix, switching_program_6
 
 # `verify experiments/group6_random.json --samples 200`, exactly as printed
@@ -682,6 +683,47 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == GROUP6_VERIFY_200
 
 
+class TestRerun:
+    """A rerun into a directory that holds the outputs of a longer run
+    overwrites each file in place: every file it writes holds exactly the
+    bytes of the same run into a fresh directory."""
+
+    @staticmethod
+    def rerun_matches_fresh(tmp_path, first, second):
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        main([*first, "--out", str(rerun)])
+        old = {p.name: p.stat().st_size for p in rerun.iterdir()}
+        assert main([*second, "--out", str(rerun)]) == main([*second, "--out", str(fresh)]) == 0
+        written = sorted(p.name for p in fresh.iterdir())
+        assert written == sorted(p.name for p in rerun.iterdir())
+        for name in written:
+            assert old[name] > (fresh / name).stat().st_size, name  # so the old tail must go
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_simulate_over_a_longer_run(self, tmp_path, capsys):
+        doc = json.loads((EXPERIMENTS / "forgetting.json").read_text())
+        doc["program"] = str(EXPERIMENTS / "group6_random.json")
+        doc["issues"] = 30
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(doc))
+        self.rerun_matches_fresh(tmp_path, ["simulate", "--config", str(EXPERIMENTS / "forgetting.json")],
+                                 ["simulate", "--config", str(short)])
+
+    def test_analyze_over_a_longer_report(self, tmp_path, capsys):
+        # five matrices, then two
+        self.rerun_matches_fresh(tmp_path, ["analyze", str(EXPERIMENTS / "group6_random.json")],
+                                 ["analyze", str(EXPERIMENTS / "group6_alternating.json")])
+
+    def test_periodic_over_a_longer_report(self, tmp_path, capsys):
+        # three phases, then two
+        matrices = load_program(EXPERIMENTS / "group6_random.json").matrices[:3]
+        save_program(TopologyProgram(matrices, Periodic((0, 1, 2))), tmp_path / "three.json")
+        config = tmp_path / "three_phases.json"
+        config.write_text(json.dumps({"program": "three.json"}))
+        self.rerun_matches_fresh(tmp_path, ["periodic", "--config", str(config)],
+                                 ["periodic", "--config", str(EXPERIMENTS / "alternating.json")])
+
+
 class TestPlotCommand:
     def test_charts_from_csvs(self, simulate_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -824,6 +866,39 @@ class TestPlotCommand:
         assert f"{paths[0]} and {paths[1]} would both be charted as run_hat.svg" in captured.err
         assert captured.out == ""
         assert not plots.exists()
+
+    @pytest.mark.parametrize("stem", ["c\x01", "r\udcff"])  # a control character; the byte 0xff
+    def test_rejects_a_stem_that_no_chart_can_carry(self, simulate_config, tmp_path, capsys, stem):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(simulate_config), "--out", str(out)])
+        path = tmp_path / f"{stem}.csv"
+        path.write_bytes((out / "run_hat.csv").read_bytes())
+        plots = tmp_path / "plots"
+        capsys.readouterr()
+        sys.stderr.reconfigure(errors="backslashreplace")  # as the interpreter's own stderr
+        assert main(["plot", str(out / "run_tilde.csv"), str(path), "--out", str(plots)]) == 2
+        captured = capsys.readouterr()
+        message = (f"error: {path}: file stem {stem!r} contains "
+                   "'/', '\\', a control character or a surrogate\n")
+        assert captured.err == message.encode("utf-8", "backslashreplace").decode()
+        assert captured.out == ""
+        assert not plots.exists()
+
+    @pytest.mark.parametrize("length, code", [(251, 0), (252, 2)])
+    def test_stem_bounded_by_a_file_name(self, tmp_path, capsys, length, code):
+        # <stem>.svg may take the 255 bytes a file name has, and no more; a
+        # CSV whose suffix is shorter than ".svg" can have a longer stem
+        paths = [tmp_path / "run_good.csv", tmp_path / ("a" * length + ".c")]
+        for path in paths:
+            path.write_text("s,p,x_1,x_2\n0,0,0.5,0.5\n1,1,0.4,0.6\n")
+        plots = tmp_path / "plots"
+        assert main(["plot", *map(str, paths), "--out", str(plots)]) == code
+        if code == 0:
+            assert (plots / f"{paths[1].stem}.svg").exists()
+        else:
+            assert capsys.readouterr().err == (f"error: {paths[1]}: file stem {paths[1].stem!r} makes "
+                                               "<name>.svg longer than 255 bytes\n")
+            assert not plots.exists()
 
     def test_rejects_a_run_charted_as_the_comparison(self, tmp_path, capsys):
         paths = [tmp_path / "comparison.csv", tmp_path / "run_b.csv"]

@@ -17,7 +17,7 @@ import textwrap
 
 import pytest
 
-from socialpower import periodic
+from socialpower import cli, periodic, topology
 from socialpower.dynamics import Trajectory
 import test_cli
 import test_periodic
@@ -59,6 +59,15 @@ MUTANTS = {
             test_periodic.TestPeriodicFixedPoints().test_newton_step_off_the_simplex_stops_the_solve,
             functools.partial(test_periodic_properties.check_chain_residuals,
                               test_periodic_properties.sparse_cycle_program()),
+        ]),
+    "file written without its truncate()": (
+        topology._write_text, "fh.truncate()", "pass", [
+            test_cli.TestRerun().test_simulate_over_a_longer_run,
+        ]),
+    "CSV field read by float() alone": (
+        cli._read_csv, "if not _NUMBER.fullmatch(v):", "if False:", [
+            functools.partial(test_cli.TestPlotCommand().test_rejects_a_field_that_is_no_decimal_number,
+                              row="1,1,1_0, 0.25", field="x_1", value="1_0"),
         ]),
 }
 

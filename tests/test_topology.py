@@ -12,6 +12,7 @@ from socialpower.topology import (
     Scripted,
     TopologyProgram,
     _signal_to_doc,
+    _write_text,
     at_star,
     classify_star,
     dominant_left_eigenvector,
@@ -266,6 +267,23 @@ def save_program_per_value(program, path):
     lines.append("}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+class TestWriteText:
+    TEXT = "s,p,x_1\n0,0,0.5\n1,1,\u03b3\n"
+
+    # none, ten times longer, shorter
+    @pytest.mark.parametrize("old", [None, TEXT * 10, TEXT[:5]])
+    def test_bytes_match_open_for_writing(self, tmp_path, old):
+        path, reference = tmp_path / "new.csv", tmp_path / "reference.csv"
+        if old is not None:
+            for p in (path, reference):
+                p.write_text(old)
+        _write_text(path, self.TEXT)
+        with open(reference, "w") as fh:
+            fh.write(self.TEXT)
+        assert path.read_bytes() == reference.read_bytes()
+        assert path.stat().st_mode == reference.stat().st_mode
 
 
 class TestProgramFiles:
