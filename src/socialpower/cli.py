@@ -398,12 +398,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SocialPowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ParseError, OSError, SocialPowerError) as exc:
+        # each character that repr escapes (a control character or a lone
+        # surrogate, say from a file name) is printed as its escape
+        text = "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in str(exc))
+        print(f"error: {text}", file=sys.stderr)
+        return 2 if isinstance(exc, (ParseError, OSError)) else 1
 
 
 if __name__ == "__main__":

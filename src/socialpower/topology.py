@@ -11,6 +11,7 @@ writer of doubles, `_format_rows`, and its one file writer, `_write_text`.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -138,11 +139,18 @@ class RelativeInteractionMatrix:
 def validate(matrix) -> RelativeInteractionMatrix:
     """Check all structural invariants, raising on the first violation.
 
-    Violations are reported in a fixed order: non-numbers, non-finite,
+    Violations are reported in a fixed order: non-numbers (a string or
+    a boolean is none, though `float` reads "0.5" and True), non-finite,
     dimension, negative entries, diagonal, row sums, irreducibility.
     """
     try:
-        entries = np.array(matrix, dtype=float)
+        entries = np.array(matrix)  # a copy, frozen below
+        if entries.dtype.kind not in "iuf":
+            for idx, value in np.ndenumerate(np.array(matrix, dtype=object)):
+                if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                    where = ",".join(str(i + 1) for i in idx)
+                    raise ValueError(f"entry ({where}) = {value!r} is not a number")
+        entries = entries.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"matrix is not a rectangular array of numbers: {exc}") from exc
     finite = np.isfinite(entries)

@@ -122,31 +122,22 @@ def check_oracle_equivalence(matrix: RelativeInteractionMatrix, rng, samples: in
 def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckResult:
     """x_j <= 1 - r with r <= r_j must imply F_j(x) < 1 - r.
 
-    A draw whose state lies outside the certificate's domain (the rule
-    of `analysis._interior`) is skipped; a run in which every draw is
-    skipped has checked no state and passes with worst margin -inf.
+    The draws come as stacks in a fixed order (j, r in [0, r_j), the
+    factor in [1, 1.5) with x_j = 1 - r * factor, the rest from a flat
+    Dirichlet), whatever the radii. A state outside the certificate's
+    domain (`analysis._interior`), such as the vertex e_j that a draw of
+    radius 0 (a star centre) gives, is skipped; a run in which every draw
+    is skipped has checked no state and passes with worst margin -inf.
     """
-    radii = contraction_radii(gamma).tolist()
     n = gamma.size
-    ones = np.ones(n - 1)
-    j, r, x_j, rest = [], [], [], []
-    # one draw at a time: a draw of radius 0 takes nothing from the
-    # stream after its index, so the stream's use depends on each index
-    for _ in range(samples):
-        k = rng.integers(n)
-        if radii[k] <= 0:
-            continue
-        j.append(k)
-        r.append(rng.uniform(0, radii[k]))
-        x_j.append(1.0 - r[-1] * rng.uniform(1.0, 1.5))
-        rest.append(rng.dirichlet(ones))
-    j, r, x_j = np.array(j, dtype=int), np.array(r), np.array(x_j)
-    rows = np.arange(len(j))
-    x = np.empty((len(j), n))
-    x[rows, j] = x_j
-    others = np.ones(x.shape, dtype=bool)
-    others[rows, j] = False
-    x[others] = (np.reshape(rest, (-1, n - 1)) * (1.0 - x_j)[:, None]).ravel()
+    j = rng.integers(n, size=samples)
+    r = rng.uniform(0.0, contraction_radii(gamma)[j])
+    x_j = 1.0 - r * rng.uniform(1.0, 1.5, samples)
+    rest = rng.dirichlet(np.ones(n - 1), samples) * (1.0 - x_j)[:, None]
+    others = np.arange(n) != j[:, None]
+    x = np.empty((samples, n))
+    x[others] = rest.ravel()
+    x[~others] = x_j
     keep = _interior(x)
     worst = -np.inf
     if keep.any():

@@ -16,23 +16,23 @@ GROUP6_VERIFY_200 = """\
 matrix 1 jacobian_finite_difference: pass, worst margin 1.789e-09
 matrix 1 contraction_certificate: pass, worst margin 9.972e-01 (worst structural deviation 1.22e-15)
 matrix 1 opinion_oracle_equivalence: pass, worst margin 4.025e-16
-matrix 1 boundary_contraction_step: pass, worst margin -2.161e-02
+matrix 1 boundary_contraction_step: pass, worst margin -6.045e-03
 matrix 2 jacobian_finite_difference: pass, worst margin 2.598e-09
 matrix 2 contraction_certificate: pass, worst margin 9.796e-01 (worst structural deviation 4.44e-16)
 matrix 2 opinion_oracle_equivalence: pass, worst margin 6.349e-16
-matrix 2 boundary_contraction_step: pass, worst margin -1.590e-02
+matrix 2 boundary_contraction_step: pass, worst margin -1.407e-02
 matrix 3 jacobian_finite_difference: pass, worst margin 1.894e-09
 matrix 3 contraction_certificate: pass, worst margin 8.767e-01 (worst structural deviation 4.44e-16)
 matrix 3 opinion_oracle_equivalence: pass, worst margin 8.049e-16
-matrix 3 boundary_contraction_step: pass, worst margin -1.334e-02
+matrix 3 boundary_contraction_step: pass, worst margin -3.055e-02
 matrix 4 jacobian_finite_difference: pass, worst margin 1.842e-09
 matrix 4 contraction_certificate: pass, worst margin 9.188e-01 (worst structural deviation 3.33e-16)
 matrix 4 opinion_oracle_equivalence: pass, worst margin 7.563e-16
-matrix 4 boundary_contraction_step: pass, worst margin -8.498e-03
+matrix 4 boundary_contraction_step: pass, worst margin -8.984e-04
 matrix 5 jacobian_finite_difference: pass, worst margin 2.956e-09
 matrix 5 contraction_certificate: pass, worst margin 9.911e-01 (worst structural deviation 6.11e-16)
 matrix 5 opinion_oracle_equivalence: pass, worst margin 4.710e-16
-matrix 5 boundary_contraction_step: pass, worst margin -2.656e-03
+matrix 5 boundary_contraction_step: pass, worst margin -1.687e-03
 """
 
 
@@ -441,6 +441,18 @@ class TestMalformedProgram:
         assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 1
         assert "not a rectangular array of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix, entry", [
+        ([["0", "0.5", "0.5"], [0.5, 0, 0.5], [0.5, 0.5, 0]], "(1,1) = '0'"),
+        ([[False, True, False], [False, False, True], [True, False, False]], "(1,1) = False"),
+    ])
+    def test_strings_and_booleans_rejected(self, tmp_path, capsys, matrix, entry):
+        # float() would read "0.5" as 0.5 and true as 1
+        path = tmp_path / "program.json"
+        path.write_text(json.dumps({"n": 3, "matrices": [matrix], "signal": {"kind": "constant", "index": 1}}))
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"entry {entry} is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ragged_matrix_rejected(self, program_file, tmp_path, capsys):
         self._edit(program_file, lambda doc: doc["matrices"][0][0].pop())
         assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 1
@@ -724,6 +736,47 @@ class TestRerun:
                                  ["periodic", "--config", str(EXPERIMENTS / "alternating.json")])
 
 
+class TestFileNamesInErrors:
+    """A file name in an error message is shown with its control
+    characters escaped, so that the terminal prints them as text."""
+
+    NAME = "x\x1b[31m"
+
+    @staticmethod
+    def assert_escaped(err):
+        assert "\\x1b" in err and "\x1b" not in err
+
+    def test_plot_stem(self, tmp_path, capsys):
+        assert main(["plot", str(tmp_path / f"{self.NAME}.csv"), "--out", str(tmp_path / "plots")]) == 2
+        self.assert_escaped(capsys.readouterr().err)
+
+    def test_plot_csv(self, tmp_path, capsys):
+        directory = tmp_path / self.NAME
+        directory.mkdir()
+        (directory / "run_bad.csv").write_text("s,p,x_1\n0,0,half\n")
+        assert main(["plot", str(directory / "run_bad.csv"), "--out", str(tmp_path / "plots")]) == 2
+        self.assert_escaped(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", ["{", "[]"])  # a JSON error; no program
+    def test_program_file(self, tmp_path, capsys, text):
+        path = tmp_path / f"{self.NAME}.json"
+        path.write_text(text)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+        self.assert_escaped(capsys.readouterr().err)
+
+    def test_config_file(self, tmp_path, capsys):
+        path = tmp_path / f"{self.NAME}.json"
+        path.write_text("[]")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        self.assert_escaped(capsys.readouterr().err)
+
+    def test_printable_name_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "é ü\\.json"
+        path.write_text("[]")
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 class TestPlotCommand:
     def test_charts_from_csvs(self, simulate_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -878,7 +931,8 @@ class TestPlotCommand:
         sys.stderr.reconfigure(errors="backslashreplace")  # as the interpreter's own stderr
         assert main(["plot", str(out / "run_tilde.csv"), str(path), "--out", str(plots)]) == 2
         captured = capsys.readouterr()
-        message = (f"error: {path}: file stem {stem!r} contains "
+        shown = str(path).replace("\x01", "\\x01")  # the name's control character escaped
+        message = (f"error: {shown}: file stem {stem!r} contains "
                    "'/', '\\', a control character or a surrogate\n")
         assert captured.err == message.encode("utf-8", "backslashreplace").decode()
         assert captured.out == ""

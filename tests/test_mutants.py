@@ -17,8 +17,9 @@ import textwrap
 
 import pytest
 
-from socialpower import cli, periodic, topology
+from socialpower import analysis, cli, periodic, topology, verification
 from socialpower.dynamics import Trajectory
+import test_acceptance
 import test_cli
 import test_periodic
 import test_periodic_properties
@@ -68,6 +69,14 @@ MUTANTS = {
         cli._read_csv, "if not _NUMBER.fullmatch(v):", "if False:", [
             functools.partial(test_cli.TestPlotCommand().test_rejects_a_field_that_is_no_decimal_number,
                               row="1,1,1_0, 0.25", field="x_1", value="1_0"),
+        ]),
+    "boundary radius times 1.5": (
+        verification.check_boundary_step, "contraction_radii(gamma)[j]", "1.5 * contraction_radii(gamma)[j]", [
+            test_cli.TestVerifyCommand().test_passes_on_example_group_program,
+        ]),
+    "jacobian off-diagonal sign flipped": (
+        analysis.jacobian, "J = -(x_next", "J = (x_next", [
+            test_acceptance.test_criterion_6_jacobian_against_finite_differences,
         ]),
 }
 

@@ -150,17 +150,19 @@ def boundary_keep_reference(x):
 
 
 def boundary_reference(gamma, rng, samples):
+    # the check's blocks of draws, in its order; then one state per draw
     radii = contraction_radii(gamma)
     n = gamma.size
+    js = rng.integers(n, size=samples)
+    rs = rng.uniform(0.0, radii[js])
+    scales = rng.uniform(1.0, 1.5, samples)
+    rests = rng.dirichlet(np.ones(n - 1), samples)
     draws = []
-    for _ in range(samples):
-        j = rng.integers(n)
+    for j, r, scale, rest in zip(js, rs, scales, rests):
         if radii[j] <= 0:
             continue
-        r = rng.uniform(0, radii[j])
-        x_j = 1.0 - r * rng.uniform(1.0, 1.5)
-        rest = rng.dirichlet(np.full(n - 1, 1.0)) * (1.0 - x_j)
-        draws.append((j, r, np.insert(rest, j, x_j)))
+        x_j = 1.0 - r * scale
+        draws.append((j, r, np.insert(rest * (1.0 - x_j), j, x_j)))
     j = np.array([d[0] for d in draws], dtype=int)
     r = np.array([d[1] for d in draws])
     x = np.array([d[2] for d in draws]).reshape(-1, n)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,16 @@ class TestValidate:
         bad = star_matrix(3)
         bad[1, 2] = value
         with pytest.raises(errors.ValidationError, match=r"entry \(2,3\) = (nan|inf)"):
+            validate(bad)
+
+    @pytest.mark.parametrize("bad, entry", [
+        ([["0", "0.5", "0.5"], [0.5, 0, 0.5], [0.5, 0.5, 0]], "(1,1) = '0'"),
+        ([[0, 0.5, 0.5], [0.5, 0, "0.5"], [0.5, 0.5, 0]], "(2,3) = '0.5'"),
+        ([[False, True, False], [False, False, True], [True, False, False]], "(1,1) = False"),
+    ])
+    def test_strings_and_booleans_are_no_numbers(self, bad, entry):
+        # float() reads "0.5" and True; the first such entry is named
+        with pytest.raises(errors.ValidationError, match=rf"entry {re.escape(entry)} is not a number$"):
             validate(bad)
 
 
