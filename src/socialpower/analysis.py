@@ -117,9 +117,9 @@ def contraction_margin(states: np.ndarray) -> np.ndarray:
 
 
 def contraction_radii(gamma: np.ndarray) -> np.ndarray:
-    """Boundary radii r_j = (1 - 2 gamma_j)/(1 - gamma_j), 0 at a star centre."""
+    """Boundary radii r_j = (1 - 2 gamma_j)/(1 - gamma_j), 0 at a star centre (`at_star`)."""
     gamma = np.asarray(gamma, dtype=float)
-    return np.maximum((1.0 - 2.0 * gamma) / (1.0 - gamma), 0.0)
+    return np.where(at_star(gamma), 0.0, (1.0 - 2.0 * gamma) / (1.0 - gamma))
 
 
 def equilibrium_upper_bound(gamma: np.ndarray) -> np.ndarray:

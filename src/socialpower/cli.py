@@ -157,6 +157,10 @@ def cmd_simulate(args) -> int:
         batch = simulate(program, init, issues)
     except NearVertex as exc:
         raise near_vertex_error(f"run {names[exc.row]!r}, issue {exc.issue}: ") from exc
+    except ValidationError as exc:
+        if not hasattr(exc, "row"):
+            raise
+        raise ValidationError(f"initial condition {names[exc.row]!r} {exc.problem}") from exc
     runs = [Trajectory(batch.states[:, b], batch.signal_log) for b in range(len(names))]
 
     # every check runs before any file is written
@@ -271,8 +275,6 @@ def cmd_verify(args) -> int:
             status = "pass" if res.passed else "FAIL"
             extra = f" ({res.detail})" if res.detail else ""
             print(f"matrix {k + 1} {res.name}: {status}, worst margin {res.worst_margin:.3e}{extra}")
-            if res.worst_margin == -np.inf:
-                print(f"warning: matrix {k + 1} {res.name} checked no state", file=sys.stderr)
             if not res.passed and failed is None:
                 failed = f"matrix {k + 1} {res.name}"
     if failed:

@@ -96,34 +96,17 @@ class Trajectory:
             _write_text(path, header + "".join(parts) + "\n")
 
 
-def _check_init(x: np.ndarray, held: np.ndarray) -> None:
-    """Reject the first row that is neither held nor admissible (finite,
-    0 <= x_i < 1, some x_j > 0); a batch names the row, 1-based."""
-    ok = held | (np.all((x >= 0) & (x < 1), axis=-1) & np.any(x > 0, axis=-1))
-    if np.all(ok):
-        return
-    b = int(np.argmin(ok))
-    row = x.reshape(-1, x.shape[-1])[b]
-    where = "initial condition" if x.ndim == 1 else f"initial condition row {b + 1}"
-    finite = np.isfinite(row)
-    if not np.all(finite):
-        i = int(np.argmin(finite))
-        raise ValidationError(f"{where} entry {i + 1} = {row[i]} is not finite")
-    if np.any(row < 0) or np.any(row >= 1):
-        raise ValidationError(f"{where} requires 0 <= x_i < 1 for all i")
-    raise ValidationError(f"{where} needs at least one x_j > 0")
-
-
 def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     """Run the switching system for `issues` steps from `init`.
 
     `init` is one initial condition, shape (n,), or a batch, shape
     (B, n), run under the program's one signal realization; the states
     have shape (issues + 1,) + init.shape.  A row equal to a vertex e_i
-    is held there; every other row must be admissible (0 <= x_i < 1,
-    some x_j > 0) and is mapped in place by `df_map`'s kernel; the
-    first mapped state within its vertex guard raises NearVertex, with
-    the 0-based batch row and the 1-based issue as `row` and `issue`.
+    is held there; the first other row that is not admissible (finite,
+    0 <= x_i < 1, some x_j > 0) raises ValidationError, and the first
+    mapped state within the vertex guard raises NearVertex.  Each names
+    a batch row 1-based and carries it 0-based as `row`, with `problem`
+    (what is wrong with the row) or `issue` (1-based).
     """
     if issues < 1:
         raise ValidationError("need at least one issue")
@@ -136,7 +119,17 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
         raise ValidationError(f"initial condition has shape {x.shape}, expected {expected}")
     rows = x.reshape(-1, n)
     free = ~(np.any(rows == 1.0, axis=1) & (np.count_nonzero(rows, axis=1) == 1))
-    _check_init(x, ~free)
+    ok = ~free | (np.all((rows >= 0) & (rows < 1), axis=1) & np.any(rows > 0, axis=1))
+    if not np.all(ok):
+        b = int(np.argmin(ok))
+        i = int(np.argmin(np.isfinite(rows[b])))
+        problem = (f"entry {i + 1} = {rows[b, i]} is not finite" if not np.isfinite(rows[b, i])
+                   else "requires 0 <= x_i < 1 for all i" if np.any((rows[b] < 0) | (rows[b] >= 1))
+                   else "needs at least one x_j > 0")
+        exc = ValidationError(f"initial condition {problem}" if x.ndim == 1
+                              else f"initial condition row {b + 1} {problem}")
+        exc.row, exc.problem = b, problem
+        raise exc
     states = np.empty((issues + 1,) + rows.shape)
     states[0] = rows
     # a held row, or a state inside the guard, may divide by zero: the held

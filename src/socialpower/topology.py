@@ -67,6 +67,7 @@ class Tolerances:
 
 
 TOLERANCES = Tolerances()
+_BOOLEANS = (bool, np.bool_)  # no number, though numpy and `float` read either as 1 or 0
 
 
 def at_star(gamma) -> np.ndarray:
@@ -145,11 +146,16 @@ def validate(matrix) -> RelativeInteractionMatrix:
     """
     try:
         entries = np.array(matrix)  # a copy, frozen below
-        if entries.dtype.kind not in "iuf":
-            for idx, value in np.ndenumerate(np.array(matrix, dtype=object)):
-                if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-                    where = ",".join(str(i + 1) for i in idx)
-                    raise ValueError(f"entry ({where}) = {value!r} is not a number")
+        cells = () if entries.dtype.kind in "iuf" else np.ndenumerate(np.array(matrix, dtype=object))
+        if entries.dtype.kind in "iuf" and entries.ndim == 2 and not isinstance(matrix, np.ndarray):
+            # numpy reads a boolean among numbers as 1 or 0: only such an entry can be one
+            rows, cols = np.nonzero((entries == 0) | (entries == 1))
+            cells = [((i, j), matrix[i][j]) for i, j in zip(rows.tolist(), cols.tolist())
+                     if type(matrix[i][j]) in _BOOLEANS]
+        for idx, value in cells:
+            if isinstance(value, _BOOLEANS) or not isinstance(value, numbers.Real):
+                where = ",".join(str(i + 1) for i in idx)
+                raise ValueError(f"entry ({where}) = {value!r} is not a number")
         entries = entries.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"matrix is not a rectangular array of numbers: {exc}") from exc

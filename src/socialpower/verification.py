@@ -122,27 +122,26 @@ def check_oracle_equivalence(matrix: RelativeInteractionMatrix, rng, samples: in
 def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckResult:
     """x_j <= 1 - r with r <= r_j must imply F_j(x) < 1 - r.
 
-    The draws come as stacks in a fixed order (j, r in [0, r_j), the
-    factor in [1, 1.5) with x_j = 1 - r * factor, the rest from a flat
-    Dirichlet), whatever the radii. A state outside the certificate's
-    domain (`analysis._interior`), such as the vertex e_j that a draw of
-    radius 0 (a star centre) gives, is skipped; a run in which every draw
-    is skipped has checked no state and passes with worst margin -inf.
+    Stacked draws, in a fixed order: j with r_j > 0 (a star centre's band
+    is empty), r in [0, r_j), x_j = 1 - r * factor in (0, 1 - r] with the
+    factor in [1, min(1.5, 1/r)), the rest from a flat Dirichlet.  A state
+    outside `analysis._interior` is skipped; a check that keeps none FAILs.
     """
     n = gamma.size
-    j = rng.integers(n, size=samples)
-    r = rng.uniform(0.0, contraction_radii(gamma)[j])
-    x_j = 1.0 - r * rng.uniform(1.0, 1.5, samples)
+    radii = contraction_radii(gamma)
+    j = rng.choice(np.flatnonzero(radii > 0), samples)
+    r = rng.uniform(0.0, radii[j])
+    x_j = 1.0 - r * rng.uniform(1.0, 1.0 / np.maximum(r, 2.0 / 3.0))
     rest = rng.dirichlet(np.ones(n - 1), samples) * (1.0 - x_j)[:, None]
     others = np.arange(n) != j[:, None]
     x = np.empty((samples, n))
     x[others] = rest.ravel()
     x[~others] = x_j
     keep = _interior(x)
-    worst = -np.inf
-    if keep.any():
-        mapped = _per_sample(lambda x: df_map(x, gamma), x[keep], n)
-        worst = float((mapped[np.arange(len(mapped)), j[keep]] - (1.0 - r[keep])).max())
+    if not keep.any():
+        return CheckResult("boundary_contraction_step", False, np.nan, "no boundary state checked")
+    mapped = _per_sample(lambda x: df_map(x, gamma), x[keep], n)
+    worst = float((mapped[np.arange(len(mapped)), j[keep]] - (1.0 - r[keep])).max())
     return CheckResult("boundary_contraction_step", worst < 0, worst)
 
 

@@ -118,6 +118,13 @@ class TestContractionRadii:
     def test_small_weight(self):
         assert contraction_radii(np.array([1 / 6] * 6))[0] == pytest.approx(0.8, abs=1e-15)
 
+    def test_near_star_centre_gives_zero(self):
+        # gamma_1 = 1/2 - 5e-10 is a star centre by `at_star`; its own
+        # formula would give a band of width about 2e-9
+        gamma = np.array([0.5 - 5e-10, 0.25 + 2.5e-10, 0.25 + 2.5e-10])
+        assert contraction_radii(gamma).tolist()[0] == 0.0
+        assert contraction_radii(gamma)[1:].min() > 0.6
+
     def test_never_negative(self):
         radii = contraction_radii(np.array([0.6, 0.2, 0.2]))
         assert radii.min() >= 0
@@ -238,6 +245,22 @@ class TestVerificationSuite:
         assert "contraction_certificate" in names
         assert "opinion_oracle_equivalence" in names
         assert "boundary_contraction_step" in names
+
+    @pytest.mark.parametrize("gamma", [
+        np.array([0.5, 0.25, 0.25]),  # a star: the centre's band is empty
+        np.full(30, 1 / 30),  # radii near 0.97: a factor up to 1.5 would pass x_j below 0
+    ], ids=["star", "uniform30"])
+    def test_boundary_check_keeps_every_draw(self, monkeypatch, gamma):
+        masks = []
+
+        def interior(x):
+            masks.append(analysis._interior(x))
+            return masks[-1]
+
+        monkeypatch.setattr(verification, "_interior", interior)
+        res = verification.check_boundary_step(gamma, np.random.default_rng(0), 500)
+        assert res.passed and len(masks) == 1
+        assert masks[0].shape == (500,) and masks[0].all()
 
     def test_certificate_fails_on_positive_off_diagonal(self, monkeypatch):
         # a Phi that is symmetric with zero sums but has phi_12 > 0 is no

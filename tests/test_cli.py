@@ -47,6 +47,16 @@ def program_file(tmp_path):
 
 
 @pytest.fixture
+def near_star_file(tmp_path):
+    # gamma_1 lies within Tolerances.star_gamma of 1/2, where its radius
+    # formula (1 - 2 gamma_1)/(1 - gamma_1) is still about 2e-9
+    path = tmp_path / "near_star.json"
+    m = np.array([[0, 0.5, 0.5], [1 - 2e-9, 0, 2e-9], [1 - 2e-9, 2e-9, 0]])
+    save_program(TopologyProgram((validate(m),), Periodic((0,))), path)
+    return path
+
+
+@pytest.fixture
 def periodic_setup(tmp_path):
     matrices = tuple(validate(m) for m in interaction_set_6()[1:3])
     program_path = tmp_path / "periodic_program.json"
@@ -307,6 +317,17 @@ class TestAnalyze:
         assert doc["equilibrium_upper_bound"] is None
         assert "equilibrium_upper_bound_note" in doc
         assert doc["star"][0]["is_star"] and doc["star"][0]["center"] == 2
+
+    def test_near_star_centre_has_radius_zero(self, near_star_file, tmp_path):
+        # one star rule: the centre that `at_star` finds has an empty band
+        out = tmp_path / "out"
+        assert main(["analyze", str(near_star_file), "--out", str(out)]) == 0
+        doc = json.loads((out / "analysis.json").read_text())
+        assert doc["star"] == [{"is_star": True, "center": 1}]
+        assert doc["equilibrium_upper_bound"] is None
+        assert doc["vertex_stability"][0]["stability"] == "asymptotically_stable_not_exponential"
+        assert doc["contraction_radii"][0] == 0.0
+        assert min(doc["contraction_radii"][1:]) > 0.6
 
     def test_missing_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
@@ -582,6 +603,18 @@ class TestMalformedConfig:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, problem", [
+        ([1.0, 0.2, 0, 0, 0, 0], "requires 0 <= x_i < 1 for all i"),
+        ([0, 0, 0, 0, 0, 0], "needs at least one x_j > 0"),
+        ([0.5, 1e999, 0, 0, 0, 0], "entry 2 = inf is not finite"),
+    ])
+    def test_inadmissible_start_names_its_run(self, simulate_config, tmp_path, capsys, spec, problem):
+        # the run is named as every other per-run error names it, not by its row
+        path = self._rewrite(simulate_config, lambda doc: doc["initial_conditions"].update(odd=spec))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: initial condition 'odd' {problem}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_nested_periodic_initial_condition(self, periodic_setup, tmp_path, capsys):
         path = self._rewrite(periodic_setup, lambda doc: doc.update(
             initial_condition=[doc["initial_condition"]]))
@@ -660,17 +693,33 @@ class TestVerifyCommand:
         assert "random seed -1 is negative" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("seed, skipped", [(0, True), (2, False)])
-    def test_warns_when_boundary_check_tests_no_state(self, tmp_path, capsys, seed, skipped):
-        # gamma = (1/2, 1/4, 1/4): a draw of the centre has radius 0 and is
-        # skipped; at seed 0 the single draw is the centre
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_boundary_check_tests_a_leaf_of_a_star(self, tmp_path, capsys, seed):
+        # gamma = (1/2, 1/4, 1/4): the centre's band is empty, so it is never
+        # drawn, and even a single draw tests a leaf
         path = tmp_path / "star.json"
         save_program(TopologyProgram((validate(star_matrix(3, center=0)),), Periodic((0,))), path)
         assert main(["verify", str(path), "--samples", "1", "--seed", str(seed)]) == 0
         captured = capsys.readouterr()
-        assert ("boundary_contraction_step: pass, worst margin -inf" in captured.out) == skipped
-        warning = "warning: matrix 1 boundary_contraction_step checked no state\n"
-        assert captured.err == (warning if skipped else "")
+        line = captured.out.strip().split("\n")[-1]
+        assert line.startswith("matrix 1 boundary_contraction_step: pass, worst margin -")
+        assert np.isfinite(float(line.split()[-1]))
+        assert captured.err == ""
+
+    def test_near_star_centre_band_is_not_tested(self, near_star_file, capsys):
+        # a centre band of width 2e-9 would leave a worst margin of about -7e-14
+        assert main(["verify", str(near_star_file), "--samples", "2000", "--seed", "3"]) == 0
+        line = capsys.readouterr().out.strip().split("\n")[-1]
+        assert line.startswith("matrix 1 boundary_contraction_step: pass, worst margin ")
+        assert float(line.split()[-1]) < -1e-4
+
+    def test_boundary_check_that_keeps_no_state_fails(self, program_file, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "_interior", lambda x: np.zeros(len(x), dtype=bool))
+        assert main(["verify", str(program_file), "--samples", "10", "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[3] == ("matrix 1 boundary_contraction_step: FAIL, worst margin nan "
+                            "(no boundary state checked)")
+        assert lines[-1] == "first failing property: matrix 1 boundary_contraction_step"
 
     def test_names_the_first_failing_check(self, program_file, capsys, monkeypatch):
         # every check passes on a valid matrix: fail matrix 2's certificate and

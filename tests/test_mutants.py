@@ -1,12 +1,14 @@
 """Faults that the checks are shown to catch.
 
-Each entry of MUTANTS plants one fault in a library function, by editing
-its source text and swapping the compiled code into the function object
-(so that every name bound to it, `from ... import` ones included, runs
-the fault), and names the checks that must fail under it: each is called
-directly under the patch, with its fixtures, and must raise an
-AssertionError or a pytest failure such as a `pytest.raises` that saw
-nothing.  An edit that no longer matches the source fails too, so a
+Each entry of MUTANTS plants one fault in the library and names the
+checks that must fail under it: each is called directly under the patch,
+with its fixtures, and must raise an AssertionError, a pytest failure
+such as a `pytest.raises` that saw nothing, or one of the library's own
+errors (a check inside the library caught the fault first).  Most faults
+edit a function's source text and swap the compiled code into the
+function object (so that every name bound to it, `from ... import` ones
+included, runs the fault); a fault in module-level data replaces that
+data.  An edit that no longer matches the source fails too, so a
 refactor cannot turn a mutant into a silent no-op.
 """
 
@@ -15,32 +17,54 @@ import functools
 import inspect
 import textwrap
 
+import numpy as np
 import pytest
 
-from socialpower import analysis, cli, periodic, topology, verification
+from socialpower import analysis, cli, dynamics, periodic, topology, verification
 from socialpower.dynamics import Trajectory
+from socialpower.errors import SocialPowerError
 import test_acceptance
+import test_analysis
 import test_cli
+import test_closed_forms
+import test_degroot
+import test_dynamics
+import test_format
 import test_periodic
 import test_periodic_properties
-from test_cli import program_file, simulate_config  # noqa: F401  (fixtures)
+import test_stacked
+import test_topology
+from test_cli import near_star_file, program_file, simulate_config  # noqa: F401  (fixtures)
 
 
-def plant(monkeypatch, func, old, new):
-    """Run `func` with the one occurrence of `old` in its source replaced by `new`."""
-    source = textwrap.dedent(inspect.getsource(func))
-    assert source.count(old) == 1, f"{old!r} does not occur once in {func.__qualname__}"
-    namespace = {}
-    code = compile(source.replace(old, new), inspect.getsourcefile(func), "exec",
-                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
-    exec(code, func.__globals__, namespace)
-    monkeypatch.setattr(func, "__code__", namespace[func.__name__].__code__)
+def edit(func, old, new):
+    """The fault: `func` run with the one occurrence of `old` in its source replaced by `new`."""
+
+    def plant(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(func))
+        assert source.count(old) == 1, f"{old!r} does not occur once in {func.__qualname__}"
+        namespace = {}
+        code = compile(source.replace(old, new), inspect.getsourcefile(func), "exec",
+                       flags=__future__.annotations.compiler_flag, dont_inherit=True)
+        exec(code, func.__globals__, namespace)
+        monkeypatch.setattr(func, "__code__", namespace[func.__name__].__code__)
+
+    return plant
 
 
-# mutant name -> (function, source text, its replacement, the checks that kill it)
+def pairs_keep_trailing_zeros(monkeypatch):
+    """The fault: `topology._PAIRS` built without its `&= 0xFF` line, so
+    "10" .. "90" keep the trailing zero that a value's last pair drops."""
+    assert inspect.getsource(topology).count("\n_PAIRS[:100:10] &= 0xFF\n") == 1
+    pairs = topology._PAIRS.copy()
+    pairs[10:100:10] = pairs[110:200:10]
+    monkeypatch.setattr(topology, "_PAIRS", pairs)
+
+
+# mutant name -> (the fault, the checks that kill it)
 MUTANTS = {
     "window from s = burn_in": (
-        Trajectory.post_burn_in, "self.states[burn_in + 1:]", "self.states[burn_in:]", [
+        edit(Trajectory.post_burn_in, "self.states[burn_in + 1:]", "self.states[burn_in:]"), [
             functools.partial(test_cli.TestSimulate().test_counts_states_checked_against_the_bound,
                               issues=21, checked=2),
             test_cli.TestPeriodicCommand().test_run_within_burn_in_rejected,
@@ -49,47 +73,95 @@ MUTANTS = {
             test_periodic.TestVerifyPeriodicLimit().test_last_state_alone_is_compared,
         ]),
     "periodic deviation summed over axis 1": (
-        periodic.verify_periodic_limit, ".sum(axis=-1)", ".sum(axis=1)", [
+        edit(periodic.verify_periodic_limit, ".sum(axis=-1)", ".sum(axis=1)"), [
             functools.partial(test_periodic.TestVerifyPeriodicLimit().test_batch_compares_each_run,
                               issues=12),
             functools.partial(test_periodic.TestVerifyPeriodicLimit().test_batch_compares_each_run,
                               issues=40),
         ]),
     "closing chain residual left at 0": (
-        periodic.periodic_fixed_points, "np.zeros(period - 1), best", "np.zeros(period - 1), 0.0", [
+        edit(periodic.periodic_fixed_points, "np.zeros(period - 1), best", "np.zeros(period - 1), 0.0"), [
             test_periodic.TestPeriodicFixedPoints().test_newton_step_off_the_simplex_stops_the_solve,
             functools.partial(test_periodic_properties.check_chain_residuals,
                               test_periodic_properties.sparse_cycle_program()),
         ]),
     "file written without its truncate()": (
-        topology._write_text, "fh.truncate()", "pass", [
+        edit(topology._write_text, "fh.truncate()", "pass"), [
             test_cli.TestRerun().test_simulate_over_a_longer_run,
         ]),
     "CSV field read by float() alone": (
-        cli._read_csv, "if not _NUMBER.fullmatch(v):", "if False:", [
+        edit(cli._read_csv, "if not _NUMBER.fullmatch(v):", "if False:"), [
             functools.partial(test_cli.TestPlotCommand().test_rejects_a_field_that_is_no_decimal_number,
                               row="1,1,1_0, 0.25", field="x_1", value="1_0"),
         ]),
     "boundary radius times 1.5": (
-        verification.check_boundary_step, "contraction_radii(gamma)[j]", "1.5 * contraction_radii(gamma)[j]", [
+        # capped at 1, so that x_j stays in [0, 1 - r]
+        edit(verification.check_boundary_step, "rng.uniform(0.0, radii[j])",
+             "rng.uniform(0.0, np.minimum(1.5 * radii[j], 1.0))"), [
             test_cli.TestVerifyCommand().test_passes_on_example_group_program,
         ]),
     "jacobian off-diagonal sign flipped": (
-        analysis.jacobian, "J = -(x_next", "J = (x_next", [
+        edit(analysis.jacobian, "J = -(x_next", "J = (x_next"), [
             test_acceptance.test_criterion_6_jacobian_against_finite_differences,
+        ]),
+    "digit pairs keep their trailing zero": (
+        pairs_keep_trailing_zeros, [
+            test_format.test_uniform_states,
+        ]),
+    "contraction margin without column k's own term": (
+        edit(analysis.contraction_margin, "np.put_along_axis(margins, k, own, axis=-1)", "pass"), [
+            functools.partial(test_closed_forms.test_margin_matches_transform_chain, n=6, count=200),
+        ]),
+    "periodic phases shifted by one issue": (
+        edit(topology.Periodic.phases, "(np.arange(issues) - 1)", "np.arange(issues)"), [
+            test_topology.TestSignals().test_periodic_convention_first_issue_uses_last_phase,
+        ]),
+    "df_map with gamma reversed": (
+        edit(dynamics.df_map, "_issue(x, gamma)", "_issue(x, gamma[..., ::-1])"), [
+            test_degroot.TestAppraisalEquivalence().test_matches_closed_form_on_every_fixture_matrix,
+        ]),
+    "simulate without the held-row reset": (
+        edit(dynamics.simulate, "states[:, ~free] = rows[~free]", "pass"), [
+            test_dynamics.TestSimulate().test_vertex_init_is_constant,
+            test_dynamics.TestBatch().test_vertex_rows_constant,
+        ]),
+    "stationary vector on the right": (
+        edit(topology.stationary_vector, "np.swapaxes(matrix, -1, -2)", "matrix"), [
+            test_topology.TestDominantLeftEigenvector().test_c2_matches_dense_eigensolver,
+        ]),
+    "star centre radius by clipping": (
+        edit(analysis.contraction_radii,
+             "np.where(at_star(gamma), 0.0, (1.0 - 2.0 * gamma) / (1.0 - gamma))",
+             "np.maximum((1.0 - 2.0 * gamma) / (1.0 - gamma), 0.0)"), [
+            test_analysis.TestContractionRadii().test_near_star_centre_gives_zero,
+            test_cli.TestAnalyze().test_near_star_centre_has_radius_zero,
+            test_cli.TestVerifyCommand().test_near_star_centre_band_is_not_tested,
+        ]),
+    "boundary factor not bounded by 1/r": (
+        edit(verification.check_boundary_step, "1.0 / np.maximum(r, 2.0 / 3.0)", "1.5"), [
+            functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_keeps_every_draw,
+                              gamma=np.full(30, 1 / 30)),
+        ]),
+    "boundary check draws star centres": (
+        edit(verification.check_boundary_step, "np.flatnonzero(radii > 0)", "np.arange(n)"), [
+            functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_keeps_every_draw,
+                              gamma=np.array([0.5, 0.25, 0.25])),
+            functools.partial(test_stacked.test_checks_match_per_state_references_on_a_star, samples=1),
+            functools.partial(test_cli.TestVerifyCommand().test_boundary_check_tests_a_leaf_of_a_star,
+                              seed=0),
         ]),
 }
 
 CASES = [pytest.param(name, k, id=f"{name}-{k}")
-         for name, (*_, checks) in MUTANTS.items() for k in range(len(checks))]
+         for name, (_, checks) in MUTANTS.items() for k in range(len(checks))]
 
 
 @pytest.mark.parametrize("name, k", CASES)
 def test_mutant_is_killed(name, k, request, monkeypatch):
-    func, old, new, checks = MUTANTS[name]
+    fault, checks = MUTANTS[name]
     check = checks[k]
     needed = [p.name for p in inspect.signature(check).parameters.values() if p.default is p.empty]
     fixtures = {arg: request.getfixturevalue(arg) for arg in needed}
-    plant(monkeypatch, func, old, new)
-    with pytest.raises((AssertionError, pytest.fail.Exception)):
+    fault(monkeypatch)
+    with pytest.raises((AssertionError, pytest.fail.Exception, SocialPowerError)):
         check(**fixtures)

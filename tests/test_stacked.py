@@ -150,27 +150,27 @@ def boundary_keep_reference(x):
 
 
 def boundary_reference(gamma, rng, samples):
-    # the check's blocks of draws, in its order; then one state per draw
+    # the check's blocks of draws, in its order (j among the individuals
+    # with a positive radius, r, the factor bounded so that x_j > 0, the
+    # rest); then one state per draw
     radii = contraction_radii(gamma)
     n = gamma.size
-    js = rng.integers(n, size=samples)
+    js = np.flatnonzero(radii > 0)[rng.integers(np.count_nonzero(radii > 0), size=samples)]
     rs = rng.uniform(0.0, radii[js])
-    scales = rng.uniform(1.0, 1.5, samples)
+    scales = rng.uniform(1.0, 1.0 / np.maximum(rs, 2.0 / 3.0))
     rests = rng.dirichlet(np.ones(n - 1), samples)
     draws = []
     for j, r, scale, rest in zip(js, rs, scales, rests):
-        if radii[j] <= 0:
-            continue
         x_j = 1.0 - r * scale
         draws.append((j, r, np.insert(rest * (1.0 - x_j), j, x_j)))
     j = np.array([d[0] for d in draws], dtype=int)
     r = np.array([d[1] for d in draws])
     x = np.array([d[2] for d in draws]).reshape(-1, n)
     keep = boundary_keep_reference(x)
-    worst = -np.inf
-    if keep.any():
-        mapped = verification._per_sample(lambda x: df_map(x, gamma), x[keep], n)
-        worst = float((mapped[np.arange(len(mapped)), j[keep]] - (1.0 - r[keep])).max())
+    if not keep.any():
+        return CheckResult("boundary_contraction_step", False, np.nan, "no boundary state checked")
+    mapped = verification._per_sample(lambda x: df_map(x, gamma), x[keep], n)
+    worst = float((mapped[np.arange(len(mapped)), j[keep]] - (1.0 - r[keep])).max())
     return CheckResult("boundary_contraction_step", worst < 0, worst)
 
 
@@ -192,12 +192,12 @@ def test_checks_match_per_state_references(n):
 
 @pytest.mark.parametrize("samples", [1, 60])
 def test_checks_match_per_state_references_on_a_star(samples):
-    # gamma = (1/4, 1/4, 1/2): every draw of the centre is skipped, and at
-    # seed 0 the single draw of samples = 1 is the centre
+    # gamma = (1/4, 1/4, 1/2): the centre's band is empty, so it is never
+    # drawn, and even the single draw of samples = 1 tests a leaf
     gamma = validate(star_matrix(3, center=2)).gamma
     assert_matches_references(gamma, samples, seed=0)
-    skipped = check_boundary_step(gamma, np.random.default_rng(0), samples).worst_margin == -np.inf
-    assert skipped == (samples == 1)
+    result = check_boundary_step(gamma, np.random.default_rng(0), samples)
+    assert result.passed and np.isfinite(result.worst_margin)
 
 
 def test_checks_match_per_state_references_across_chunks():

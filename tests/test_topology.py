@@ -91,6 +91,9 @@ class TestValidate:
         ([["0", "0.5", "0.5"], [0.5, 0, 0.5], [0.5, 0.5, 0]], "(1,1) = '0'"),
         ([[0, 0.5, 0.5], [0.5, 0, "0.5"], [0.5, 0.5, 0]], "(2,3) = '0.5'"),
         ([[False, True, False], [False, False, True], [True, False, False]], "(1,1) = False"),
+        # numpy reads these as int64 and float64 arrays
+        ([[0, True, False], [False, 0, True], [True, False, 0]], "(1,2) = True"),
+        ([[0, 0.5, 0.5], [True, 0, False], [0.5, 0.5, 0]], "(2,1) = True"),
     ])
     def test_strings_and_booleans_are_no_numbers(self, bad, entry):
         # float() reads "0.5" and True; the first such entry is named
