@@ -2,9 +2,12 @@
 
 The map sends the power vector x on the simplex to
 alpha(x) * (gamma_i / (1 - x_i))_i, where alpha(x) normalizes the
-result to sum 1.  It divides by zero at a vertex e_i, a fixed point:
-`simulate` holds a row equal to e_i, maps the others in place under each
-issue's eigenvector, and checks every mapped state against the vertex guard.
+result to sum 1.  One kernel, `_issues`, does its arithmetic: it walks a
+list of states and writes each as the map of the one before.  The map
+divides by zero at a vertex e_i, a fixed point: `simulate` maps a whole
+run in one `_issues` call over its state stack (a single start as 1-D
+rows), then resets each row equal to e_i and checks every mapped state
+against the vertex guard.
 """
 
 from __future__ import annotations
@@ -32,14 +35,19 @@ def df_map(x, gamma: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(1.0 - x >= TOLERANCES.vertex_guard):  # a NaN entry fails too
         raise near_vertex_error()
-    return _issue(x, gamma)
+    out = np.empty_like(x)
+    _issues([x, out], [gamma])
+    return out
 
 
-def _issue(x: np.ndarray, gamma: np.ndarray, out=None) -> np.ndarray:
-    """The map's arithmetic, unguarded, into `out` (a new array by default)."""
-    nxt = np.subtract(1.0, x, out=out)
-    np.divide(gamma, nxt, out=nxt)
-    return np.divide(nxt, np.add.reduce(nxt, -1, keepdims=True), out=nxt)
+def _issues(states, gammas) -> None:
+    """The map's arithmetic, unguarded: states[s + 1] is written in place
+    as the map of states[s] under gammas[s]."""
+    subtract, divide, reduce = np.subtract, np.divide, np.add.reduce
+    for now, nxt, gamma in zip(states, states[1:], gammas):  # `out` by position: no keyword parsing
+        subtract(1.0, now, nxt)
+        divide(gamma, nxt, nxt)
+        divide(nxt, reduce(nxt, -1, keepdims=True), nxt)
 
 
 @dataclass(frozen=True)
@@ -130,13 +138,13 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
                               else f"initial condition row {b + 1} {problem}")
         exc.row, exc.problem = b, problem
         raise exc
-    states = np.empty((issues + 1,) + rows.shape)
-    states[0] = rows
+    out = np.empty((issues + 1,) + x.shape)
+    out[0] = x
     # a held row, or a state inside the guard, may divide by zero: the held
-    # rows are reset after the loop, and the check below names the state
+    # rows are reset after the run, and the check below names the state
     with np.errstate(divide="ignore", invalid="ignore"):
-        for s, k in enumerate(signal_log.tolist()):
-            _issue(states[s], gammas[k], states[s + 1])
+        _issues(list(out), [gammas[k] for k in signal_log.tolist()])
+    states = out.reshape((issues + 1,) + rows.shape)  # a view, (S+1, B, n)
     states[:, ~free] = rows[~free]  # held rows stay at their vertex
     near = ~np.all(1.0 - states[:-1] >= TOLERANCES.vertex_guard, axis=-1) & free
     if near.any():
@@ -146,7 +154,7 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
         exc = near_vertex_error(f"{where}issue {s + 1}: ")
         exc.row, exc.issue = b, s + 1
         raise exc
-    return Trajectory(states.reshape((issues + 1,) + x.shape), signal_log)
+    return Trajectory(out, signal_log)
 
 
 def limit_gap(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:

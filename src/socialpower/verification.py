@@ -126,22 +126,26 @@ def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckRes
     is empty), r in [0, r_j), x_j = 1 - r * factor in (0, 1 - r] with the
     factor in [1, min(1.5, 1/r)), the rest from a flat Dirichlet.  A state
     outside `analysis._interior` is skipped; a check that keeps none FAILs.
+    The kept states are mapped, and their margins taken, chunk by chunk.
     """
     n = gamma.size
     radii = contraction_radii(gamma)
     j = rng.choice(np.flatnonzero(radii > 0), samples)
     r = rng.uniform(0.0, radii[j])
     x_j = 1.0 - r * rng.uniform(1.0, 1.0 / np.maximum(r, 2.0 / 3.0))
-    rest = rng.dirichlet(np.ones(n - 1), samples) * (1.0 - x_j)[:, None]
     others = np.arange(n) != j[:, None]
-    x = np.empty((samples, n))
-    x[others] = rest.ravel()
+    x = np.zeros((samples, n))
+    x[others] = rng.dirichlet(np.ones(n - 1), samples).ravel()
+    x *= (1.0 - x_j)[:, None]
     x[~others] = x_j
-    keep = _interior(x)
-    if not keep.any():
+    keep = np.flatnonzero(_interior(x))
+    if not keep.size:
         return CheckResult("boundary_contraction_step", False, np.nan, "no boundary state checked")
-    mapped = _per_sample(lambda x: df_map(x, gamma), x[keep], n)
-    worst = float((mapped[np.arange(len(mapped)), j[keep]] - (1.0 - r[keep])).max())
+
+    def margins(rows):
+        return df_map(x[rows], gamma)[np.arange(len(rows)), j[rows]] - (1.0 - r[rows])
+
+    worst = float(_per_sample(margins, keep, n).max())
     return CheckResult("boundary_contraction_step", worst < 0, worst)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,21 @@ class TestVerificationSuite:
         res = verification.check_boundary_step(gamma, np.random.default_rng(0), 500)
         assert res.passed and len(masks) == 1
         assert masks[0].shape == (500,) and masks[0].all()
+
+    def test_boundary_check_peaks_below_three_state_stacks(self):
+        # the kept states are mapped and reduced chunk by chunk, so neither
+        # a copy of them nor their whole mapped stack is held (the two made
+        # the peak five stacks); numpy reports its arrays to tracemalloc
+        n, samples = 400, 4000
+        gamma = np.random.default_rng(0).dirichlet(np.ones(n))
+        tracemalloc.start()
+        try:
+            res = verification.check_boundary_step(gamma, np.random.default_rng(1), samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passed
+        assert peak <= 3 * samples * n * 8
 
     def test_certificate_fails_on_positive_off_diagonal(self, monkeypatch):
         # a Phi that is symmetric with zero sums but has phi_12 > 0 is no

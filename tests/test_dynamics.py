@@ -33,6 +33,18 @@ def df_map_reference(x, gamma):
     return np.array([s / total for s in scaled])
 
 
+def dense_matrices(n, count):
+    """`count` validated n-node matrices with random positive weights off
+    the diagonal, seeded."""
+    rng = np.random.default_rng(n)
+    matrices = []
+    for _ in range(count):
+        c = rng.random((n, n))
+        np.fill_diagonal(c, 0.0)
+        matrices.append(validate(c / c.sum(axis=1, keepdims=True)))
+    return tuple(matrices)
+
+
 def to_csv_reference(states, signal_log, path):
     # the writer before batching: one run, every row formatted on its own
     n = states.shape[-1]
@@ -217,16 +229,31 @@ class TestBatch:
     ])
     def test_states_equal_a_df_map_loop_bit_for_bit(self, signal):
         # the in-place kernel against one df_map call per issue, for every
-        # row of the batch and for each row run on its own
-        program = TopologyProgram(switching_program_6().matrices, signal)
-        batch = simulate(program, self.BATCH, 300)
-        gammas = program.gammas()
-        for b, row in enumerate(self.BATCH):
-            expected = [row]
-            for k in batch.signal_log:
-                expected.append(row if b == 3 else df_map(expected[-1], gammas[k]))
-            assert np.array_equal(batch.states[:, b], expected)
-            assert np.array_equal(simulate(program, row, 300).states, expected)
+        # row of the batch and for each row run on its own, as (n,) and as
+        # (1, n); on the six-person group and on a 30-node program, since
+        # from n = 8 on numpy sums a row in eight partial sums
+        for program, init in [(TopologyProgram(switching_program_6().matrices, signal), self.BATCH),
+                              (TopologyProgram(dense_matrices(30, 5), signal), self.batch_30())]:
+            batch = simulate(program, init, 300)
+            gammas = program.gammas()
+            for b, row in enumerate(init):
+                held = np.count_nonzero(row) == 1
+                expected = [row]
+                for k in batch.signal_log:
+                    expected.append(row if held else df_map(expected[-1], gammas[k]))
+                assert np.array_equal(batch.states[:, b], expected)
+                assert np.array_equal(simulate(program, row, 300).states, expected)
+                assert np.array_equal(simulate(program, row[None], 300).states[:, 0], expected)
+
+    @staticmethod
+    def batch_30():
+        # Dirichlet starts, a start 1e-6 from e_1, the exact vertex e_3 and a sparse start
+        near = np.full(30, 1e-6 / 29)
+        near[0] = 1 - 1e-6
+        sparse = np.zeros(30)
+        sparse[[4, 17]] = 0.5
+        starts = np.random.default_rng(30).dirichlet(np.full(30, 0.5), 3)
+        return np.vstack([starts, near, np.eye(30)[2], sparse])
 
     def test_guard_names_the_row_even_where_the_map_divides_by_zero(self):
         # one ulp below e_1: the first mapped state rounds to e_1 exactly,

@@ -32,6 +32,7 @@ import test_dynamics
 import test_format
 import test_periodic
 import test_periodic_properties
+import test_simulate_outputs
 import test_stacked
 import test_topology
 from test_cli import near_star_file, program_file, simulate_config  # noqa: F401  (fixtures)
@@ -117,8 +118,14 @@ MUTANTS = {
             test_topology.TestSignals().test_periodic_convention_first_issue_uses_last_phase,
         ]),
     "df_map with gamma reversed": (
-        edit(dynamics.df_map, "_issue(x, gamma)", "_issue(x, gamma[..., ::-1])"), [
+        edit(dynamics.df_map, "_issues([x, out], [gamma])", "_issues([x, out], [gamma[..., ::-1]])"), [
             test_degroot.TestAppraisalEquivalence().test_matches_closed_form_on_every_fixture_matrix,
+        ]),
+    "simulate with the eigenvectors in reverse issue order": (
+        edit(dynamics.simulate, "signal_log.tolist()]", "signal_log.tolist()[::-1]]"), [
+            functools.partial(test_dynamics.TestBatch().test_states_equal_a_df_map_loop_bit_for_bit,
+                              signal=topology.RandomUniform(7)),
+            test_simulate_outputs.test_forgetting_outputs_are_pinned,
         ]),
     "simulate without the held-row reset": (
         edit(dynamics.simulate, "states[:, ~free] = rows[~free]", "pass"), [
