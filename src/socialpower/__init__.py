@@ -2,7 +2,6 @@
 
 from .analysis import (
     ContractionReport,
-    Tolerances,
     contraction_margin,
     contraction_radii,
     convergence_rate,
@@ -21,6 +20,7 @@ from .topology import (
     RandomUniform,
     RelativeInteractionMatrix,
     Scripted,
+    Tolerances,
     TopologyProgram,
     classify_star,
     dominant_left_eigenvector,

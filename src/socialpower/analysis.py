@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import df_map
 from .errors import NearVertex, NoConvergence, StarTopology, ValidationError
-from .topology import TOLERANCES, Tolerances, at_star  # Tolerances is re-exported
+from .topology import TOLERANCES, at_star
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, analyze, periodic, verify, plot.
+"""Command-line front end: simulate, analyze, periodic, verify.
 
 Exit codes: 0 all checks passed, 1 domain/validation failure, 2 IO or
 configuration failure.  Output directory precedence: --out flag, then
@@ -7,13 +7,13 @@ A `simulate` or `periodic` run is set by its config file alone (issues,
 burn-in, seed, starts), read by `_read_config` against the command's
 table of keys, and every threshold comes from `Tolerances`; no flag
 overrides either.  All indices printed or read from files are
-1-based.
+1-based.  Charts come from `simulate` alone, drawn from the states it
+holds in memory when its config sets `"plot": true`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -117,18 +117,6 @@ def _write_report(doc: dict, path: Path) -> str:
     return text
 
 
-def _check_name(name: str, template: str, label: str) -> None:
-    """Reject a run name or CSV stem that cannot name its output file,
-    `template` with <name> replaced, or be drawn in a chart."""
-    # the name becomes a file name and a chart title and legend: XML 1.0
-    # cannot carry a control character, even escaped, and a lone surrogate
-    # cannot be written as UTF-8
-    if any(c in "/\\" or c < " " or "\ud800" <= c <= "\udfff" for c in name):
-        raise ParseError(f"{label} {name!r} contains '/', '\\', a control character or a surrogate")
-    if len(template.replace("<name>", name).encode()) > 255:
-        raise ParseError(f"{label} {name!r} makes {template} longer than 255 bytes")
-
-
 def cmd_simulate(args) -> int:
     program, cfg = _read_config(args.config, _SIMULATE_KEYS)
     inits = cfg["initial_conditions"]
@@ -137,7 +125,14 @@ def cmd_simulate(args) -> int:
     if not inits:
         raise ParseError(f"{args.config}: 'initial_conditions' names no run")
     for name in inits:
-        _check_name(name, "run_<name>.csv", f"{args.config}: run name")
+        # the name becomes a file name and a chart title and legend: XML 1.0
+        # cannot carry a control character, even escaped, and a lone surrogate
+        # cannot be written as UTF-8
+        if any(c in "/\\" or c < " " or "\ud800" <= c <= "\udfff" for c in name):
+            raise ParseError(f"{args.config}: run name {name!r} contains "
+                             "'/', '\\', a control character or a surrogate")
+        if len(f"run_{name}.csv".encode()) > 255:
+            raise ParseError(f"{args.config}: run name {name!r} makes run_<name>.csv longer than 255 bytes")
     issues, burn_in, seed, plot = cfg["issues"], cfg["burn_in"], cfg.get("seed"), cfg["plot"]
     if not isinstance(plot, bool):
         raise ParseError(f"{args.config}: 'plot' must be true or false, got {plot!r}")
@@ -197,8 +192,7 @@ def cmd_simulate(args) -> int:
         report["final_gap"] = float(gap[-1])
     _write_report(report, out / "report.json")
     if plot:
-        s = np.arange(issues + 1, dtype=float)
-        _plot_runs([(out / f"run_{name}.csv", s, run.states) for name, run in zip(names, runs)], out)
+        _plot_runs(names, batch.states, out)
     if bound_checked == 0:
         print(f"warning: burn_in {burn_in} >= issues {issues}: no state was checked "
               "against the equilibrium bound", file=sys.stderr)
@@ -283,85 +277,26 @@ def cmd_verify(args) -> int:
     return 0
 
 
-# a decimal number as `float` reads it, without the blanks, underscores
-# and non-ASCII digits it also accepts; nan and inf pass here and are
-# rejected, with their own message, once read
-_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
-                     re.IGNORECASE)
-
-
-def _read_csv(path):
-    """The rows of a trajectory CSV with header s,p,x_1,...,x_n (n >= 1),
-    every field a finite decimal number."""
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0] if rows else []
-    n = len(header) - 2
-    if len(rows) < 2 or n < 1 or header != ["s", "p"] + [f"x_{i + 1}" for i in range(n)]:
-        raise ParseError(f"{path}: not a trajectory export")
-    if any(len(row) != len(header) for row in rows[1:]):
-        raise ParseError(f"{path}: every row needs {len(header)} fields")
-    for r, row in enumerate(rows[1:]):
-        for c, v in enumerate(row):
-            if not _NUMBER.fullmatch(v):
-                raise ParseError(f"{path}: line {r + 2}: {header[c]} = {v!r} is not a decimal number")
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        r, c = bad[0]
-        raise ParseError(f"{path}: line {r + 2}: {header[c]} = {data[r, c]} is not a finite number")
-    return data
-
-
-def _plot_runs(runs: list, out: Path) -> None:
-    """Chart each run, then the first two runs against each other.
-
-    `runs` lists (csv, s, states): the run's CSV, whose stem names its
-    chart, and states[t], the state at s[t], of shape (len(s), n).  The
-    first two runs' n and every chart's ranges are checked before any
-    chart is written.
-    """
-    widths = [states.shape[1] for _, _, states in runs[:2]]
-    if widths[-1] != widths[0]:
-        raise ParseError(f"{Path(runs[1][0]).stem} has {widths[1]} states per row, "
-                         f"{Path(runs[0][0]).stem} has {widths[0]}: no comparison chart")
-    charts = []  # (chart path, series, title, the CSVs it draws)
-    for csv_path, s, states in runs:
-        stem = Path(csv_path).stem
-        series = {f"x_{i + 1}": (s, states[:, i], False) for i in range(states.shape[1])}
-        charts.append((out / f"{stem}.svg", series, f"Social power evolution: {stem}", [csv_path]))
-    if len(runs) >= 2:
-        (csv_a, s_a, a), (csv_b, s_b, b) = runs[:2]
-        n = a.shape[1]
+def _plot_runs(names: list, states: np.ndarray, out: Path) -> None:
+    """Chart each run as run_<name>.svg, then the first two runs against
+    each other as comparison.svg; run b's state at issue s is
+    states[s, b]."""
+    s = np.arange(states.shape[0], dtype=float)
+    n = states.shape[-1]
+    stems = [f"run_{name}" for name in names]
+    charts = [({f"x_{i + 1}": (s, states[:, b, i], False) for i in range(n)},
+               out / f"{stem}.svg", f"Social power evolution: {stem}") for b, stem in enumerate(stems)]
+    if len(names) >= 2:
         series = {}
         for i in sorted({0, n // 2, n - 1}):
-            series[f"{Path(csv_a).stem} x_{i + 1}"] = (s_a, a[:, i], False)
-            series[f"{Path(csv_b).stem} x_{i + 1}"] = (s_b, b[:, i], True)
-        charts.append((out / "comparison.svg", series, "Initial-condition comparison", [csv_a, csv_b]))
-    for _, series, _, sources in charts:
-        try:
-            svg.frame(series)
-        except ValueError as exc:
-            raise ParseError(f"{' and '.join(map(str, sources))}: {exc}") from exc
-    for chart, series, title, _ in charts:
+            series[f"{stems[0]} x_{i + 1}"] = (s, states[:, 0, i], False)
+            series[f"{stems[1]} x_{i + 1}"] = (s, states[:, 1, i], True)
+        charts.append((series, out / "comparison.svg", "Initial-condition comparison"))
+    for series, chart, title in charts:
         svg.line_chart(series, chart, title)
         print(f"wrote {chart}")
-    if len(runs) < 2:
+    if len(names) < 2:
         print("single run: comparison chart skipped")
-
-
-def cmd_plot(args) -> int:
-    for k, path in enumerate(args.csvs):
-        _check_name(Path(path).stem, "<name>.svg", f"{path}: file stem")
-        if len(args.csvs) >= 2 and Path(path).stem == "comparison":
-            raise ParseError(f"{path} would be charted as comparison.svg, "
-                             "which the comparison chart overwrites")
-        for earlier in args.csvs[:k]:
-            if Path(earlier).stem == Path(path).stem:
-                raise ParseError(f"{earlier} and {path} would both be charted as {Path(path).stem}.svg")
-    tables = [_read_csv(path) for path in args.csvs]
-    _plot_runs([(path, t[:, 0], t[:, 2:]) for path, t in zip(args.csvs, tables)], _out_dir(args))
-    return 0
 
 
 def main(argv=None) -> int:
@@ -391,11 +326,6 @@ def main(argv=None) -> int:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("plot", help="render trajectory CSVs as SVG charts")
-    p.add_argument("csvs", nargs="+")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_plot)
 
     args = parser.parse_args(argv)
     try:

@@ -33,7 +33,7 @@ def df_map(x, gamma: np.ndarray) -> np.ndarray:
     exactly as it would be on its own.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(1.0 - x >= TOLERANCES.vertex_guard):  # a NaN entry fails too
+    if not np.all(1.0 - x.max(axis=-1) >= TOLERANCES.vertex_guard):  # a NaN entry fails too
         raise near_vertex_error()
     out = np.empty_like(x)
     _issues([x, out], [gamma])
@@ -146,7 +146,7 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
         _issues(list(out), [gammas[k] for k in signal_log.tolist()])
     states = out.reshape((issues + 1,) + rows.shape)  # a view, (S+1, B, n)
     states[:, ~free] = rows[~free]  # held rows stay at their vertex
-    near = ~np.all(1.0 - states[:-1] >= TOLERANCES.vertex_guard, axis=-1) & free
+    near = ~(1.0 - states[:-1].max(axis=-1) >= TOLERANCES.vertex_guard) & free
     if near.any():
         # mapping states[s] is issue s + 1; a batch also names the row
         s, b = np.argwhere(near)[0].tolist()

@@ -7,7 +7,6 @@ import pytest
 import socialpower
 from socialpower import analysis, errors, verification
 from socialpower.analysis import (
-    Tolerances,
     contraction_radii,
     convergence_rate,
     equilibrium_upper_bound,
@@ -17,7 +16,13 @@ from socialpower.analysis import (
     vertex_stability,
 )
 from socialpower.dynamics import df_map
-from socialpower.topology import TOLERANCES, dominant_left_eigenvector, max_gamma_profile, validate
+from socialpower.topology import (
+    TOLERANCES,
+    Tolerances,
+    dominant_left_eigenvector,
+    max_gamma_profile,
+    validate,
+)
 from socialpower.verification import (
     check_contraction_certificates,
     finite_difference_jacobian,

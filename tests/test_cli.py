@@ -239,6 +239,13 @@ class TestSimulate:
             main(["simulate", "--config", str(simulate_config), "--out", str(tmp_path), "--tol", "1"])
         assert exc.value.code == 2
 
+    def test_plot_command_removed(self, tmp_path, capsys):
+        # simulate draws the charts from its own run; argparse rejects `plot`
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", str(tmp_path / "run_hat.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'plot'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["x/y", "x\\y", "x\0y", "a\x01b", "a\tb", "a\ud800b"])
     def test_run_name_that_is_no_file_name_rejected(self, simulate_config, tmp_path, capsys, name):
         # the run becomes run_<name>.csv: checked with the config, before any file
@@ -281,6 +288,17 @@ class TestSimulate:
                  for chart in ("run_a&b<c.svg", "comparison.svg")}
         assert "Social power evolution: run_a&b<c" in texts["run_a&b<c.svg"]
         assert "run_a&b<c x_1" in texts["comparison.svg"]
+
+    def test_single_run_skips_comparison(self, simulate_config, tmp_path, capsys):
+        doc = json.loads(simulate_config.read_text())
+        doc["plot"] = True
+        del doc["initial_conditions"]["tilde"]
+        simulate_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [f"wrote {out / 'run_hat.svg'}",
+                                                            "single run: comparison chart skipped"]
+        assert sorted(p.name for p in out.glob("*.svg")) == ["run_hat.svg"]
 
     def test_env_var_out_dir(self, simulate_config, tmp_path, monkeypatch):
         env_out = tmp_path / "envout"
@@ -795,17 +813,6 @@ class TestFileNamesInErrors:
     def assert_escaped(err):
         assert "\\x1b" in err and "\x1b" not in err
 
-    def test_plot_stem(self, tmp_path, capsys):
-        assert main(["plot", str(tmp_path / f"{self.NAME}.csv"), "--out", str(tmp_path / "plots")]) == 2
-        self.assert_escaped(capsys.readouterr().err)
-
-    def test_plot_csv(self, tmp_path, capsys):
-        directory = tmp_path / self.NAME
-        directory.mkdir()
-        (directory / "run_bad.csv").write_text("s,p,x_1\n0,0,half\n")
-        assert main(["plot", str(directory / "run_bad.csv"), "--out", str(tmp_path / "plots")]) == 2
-        self.assert_escaped(capsys.readouterr().err)
-
     @pytest.mark.parametrize("text", ["{", "[]"])  # a JSON error; no program
     def test_program_file(self, tmp_path, capsys, text):
         path = tmp_path / f"{self.NAME}.json"
@@ -825,194 +832,3 @@ class TestFileNamesInErrors:
         assert main(["analyze", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
-
-class TestPlotCommand:
-    def test_charts_from_csvs(self, simulate_config, tmp_path, capsys):
-        out = tmp_path / "out"
-        main(["simulate", "--config", str(simulate_config), "--out", str(out)])
-        plots = tmp_path / "plots"
-        code = main([
-            "plot", str(out / "run_hat.csv"), str(out / "run_tilde.csv"),
-            "--out", str(plots),
-        ])
-        assert code == 0
-        assert (plots / "run_hat.svg").exists()
-        assert (plots / "run_tilde.svg").exists()
-        assert (plots / "comparison.svg").exists()
-        assert (plots / "comparison.svg").read_text().startswith("<svg")
-
-    def test_single_run_skips_comparison(self, simulate_config, tmp_path, capsys):
-        out = tmp_path / "out"
-        main(["simulate", "--config", str(simulate_config), "--out", str(out)])
-        plots = tmp_path / "plots"
-        assert main(["plot", str(out / "run_hat.csv"), "--out", str(plots)]) == 0
-        assert "comparison chart skipped" in capsys.readouterr().out
-        assert not (plots / "comparison.svg").exists()
-
-    @pytest.mark.parametrize("body", ["s,p,x_1\n0,0,0.5\n1,1\n", "s,p,x_1\n0,0,half\n"])
-    def test_rejects_malformed_rows(self, tmp_path, capsys, body):
-        path = tmp_path / "run_bad.csv"
-        path.write_text(body)
-        assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 2
-        assert "run_bad.csv" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("header", ["s,p", "s,p,x_2", "s,p,y_1", "s,p,x_1,x_1", "s,p,x_1,s"])
-    def test_header_must_be_s_p_then_x_1_to_x_n(self, tmp_path, capsys, header):
-        path = tmp_path / "run_bad.csv"
-        path.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
-        assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {path}: not a trajectory export\n"
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("row, field, value", [
-        ("1,1,nan,0.5", "x_1", "nan"),
-        ("1,1,0.5,inf", "x_2", "inf"),
-        ("-inf,1,0.5,0.5", "s", "-inf"),
-    ])
-    def test_rejects_non_finite_field(self, tmp_path, capsys, row, field, value):
-        path = tmp_path / "run_bad.csv"
-        path.write_text(f"s,p,x_1,x_2\n0,0,0.5,0.5\n{row}\n")
-        plots = tmp_path / "plots"
-        assert main(["plot", str(path), "--out", str(plots)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {path}: line 3: {field} = {value} is not a finite number\n"
-        assert captured.out == ""
-        assert not list(plots.glob("*.svg"))
-
-    @pytest.mark.parametrize("row, field, value", [
-        ("1,1,1_0, 0.25", "x_1", "1_0"),  # float() reads 10.0 and 0.25
-        ("1,1,0.75, 0.25", "x_2", " 0.25"),
-        ("1,1,0.75,0.25 ", "x_2", "0.25 "),
-        ("1,1,0.75,\u0660.25", "x_2", "\u0660.25"),  # an Arabic-Indic zero
-        ("1,1,0.75,", "x_2", ""),
-        ("0x1,1,0.75,0.25", "s", "0x1"),
-    ])
-    def test_rejects_a_field_that_is_no_decimal_number(self, tmp_path, capsys, row, field, value):
-        path = tmp_path / "run_bad.csv"
-        path.write_text(f"s,p,x_1,x_2\n0,0,0.5,0.5\n{row}\n")
-        plots = tmp_path / "plots"
-        assert main(["plot", str(path), "--out", str(plots)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {path}: line 3: {field} = {value!r} is not a decimal number\n"
-        assert captured.out == ""
-        assert not plots.exists()
-
-    def test_reads_every_decimal_form(self, tmp_path):
-        path = tmp_path / "run_forms.csv"
-        path.write_text("s,p,x_1,x_2\n0,0,.5,5.\n+1,1,1E-3,-0.0\n2,2,2.5e+0,0.125\n")
-        assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 0
-
-    def test_comparison_needs_equal_widths(self, simulate_config, tmp_path, capsys):
-        out = tmp_path / "out"
-        main(["simulate", "--config", str(simulate_config), "--out", str(out)])
-        small = tmp_path / "run_small.csv"
-        small.write_text("s,p,x_1,x_2,x_3\n0,0,0.2,0.3,0.5\n1,1,0.3,0.3,0.4\n")
-        plots = tmp_path / "plots"
-        assert main(["plot", str(out / "run_hat.csv"), str(small), "--out", str(plots)]) == 2
-        assert "run_small has 3 states per row, run_hat has 6" in capsys.readouterr().err
-        assert not list(plots.glob("*.svg"))
-
-    def test_later_bad_csv_rejected_before_any_chart(self, tmp_path, capsys):
-        good, bad = tmp_path / "run_good.csv", tmp_path / "run_bad.csv"
-        good.write_text("s,p,x_1,x_2\n0,0,0.5,0.5\n1,1,0.4,0.6\n")
-        bad.write_text("s,p,x_1,x_2\n0,0,0.5,0.5\n1,1,nan,0.5\n")
-        plots = tmp_path / "plots"
-        assert main(["plot", str(good), str(bad), "--out", str(plots)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {bad}: line 3: x_1 = nan is not a finite number\n"
-        assert captured.out == ""
-        assert not list(plots.glob("*.svg"))
-
-    @pytest.mark.parametrize("rows", [
-        "0,0,1e308\n1,1,-1e308\n",  # the x range overflows
-        "1e17,0,0.5\n1e17,1,0.25\n",  # s + 1 rounds to s: no s range
-    ])
-    def test_rejects_ranges_that_cannot_be_charted(self, tmp_path, capsys, rows):
-        path = tmp_path / "run_wide.csv"
-        path.write_text("s,p,x_1\n" + rows)
-        plots = tmp_path / "plots"
-        assert main(["plot", str(path), "--out", str(plots)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {path}: cannot chart s from ")
-        assert captured.err.endswith(": a span is zero or overflows\n")
-        assert captured.out == ""
-        assert not list(plots.glob("*.svg"))
-
-    def test_rejects_a_comparison_whose_range_overflows(self, tmp_path, capsys):
-        paths = [tmp_path / "run_high.csv", tmp_path / "run_low.csv"]
-        paths[0].write_text("s,p,x_1\n0,0,1e308\n1,1,1e308\n")
-        paths[1].write_text("s,p,x_1\n0,0,-1e308\n1,1,-1e308\n")
-        plots = tmp_path / "plots"
-        assert main(["plot", *map(str, paths), "--out", str(plots)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {paths[0]} and {paths[1]}: cannot chart ")
-        assert not list(plots.glob("*.svg"))
-        # each run alone charts
-        for path in paths:
-            assert main(["plot", str(path), "--out", str(plots)]) == 0
-
-    def test_rejects_non_trajectory_csv(self, tmp_path):
-        path = tmp_path / "junk.csv"
-        path.write_text("a,b\n1,2\n")
-        assert main(["plot", str(path)]) == 2
-
-    def test_rejects_two_csvs_with_one_chart_name(self, tmp_path, capsys):
-        paths = [tmp_path / "a" / "run_hat.csv", tmp_path / "b" / "run_hat.csv"]
-        for path in paths:
-            path.parent.mkdir()
-            path.write_text("s,p,x_1,x_2,x_3\n0,0,0.2,0.3,0.5\n1,1,0.3,0.3,0.4\n")
-        plots = tmp_path / "plots"
-        assert main(["plot", *map(str, paths), "--out", str(plots)]) == 2
-        captured = capsys.readouterr()
-        assert f"{paths[0]} and {paths[1]} would both be charted as run_hat.svg" in captured.err
-        assert captured.out == ""
-        assert not plots.exists()
-
-    @pytest.mark.parametrize("stem", ["c\x01", "r\udcff"])  # a control character; the byte 0xff
-    def test_rejects_a_stem_that_no_chart_can_carry(self, simulate_config, tmp_path, capsys, stem):
-        out = tmp_path / "out"
-        main(["simulate", "--config", str(simulate_config), "--out", str(out)])
-        path = tmp_path / f"{stem}.csv"
-        path.write_bytes((out / "run_hat.csv").read_bytes())
-        plots = tmp_path / "plots"
-        capsys.readouterr()
-        sys.stderr.reconfigure(errors="backslashreplace")  # as the interpreter's own stderr
-        assert main(["plot", str(out / "run_tilde.csv"), str(path), "--out", str(plots)]) == 2
-        captured = capsys.readouterr()
-        shown = str(path).replace("\x01", "\\x01")  # the name's control character escaped
-        message = (f"error: {shown}: file stem {stem!r} contains "
-                   "'/', '\\', a control character or a surrogate\n")
-        assert captured.err == message.encode("utf-8", "backslashreplace").decode()
-        assert captured.out == ""
-        assert not plots.exists()
-
-    @pytest.mark.parametrize("length, code", [(251, 0), (252, 2)])
-    def test_stem_bounded_by_a_file_name(self, tmp_path, capsys, length, code):
-        # <stem>.svg may take the 255 bytes a file name has, and no more; a
-        # CSV whose suffix is shorter than ".svg" can have a longer stem
-        paths = [tmp_path / "run_good.csv", tmp_path / ("a" * length + ".c")]
-        for path in paths:
-            path.write_text("s,p,x_1,x_2\n0,0,0.5,0.5\n1,1,0.4,0.6\n")
-        plots = tmp_path / "plots"
-        assert main(["plot", *map(str, paths), "--out", str(plots)]) == code
-        if code == 0:
-            assert (plots / f"{paths[1].stem}.svg").exists()
-        else:
-            assert capsys.readouterr().err == (f"error: {paths[1]}: file stem {paths[1].stem!r} makes "
-                                               "<name>.svg longer than 255 bytes\n")
-            assert not plots.exists()
-
-    def test_rejects_a_run_charted_as_the_comparison(self, tmp_path, capsys):
-        paths = [tmp_path / "comparison.csv", tmp_path / "run_b.csv"]
-        for path in paths:
-            path.write_text("s,p,x_1,x_2,x_3\n0,0,0.2,0.3,0.5\n1,1,0.3,0.3,0.4\n")
-        plots = tmp_path / "plots"
-        assert main(["plot", *map(str, paths), "--out", str(plots)]) == 2
-        captured = capsys.readouterr()
-        assert f"{paths[0]} would be charted as comparison.svg" in captured.err
-        assert captured.out == ""
-        assert not plots.exists()
-        # alone it draws no comparison, so nothing collides
-        assert main(["plot", str(paths[0]), "--out", str(plots)]) == 0
-        assert (plots / "comparison.svg").exists()

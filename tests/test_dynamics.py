@@ -12,6 +12,7 @@ from socialpower.dynamics import (
     simulate,
 )
 from socialpower.topology import (
+    TOLERANCES,
     Constant,
     Periodic,
     RandomUniform,
@@ -75,6 +76,19 @@ class TestDfMap:
     def test_overflow_guard(self):
         with pytest.raises(errors.NearVertex, match="state within 1e-14 of a vertex"):
             df_map(np.array([1 - 1e-15, 1e-15, 0.0]), GAMMA_EXAMPLE)
+
+    @pytest.mark.parametrize("toward, rejected", [(0.0, False), (1.0, True)])
+    def test_guard_edge_in_the_last_column_of_a_later_row(self, toward, rejected):
+        # one ulp below 1 - vertex_guard, 1 - x_3 clears the guard; one ulp above, it does not
+        edge = np.nextafter(1 - TOLERANCES.vertex_guard, toward)
+        x = np.array([[0.2, 0.5, 0.3], [0.3, 0.3, 0.4], [0.0, 1 - edge, edge]])
+        if rejected:
+            with pytest.raises(errors.NearVertex, match="state within 1e-14 of a vertex"):
+                df_map(x, GAMMA_EXAMPLE)
+        else:
+            mapped = df_map(x, GAMMA_EXAMPLE)
+            for row, out in zip(x, mapped):
+                assert np.array_equal(out, df_map(row, GAMMA_EXAMPLE))
 
     def test_nan_entry_rejected(self):
         with pytest.raises(errors.NearVertex, match="state within 1e-14 of a vertex"):
@@ -244,6 +258,22 @@ class TestBatch:
                 assert np.array_equal(batch.states[:, b], expected)
                 assert np.array_equal(simulate(program, row, 300).states, expected)
                 assert np.array_equal(simulate(program, row[None], 300).states[:, 0], expected)
+
+    @pytest.mark.parametrize("toward, rejected", [(0.0, False), (1.0, True)])
+    def test_guard_edge_in_the_last_column_of_a_later_row(self, toward, rejected):
+        # the third run starts one ulp either side of 1 - vertex_guard in x_6
+        program = TopologyProgram(switching_program_6().matrices, Constant(0))
+        edge = np.nextafter(1 - TOLERANCES.vertex_guard, toward)
+        near = np.zeros(6)
+        near[0], near[5] = 1 - edge, edge
+        init = np.vstack([self.BATCH[:2], near])
+        if rejected:
+            with pytest.raises(errors.NearVertex, match="^initial condition row 3, issue 1: ") as info:
+                simulate(program, init, 3)
+            assert (info.value.row, info.value.issue) == (2, 1)
+        else:
+            states = simulate(program, init, 3).states
+            assert np.isfinite(states).all() and np.all(states[1:, 2, 5] < edge)
 
     @staticmethod
     def batch_30():

@@ -20,7 +20,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from socialpower import analysis, cli, dynamics, periodic, topology, verification
+from socialpower import analysis, dynamics, periodic, topology, verification
 from socialpower.dynamics import Trajectory
 from socialpower.errors import SocialPowerError
 import test_acceptance
@@ -90,11 +90,6 @@ MUTANTS = {
         edit(topology._write_text, "fh.truncate()", "pass"), [
             test_cli.TestRerun().test_simulate_over_a_longer_run,
         ]),
-    "CSV field read by float() alone": (
-        edit(cli._read_csv, "if not _NUMBER.fullmatch(v):", "if False:"), [
-            functools.partial(test_cli.TestPlotCommand().test_rejects_a_field_that_is_no_decimal_number,
-                              row="1,1,1_0, 0.25", field="x_1", value="1_0"),
-        ]),
     "boundary radius times 1.5": (
         # capped at 1, so that x_j stays in [0, 1 - r]
         edit(verification.check_boundary_step, "rng.uniform(0.0, radii[j])",
@@ -126,6 +121,18 @@ MUTANTS = {
             functools.partial(test_dynamics.TestBatch().test_states_equal_a_df_map_loop_bit_for_bit,
                               signal=topology.RandomUniform(7)),
             test_simulate_outputs.test_forgetting_outputs_are_pinned,
+        ]),
+    "df_map guard reads x.min": (
+        edit(dynamics.df_map, "x.max(axis=-1)", "x.min(axis=-1)"), [
+            test_dynamics.TestDfMap().test_overflow_guard,
+            functools.partial(test_dynamics.TestDfMap().test_guard_edge_in_the_last_column_of_a_later_row,
+                              toward=1.0, rejected=True),
+        ]),
+    "simulate guard reads x.min": (
+        edit(dynamics.simulate, "states[:-1].max(axis=-1)", "states[:-1].min(axis=-1)"), [
+            test_dynamics.TestBatch().test_near_vertex_row_named_with_its_issue,
+            functools.partial(test_dynamics.TestBatch().test_guard_edge_in_the_last_column_of_a_later_row,
+                              toward=1.0, rejected=True),
         ]),
     "simulate without the held-row reset": (
         edit(dynamics.simulate, "states[:, ~free] = rows[~free]", "pass"), [
