@@ -29,6 +29,7 @@ from .topology import (
     TOLERANCES,
     RandomUniform,
     TopologyProgram,
+    _double,
     _format_rows,
     _integer,
     _read_json,
@@ -100,7 +101,7 @@ def _parse_init(spec, n: int, label: str, path) -> np.ndarray:
         raise ParseError(f'{path}: {label} must be a flat list of numbers or "vertex:k", got {spec!r}')
     if len(spec) != n:
         raise ValidationError(f"{label} has shape ({len(spec)},), expected ({n},)")
-    return np.array(spec, dtype=float)
+    return np.array([_double(v) for v in spec])  # an integer beyond the double range is inf
 
 
 def _json_default(obj):

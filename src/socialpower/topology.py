@@ -3,9 +3,10 @@
 An interaction matrix is row-stochastic with zero diagonal and an
 irreducible support graph.  Its dominant left eigenvector encodes
 eigenvector centrality of trust and drives the social power map; it is
-solved for once, when the matrix is validated, and stored on it.  This
-module, at the bottom of the package's imports, also holds its one
-writer of doubles, `_format_rows`, and its one file writer, `_write_text`.
+solved for once per program, when the program's matrices are validated
+as one stack, and stored on each matrix.  This module, at the bottom of
+the package's imports, also holds its one writer of doubles,
+`_format_rows`, and its one file writer, `_write_text`.
 """
 
 from __future__ import annotations
@@ -117,20 +118,15 @@ def stationary_vector(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelativeInteractionMatrix:
-    """Validated row-stochastic, zero-diagonal, irreducible matrix.
+    """Validated row-stochastic, zero-diagonal, irreducible matrix with
+    its dominant left eigenvector `gamma`, both read-only.
 
-    `gamma`, its dominant left eigenvector, is solved for on construction
-    and stored read-only, like `entries`.
+    Validation supplies `gamma`, solved for once per program: nothing but
+    `validate` and `load_program` builds one.
     """
 
     entries: np.ndarray
-    gamma: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-        gamma = stationary_vector(self.entries)
-        gamma.setflags(write=False)
-        object.__setattr__(self, "gamma", gamma)
+    gamma: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -141,71 +137,112 @@ def validate(matrix) -> RelativeInteractionMatrix:
     """Check all structural invariants, raising on the first violation.
 
     Violations are reported in a fixed order: non-numbers (a string or
-    a boolean is none, though `float` reads "0.5" and True), non-finite,
+    a boolean is none, though `float` reads "0.5" and True), non-finite
+    (an integer beyond the double range reads as inf, as 1e999 does),
     dimension, negative entries, diagonal, row sums, irreducibility.
     """
+    return _validated([matrix])[0]
+
+
+def _double(value) -> float:
+    """float(value), or a signed inf for an integer beyond the double range."""
     try:
-        entries = np.array(matrix)  # a copy, frozen below
-        cells = () if entries.dtype.kind in "iuf" else np.ndenumerate(np.array(matrix, dtype=object))
-        if entries.dtype.kind in "iuf" and entries.ndim == 2 and not isinstance(matrix, np.ndarray):
-            # numpy reads a boolean among numbers as 1 or 0: only such an entry can be one
-            rows, cols = np.nonzero((entries == 0) | (entries == 1))
-            cells = [((i, j), matrix[i][j]) for i, j in zip(rows.tolist(), cols.tolist())
-                     if type(matrix[i][j]) in _BOOLEANS]
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
+def _numbers(raw: list) -> np.ndarray:
+    """The matrices of `raw` (nested lists or arrays) as one new float
+    array (K, ...); ValidationError names the first entry that is no
+    number.  One matrix is read on its own, so that numpy words a ragged
+    one as it would for that matrix alone."""
+    try:
+        entries = np.array(raw[0])[None] if len(raw) == 1 else np.array(raw)
+        cells = []
+        if entries.dtype.kind not in "iuf":
+            cells = [(idx[1:], value) for idx, value in np.ndenumerate(np.array(raw, dtype=object))]
+        elif entries.ndim == 3 and not all(isinstance(m, np.ndarray) for m in raw):
+            # numpy reads a boolean among numbers as 1 or 0: only such an entry
+            # can be one, and an array of numbers holds none
+            ks, rows, cols = (a.tolist() for a in np.nonzero((entries == 0) | (entries == 1)))
+            values = [raw[k][i][j] for k, i, j in zip(ks, rows, cols)]
+            if not set(map(type, values)).isdisjoint(_BOOLEANS):
+                cells = zip(zip(rows, cols), values)
         for idx, value in cells:
             if isinstance(value, _BOOLEANS) or not isinstance(value, numbers.Real):
                 where = ",".join(str(i + 1) for i in idx)
                 raise ValueError(f"entry ({where}) = {value!r} is not a number")
-        entries = entries.astype(float, copy=False)
+        if entries.dtype.kind not in "iuf":
+            entries = np.array([_double(v) for _, v in cells]).reshape(entries.shape)
+        return entries.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"matrix is not a rectangular array of numbers: {exc}") from exc
-    finite = np.isfinite(entries)
-    if not np.all(finite):
-        idx = np.argwhere(~finite)[0]
-        where = ",".join(str(i + 1) for i in idx)
-        raise ValidationError(f"entry ({where}) = {entries[tuple(idx)]} is not finite")
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
-    n = entries.shape[0]
-    if n < 3:
-        raise ValidationError(f"need n >= 3, got n = {n}")
-    if np.any(entries < 0):
-        i, j = np.argwhere(entries < 0)[0]
-        raise ValidationError(f"entry ({i + 1},{j + 1}) = {entries[i, j]} is negative")
-    diag = np.diagonal(entries)
-    if np.any(diag != 0.0):
-        i = int(np.argwhere(diag != 0.0)[0, 0])
-        raise ValidationError(f"diagonal entry {i + 1} = {diag[i]} must be exactly 0")
-    row_sums = entries.sum(axis=1)
-    bad = np.abs(row_sums - 1.0) > TOLERANCES.row_sum
-    if np.any(bad):
-        i = int(np.argwhere(bad)[0, 0])
-        raise ValidationError(f"row {i + 1} sums to {row_sums[i]}, expected 1")
-    if not is_irreducible(entries):
-        raise ValidationError("support graph is not strongly connected")
-    return RelativeInteractionMatrix(entries)
 
 
-def is_irreducible(matrix) -> bool:
-    """Strong connectivity of the support graph, decided structurally.
+def _validated(raw: list) -> tuple:
+    """The matrices of `raw`, validated as one (K, n, n) stack: one
+    conversion, one pass per rule of `validate`, one closure and one
+    `stationary_vector` call.  When the stack breaks any rule, or its
+    matrices differ in shape, they are validated one at a time in order,
+    so the first bad one raises its own error.
+    """
+    try:
+        entries = _numbers(raw)
+        finite = np.isfinite(entries)
+        if not finite.all():
+            idx = np.argwhere(~finite)[0]
+            where = ",".join(str(i + 1) for i in idx[1:])
+            raise ValidationError(f"entry ({where}) = {entries[tuple(idx)]} is not finite")
+        if entries.ndim != 3 or entries.shape[1] != entries.shape[2]:
+            raise ValidationError(f"expected a square matrix, got shape {entries.shape[1:]}")
+        n = entries.shape[-1]
+        if n < 3:
+            raise ValidationError(f"need n >= 3, got n = {n}")
+        if (entries < 0).any():
+            k, i, j = np.argwhere(entries < 0)[0]
+            raise ValidationError(f"entry ({i + 1},{j + 1}) = {entries[k, i, j]} is negative")
+        diag = entries.diagonal(axis1=1, axis2=2)
+        if (diag != 0.0).any():
+            k, i = np.argwhere(diag != 0.0)[0]
+            raise ValidationError(f"diagonal entry {i + 1} = {diag[k, i]} must be exactly 0")
+        row_sums = entries.sum(axis=2)
+        bad = np.abs(row_sums - 1.0) > TOLERANCES.row_sum
+        if bad.any():
+            k, i = np.argwhere(bad)[0]
+            raise ValidationError(f"row {i + 1} sums to {row_sums[k, i]}, expected 1")
+        if not is_irreducible(entries).all():
+            raise ValidationError("support graph is not strongly connected")
+        # one matrix is solved on its own, so that a rejection names no stack position
+        gammas = stationary_vector(entries[0] if len(raw) == 1 else entries)
+    except (ValidationError, NoConvergence):
+        if len(raw) == 1:
+            raise
+        return tuple(m for matrix in raw for m in _validated([matrix]))
+    entries.setflags(write=False)
+    gammas.setflags(write=False)
+    return tuple(map(RelativeInteractionMatrix, entries, gammas.reshape(entries.shape[:2])))
 
-    Equivalent to a full SCC decomposition having a single component:
-    node 0 must reach every node along the support pattern and along its
-    transpose.
+
+def is_irreducible(matrix) -> np.ndarray:
+    """Strong connectivity of the support graph, decided structurally; a
+    stack (..., n, n) gives one answer per matrix.
+
+    The support plus the diagonal, as a 0/1 matrix R, is squared with
+    float `@`, whose entries count paths exactly, until every pair is
+    reachable.  After p products R joins every pair linked by a path of
+    at most 2^p edges, and a path needs at most n - 1, so at most
+    ceil(log2(n - 1)) products decide it: 3 for n = 6.
     """
     support = np.asarray(matrix, dtype=float) > TOLERANCES.structural_zero
-
-    def reaches_all(adj):
-        # breadth-first search, one array step per level
-        seen = np.zeros(support.shape[0], dtype=bool)
-        frontier = seen.copy()
-        frontier[0] = True
-        while frontier.any():
-            seen |= frontier
-            frontier = adj[frontier].any(axis=0) & ~seen
-        return bool(seen.all())
-
-    return reaches_all(support) and reaches_all(support.T)
+    n = support.shape[-1]
+    reach = support | np.eye(n, dtype=bool)
+    for _ in range((n - 2).bit_length()):
+        if reach.all():
+            break
+        paths = reach.astype(float)
+        reach = paths @ paths > 0
+    return reach.all(axis=(-2, -1))
 
 
 def classify_star(matrix: RelativeInteractionMatrix) -> int | None:
@@ -519,7 +556,9 @@ def _signal_from_doc(doc) -> object:
 
 def _read_json(path):
     """The JSON document in `path`; a key repeated in any object is a
-    ParseError, where `json` would keep the last value silently."""
+    ParseError, where `json` would keep the last value silently, and so
+    is any text `json` cannot read: malformed, an integer of more digits
+    than Python converts, or nesting deeper than its recursion limit."""
 
     def unique_keys(pairs):
         doc = {}
@@ -532,7 +571,7 @@ def _read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -543,7 +582,7 @@ def load_program(path) -> TopologyProgram:
     raw_matrices = doc["matrices"]
     if not isinstance(raw_matrices, list) or len(raw_matrices) == 0:
         raise ParseError(f"{path}: 'matrices' must be a nonempty list")
-    matrices = tuple(validate(m) for m in raw_matrices)
+    matrices = _validated(raw_matrices)
     n = doc["n"]
     dims = sorted({m.n for m in matrices})
     try:

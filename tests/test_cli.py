@@ -521,6 +521,19 @@ class TestMalformedProgram:
         assert main(["analyze", str(program_file), "--out", str(tmp_path / "out")]) == 1
         assert "expected a square matrix, got shape (6, 5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_the_double_range_is_not_finite(self, program_file, tmp_path, capsys,
+                                                           command, sign):
+        # float() overflows on it; it reads as inf, as 1e999 does
+        self._edit(program_file, lambda doc: doc["matrices"][1][0].__setitem__(1, "BIG"))
+        program_file.write_text(program_file.read_text().replace('"BIG"', sign + "1" + "0" * 400))
+        argv = ["analyze", str(program_file), "--out", str(tmp_path / "out")] if command == "analyze" \
+            else ["verify", str(program_file), "--samples", "5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: entry (1,2) = {sign}inf is not finite\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind, key", [("periodic", "order"), ("scripted", "sequence")])
     def test_index_string_is_not_a_list(self, program_file, tmp_path, capsys, kind, key):
         # "12" would otherwise be split into its characters, indices 1 and 2
@@ -633,6 +646,16 @@ class TestMalformedConfig:
         assert capsys.readouterr().err == f"error: initial condition 'odd' {problem}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_start_with_an_integer_beyond_the_double_range_names_its_run(self, simulate_config, tmp_path,
+                                                                       capsys):
+        # float() overflows on it; it reads as inf, as 1e999 does
+        path = self._rewrite(simulate_config, lambda doc: doc["initial_conditions"].update(
+            odd=[0.5, "BIG", 0, 0, 0, 0]))
+        path.write_text(path.read_text().replace('"BIG"', "1" + "0" * 400))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: initial condition 'odd' entry 2 = inf is not finite\n"
+        assert not (tmp_path / "out").exists()
+
     def test_nested_periodic_initial_condition(self, periodic_setup, tmp_path, capsys):
         path = self._rewrite(periodic_setup, lambda doc: doc.update(
             initial_condition=[doc["initial_condition"]]))
@@ -683,6 +706,38 @@ class TestMalformedConfig:
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {path}: 'program' must be a file name, got 5\n"
+        assert not out.exists()
+
+
+class TestUnreadableJson:
+    """Text that `json` cannot turn into a document is a ParseError that
+    names the file, in program files and config files alike."""
+
+    CASES = {
+        # Python converts no integer of more than 4300 digits; no message
+        # may repr one, which raises the same ValueError
+        "digits": (lambda text: text[:-1] + ', "extra": 1' + "0" * 5000 + "}",
+                   "Exceeds the limit (4300 digits) for integer string conversion"),
+        "nesting": (lambda text: "[" * 100_000 + "]" * 100_000,
+                    "maximum recursion depth exceeded while decoding a JSON array"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("command", ["analyze", "verify", "simulate", "periodic"])
+    def test_parse_error_names_the_file(self, program_file, simulate_config, periodic_setup, tmp_path,
+                                        capsys, command, case):
+        edit, message = self.CASES[case]
+        path = {"analyze": program_file, "verify": program_file,
+                "simulate": simulate_config, "periodic": periodic_setup}[command]
+        path.write_text(edit(path.read_text().rstrip()))
+        out = tmp_path / "out"
+        argv = {"analyze": ["analyze", str(path), "--out", str(out)],
+                "verify": ["verify", str(path), "--samples", "5"]}.get(
+            command, [command, "--config", str(path), "--out", str(out)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not out.exists()
 
 

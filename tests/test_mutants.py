@@ -139,6 +139,31 @@ MUTANTS = {
             test_dynamics.TestSimulate().test_vertex_init_is_constant,
             test_dynamics.TestBatch().test_vertex_rows_constant,
         ]),
+    "closure stops after one product": (
+        edit(topology.is_irreducible, "range((n - 2).bit_length())", "range(1)"), [
+            test_topology.TestIrreducibility().test_cycle_irreducible,
+            functools.partial(test_topology.TestIrreducibility().test_chorded_cycle_is_irreducible, n=6),
+        ]),
+    "irreducible when any pair is reachable": (
+        edit(topology.is_irreducible, ".all(axis=(-2, -1))", ".any(axis=(-2, -1))"), [
+            test_topology.TestIrreducibility().test_triangular_reducible,
+            test_topology.TestIrreducibility().test_block_upper_triangular_is_reducible,
+            functools.partial(test_topology.TestIrreducibility().test_stack_gives_each_matrix_its_own_answer,
+                              n=6),
+        ]),
+    "contraction margin with the largest entry left in S and Q": (
+        edit(analysis.contraction_margin, """    np.put_along_axis(r, k, 0.0, axis=-1)  # from here r_k is out of r
+    s = r.sum(axis=-1, keepdims=True)
+    q = (r * x).sum(axis=-1, keepdims=True)
+    margins = r_k * ((1.0 - x_k) - x) + (1.0 - x) * (s - r) - (q - r * x)
+    own = (r * ((1.0 - x_k) - x)).sum(axis=-1, keepdims=True)
+    np.put_along_axis(margins, k, own, axis=-1)
+""", """    s = r.sum(axis=-1, keepdims=True)
+    q = (r * x).sum(axis=-1, keepdims=True)
+    margins = (1.0 - x) * (s - r) - (q - r * x)
+"""), [
+            test_closed_forms.test_margin_matches_exact_arithmetic_near_every_vertex,
+        ]),
     "stationary vector on the right": (
         edit(topology.stationary_vector, "np.swapaxes(matrix, -1, -2)", "matrix"), [
             test_topology.TestDominantLeftEigenvector().test_c2_matches_dense_eigensolver,

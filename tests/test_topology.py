@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 
@@ -30,6 +31,7 @@ from networks import (
     star_matrix,
     switching_program_6,
 )
+from test_solvers import near_star
 
 
 def reachable_closure(adj):
@@ -101,6 +103,48 @@ class TestValidate:
             validate(bad)
 
 
+def chorded_cycle(n, rng):
+    """0/1 support of a Hamiltonian cycle through the nodes in random
+    order, plus about n random chords, and the cycle's edges."""
+    order = rng.permutation(n)
+    edges = (order, np.roll(order, -1))
+    adj = np.zeros((n, n))
+    adj[edges] = 1.0
+    adj[tuple(rng.integers(0, n, (2, n)))] = 1.0
+    np.fill_diagonal(adj, 0.0)
+    return adj, edges
+
+
+def block_upper_triangular(n, rng):
+    """0/1 support of 2 to 4 diagonal blocks, each a chorded cycle (or a
+    single node), with random edges above the blocks and none below."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(1, min(3, n - 1) + 1), replace=False))
+    adj = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
+        adj[lo:hi, lo:hi] = chorded_cycle(hi - lo, rng)[0] if hi - lo > 1 else 0.0
+    order = rng.permutation(n)  # relabelled, so the blocks are not contiguous
+    return adj[np.ix_(order, order)]
+
+
+def oracle(adj):
+    return bool(reachable_closure(adj > 1e-15).all())
+
+
+def reducible_6():
+    """Two 3-cycles, with one edge from the first to the second only."""
+    m = np.zeros((6, 6))
+    m[:3, :3] = m[3:, 3:] = cycle_matrix(3)
+    m[0, 1] = m[0, 3] = 0.5
+    return m.tolist()
+
+
+def edited(k, i, j, value):
+    """Six-person matrix k + 1 as lists, with entry (i + 1, j + 1) set to `value`."""
+    m = interaction_set_6()[k].tolist()
+    m[i][j] = value
+    return m
+
+
 class TestIrreducibility:
     def test_cycle_irreducible(self):
         assert is_irreducible(interaction_set_6()[0])
@@ -111,8 +155,47 @@ class TestIrreducibility:
     @pytest.mark.parametrize("idx", range(5))
     def test_fixture_matches_closure_oracle(self, idx):
         m = interaction_set_6()[idx]
-        closure = reachable_closure(m > 1e-15)
-        assert is_irreducible(m) == bool(closure.all())
+        assert is_irreducible(m) == oracle(m)
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_chorded_cycle_is_irreducible(self, n):
+        adj, _ = chorded_cycle(n, np.random.default_rng(n))
+        assert is_irreducible(adj) and oracle(adj)
+        # a plain cycle needs the most products: its diameter is n - 1
+        assert is_irreducible(cycle_matrix(n))
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_chorded_cycle_without_a_cycle_edge_matches_oracle(self, n):
+        rng = np.random.default_rng(1000 + n)
+        adj, (tails, heads) = chorded_cycle(n, rng)
+        k = rng.integers(n)
+        adj[tails[k], heads[k]] = 0.0
+        assert is_irreducible(adj) == oracle(adj)
+        assert not is_irreducible(np.roll(np.eye(n), 1, axis=1) * (np.arange(n) != k)[:, None])
+
+    def test_block_upper_triangular_is_reducible(self):
+        rng = np.random.default_rng(7)
+        for n in range(3, 65):
+            adj = block_upper_triangular(n, rng)
+            assert not is_irreducible(adj) and not oracle(adj), n
+
+    def test_near_star_and_dense_are_irreducible(self):
+        rng = np.random.default_rng(8)
+        for n in (4, 6, 30, 64):
+            for adj in (near_star(n, 0.95, rng), rng.random((n, n)) * (1 - np.eye(n)), star_matrix(n)):
+                assert is_irreducible(adj) and oracle(adj), n
+
+    @pytest.mark.parametrize("n", [4, 6, 17, 40])
+    def test_stack_gives_each_matrix_its_own_answer(self, n):
+        rng = np.random.default_rng(n)
+        cycle_less_one = cycle_matrix(n)
+        cycle_less_one[0] = 0.0
+        stack = np.array([chorded_cycle(n, rng)[0], block_upper_triangular(n, rng), cycle_matrix(n),
+                          near_star(n, 0.9, rng), cycle_less_one, rng.random((n, n))])
+        expected = [oracle(adj) for adj in stack]
+        assert expected == [True, False, True, True, False, True]
+        assert is_irreducible(stack).tolist() == expected
+        assert is_irreducible(stack.reshape(2, 3, n, n)).tolist() == [expected[:3], expected[3:]]
 
 
 class TestStarClassification:
@@ -357,12 +440,28 @@ class TestProgramFiles:
             load_program(path)
 
     def test_n_must_match_every_matrix(self, tmp_path):
-        # a 3- and a 4-node matrix: n names the first, not the second
+        # a 3- and a 4-node matrix, each valid, cannot be one stack: n names
+        # the first, not the second
         doc = {"n": 3, "matrices": [star_matrix(3).tolist(), cycle_matrix(4).tolist()],
                "signal": {"kind": "constant", "index": 1}}
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(errors.ParseError, match=r"got 3 for matrices of n = 3, 4"):
+        with pytest.raises(errors.ParseError, match=re.escape(
+                f"{path}: 'n' must be a JSON integer equal to the matrix dimension, "
+                "got 3 for matrices of n = 3, 4")):
+            load_program(path)
+
+    @pytest.mark.parametrize("first, second, message", [
+        # the first matrix breaks a later rule than the second: the first is reported
+        (reducible_6(), edited(1, 0, 1, "0.5"), "^support graph is not strongly connected$"),
+        (edited(0, 0, 5, 1.01), edited(1, 1, 0, -0.25), "^row 1 sums to 1.01, expected 1$"),
+    ])
+    def test_first_bad_matrix_in_file_order_is_reported(self, tmp_path, first, second, message):
+        doc = {"n": 6, "matrices": [first, second, interaction_set_6()[2].tolist()],
+               "signal": {"kind": "constant", "index": 1}}
+        path = tmp_path / "two_bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(errors.ValidationError, match=message):
             load_program(path)
 
     def test_bad_row_sum_in_file(self, tmp_path):
@@ -391,6 +490,35 @@ class TestProgramFiles:
             path = tmp_path / "sig.json"
             save_program(program, path)
             assert load_program(path).signal == signal
+
+
+@pytest.fixture(scope="module")
+def bench_inputs(tmp_path_factory):
+    """The benchmark's generated inputs of all three workloads at seed 1."""
+    spec = importlib.util.spec_from_file_location("bench_generate", EXPERIMENTS.parent / "bench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    root = tmp_path_factory.mktemp("bench_seed_1")
+    for workload in generate.WORKLOADS:
+        generate.generate(workload, 1, root / workload)
+    return root
+
+
+@pytest.mark.parametrize("name", [
+    "experiments/group6_random.json", "experiments/group6_alternating.json",
+    *(f"{w}/{f}_program.json" for w in ("group6-switching", "near-star-solvers", "dense-large")
+      for f in ("random", "periodic")),
+])
+def test_stacked_load_solves_each_gamma_bit_for_bit(bench_inputs, name):
+    # load_program solves a program's matrices as one stack; validate, one at a time
+    path = EXPERIMENTS.parent / name if name.startswith("experiments/") else bench_inputs / name
+    program = load_program(path)
+    raw = json.loads(path.read_text())["matrices"]
+    assert len(program.matrices) == len(raw) >= 2
+    for matrix, one in zip(program.matrices, raw):
+        alone = validate(one)
+        assert matrix.entries.tobytes() == alone.entries.tobytes()
+        assert matrix.gamma.tobytes() == alone.gamma.tobytes()
 
 
 class TestTopologyProgram:
