@@ -93,10 +93,11 @@ def _parse_init(spec, n: int, label: str, path) -> np.ndarray:
     """One start: a flat list of n numbers, or "vertex:k" for the vertex e_k."""
     vertex = re.fullmatch(r"vertex:([0-9]+)", spec) if isinstance(spec, str) else None
     if vertex:
-        k = int(vertex[1])
-        if not 1 <= k <= n:
+        k = vertex[1].lstrip("0") or "0"
+        # more digits than n has is out of range: int() refuses past 4300 digits
+        if len(k) > len(str(n)) or not 1 <= int(k) <= n:
             raise ValidationError(f"{label}: vertex index {k} out of 1..{n}")
-        return np.eye(n)[k - 1]
+        return np.eye(n)[int(k) - 1]
     if not isinstance(spec, list) or any(type(v) not in (int, float) for v in spec):
         raise ParseError(f'{path}: {label} must be a flat list of numbers or "vertex:k", got {spec!r}')
     if len(spec) != n:
@@ -282,16 +283,15 @@ def _plot_runs(names: list, states: np.ndarray, out: Path) -> None:
     """Chart each run as run_<name>.svg, then the first two runs against
     each other as comparison.svg; run b's state at issue s is
     states[s, b]."""
-    s = np.arange(states.shape[0], dtype=float)
     n = states.shape[-1]
     stems = [f"run_{name}" for name in names]
-    charts = [({f"x_{i + 1}": (s, states[:, b, i], False) for i in range(n)},
+    charts = [({f"x_{i + 1}": (states[:, b, i], False) for i in range(n)},
                out / f"{stem}.svg", f"Social power evolution: {stem}") for b, stem in enumerate(stems)]
     if len(names) >= 2:
         series = {}
         for i in sorted({0, n // 2, n - 1}):
-            series[f"{stems[0]} x_{i + 1}"] = (s, states[:, 0, i], False)
-            series[f"{stems[1]} x_{i + 1}"] = (s, states[:, 1, i], True)
+            series[f"{stems[0]} x_{i + 1}"] = (states[:, 0, i], False)
+            series[f"{stems[1]} x_{i + 1}"] = (states[:, 1, i], True)
         charts.append((series, out / "comparison.svg", "Initial-condition comparison"))
     for series, chart, title in charts:
         svg.line_chart(series, chart, title)

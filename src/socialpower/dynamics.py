@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearVertex, ValidationError
-from .topology import TOLERANCES, TopologyProgram, _format_rows, _write_text
+from .topology import ADDRESS_BITS, TOLERANCES, TopologyProgram, _format_rows, _write_text
 
 
 def near_vertex_error(where: str = "") -> NearVertex:
@@ -109,7 +109,8 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
 
     `init` is one initial condition, shape (n,), or a batch, shape
     (B, n), run under the program's one signal realization; the states
-    have shape (issues + 1,) + init.shape.  A row equal to a vertex e_i
+    have shape (issues + 1,) + init.shape, and with the signal log they
+    must fit in 2^47 bytes, else ValidationError.  A row equal to a vertex e_i
     is held there; the first other row that is not admissible (finite,
     0 <= x_i < 1, some x_j > 0) raises ValidationError, and the first
     mapped state within the vertex guard raises NearVertex.  Each names
@@ -118,10 +119,13 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     """
     if issues < 1:
         raise ValidationError("need at least one issue")
+    x = np.asarray(init, dtype=float)
+    if 8 * (issues + 1) * (x.size + 1) > 2 ** ADDRESS_BITS:  # the states and the signal log
+        raise ValidationError(f"issues = {issues} is too large: the run needs more than "
+                              f"2^{ADDRESS_BITS} bytes")
     signal_log = program.realize(issues)
     gammas = program.gammas()
     n = program.n
-    x = np.asarray(init, dtype=float)
     if x.shape[-1:] != (n,) or x.ndim > 2:
         expected = f"({n},)" if x.ndim < 2 else f"(B, {n})"
         raise ValidationError(f"initial condition has shape {x.shape}, expected {expected}")

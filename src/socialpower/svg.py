@@ -32,8 +32,8 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float):
-    """Round tick values across [lo, hi], about six of them; `frame`
-    makes lo < hi. `+ 0.0` turns a -0.0 start into 0.0, which prints "0"."""
+    """Round tick values across [lo, hi], about six of them, for lo < hi.
+    `+ 0.0` turns a -0.0 start into 0.0, which prints "0"."""
     raw = (hi - lo) / 6
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
@@ -54,52 +54,39 @@ def _cents(v: np.ndarray) -> np.ndarray:
     return k.astype(np.int32)
 
 
-def _polylines(pixels: np.ndarray, ends: list) -> list:
-    """Each polyline's `points`: "%.2f,%.2f" of the rows ends[k]:ends[k + 1]
-    of the (m, 2) pixel pairs, joined by spaces."""
+def _polylines(pixels: np.ndarray) -> list:
+    """Each polyline's `points`: "%.2f,%.2f" of the pixel pairs of one
+    series, joined by spaces, for the (series, m, 2) stack `pixels`."""
     q, r = np.divmod(_cents(pixels.ravel()), 100)
     cells = np.empty(len(q), _CELL)
     cells["int"], cells["frac"] = _INTS[q], _FRACS[r]
     cells["sep"][0::2], cells["sep"][1::2] = b",", b" "
     raw = cells.view(np.uint8)
     text = raw[raw != 0].tobytes().decode()
-    # series k's text ends before the space after its last y value
-    stops = np.cumsum(5 + (q >= 10) + (q >= 100))[2 * np.asarray(ends[1:]) - 1].tolist()
+    # each series' text ends before the space after its last y value
+    per_series = 2 * pixels.shape[1]
+    stops = np.cumsum(5 + (q >= 10) + (q >= 100))[per_series - 1::per_series].tolist()
     return [text[a:b - 1] for a, b in zip([0] + stops, stops)]
-
-
-def frame(series: dict):
-    """All s values and all x values of `series`, and the ranges x_lo,
-    x_hi, y_lo, y_hi its chart maps onto the plot box (y padded by 5 %).
-
-    ValueError unless the x span is positive and each range stays finite
-    when widened by half its span: then every pixel lies in the plot box
-    and every tick is finite.
-    """
-    xs = np.concatenate([np.asarray(x, dtype=float) for x, _, _ in series.values()])
-    ys = np.concatenate([np.asarray(y, dtype=float) for _, y, _ in series.values()])
-    x_lo, x_hi = float(xs.min()), float(max(xs.max(), xs.min() + 1))
-    y_lo, y_hi = float(min(ys.min(), 0.0)), float(max(ys.max(), 1e-12))
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-    dx, dy = x_hi - x_lo, y_hi - y_lo
-    # ticks end at most 0.21 spans past a range, 1.21 spans from its start
-    reach = [x_lo - dx / 2, x_hi + dx / 2, 1.5 * dx, y_lo - dy / 2, y_hi + dy / 2, 1.5 * dy]
-    if not (dx > 0 and np.isfinite(reach).all()):
-        raise ValueError(f"cannot chart s from {xs.min():g} to {xs.max():g} against "
-                         f"x from {ys.min():g} to {ys.max():g}: a span is zero or overflows")
-    return xs, ys, x_lo, x_hi, y_lo, y_hi
 
 
 def line_chart(series: dict, path, title: str) -> None:
     """Write one chart of issue s against power x; `series` maps legend
-    label -> (x, y, dashed), and `frame(series)` must accept it."""
-    xs, ys, x_lo, x_hi, y_lo, y_hi = frame(series)
+    label -> (values, dashed), the values at s = 0 ... len - 1, all of
+    one length."""
+    ys = np.array([values for values, _ in series.values()], dtype=float)
+    s = np.arange(ys.shape[1], dtype=float)
+    # simulate's s spans issues >= 1 and its states lie in [0, 1]: no span is
+    # zero or overflows; the 1e-12 floor serves a comparison of two runs held
+    # at a vertex that none of its charted coordinates is
+    x_hi = float(s[-1])
+    y_hi = float(max(ys.max(), 1e-12))
+    pad = 0.05 * y_hi
+    y_lo, y_hi = -pad, y_hi + pad
 
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * pw
+        return _ML + x / x_hi * pw
 
     def py(y):
         return _MT + ph - (y - y_lo) / (y_hi - y_lo) * ph
@@ -111,7 +98,7 @@ def line_chart(series: dict, path, title: str) -> None:
         f'<text x="{_W / 2}" y="22" text-anchor="middle" font-size="15">{_escape(title)}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>',
     ]
-    for tx in _ticks(x_lo, x_hi):
+    for tx in _ticks(0.0, x_hi):
         out.append(
             f'<line x1="{px(tx):.1f}" y1="{_MT + ph}" x2="{px(tx):.1f}" y2="{_MT + ph + 4}" stroke="black"/>'
             f'<text x="{px(tx):.1f}" y="{_MT + ph + 18}" text-anchor="middle">{tx:g}</text>'
@@ -126,9 +113,8 @@ def line_chart(series: dict, path, title: str) -> None:
         f'<text x="18" y="{_MT + ph / 2}" text-anchor="middle" '
         f'transform="rotate(-90 18 {_MT + ph / 2})">x</text>'
     )
-    ends = np.cumsum([0] + [len(x) for x, _, _ in series.values()]).tolist()
-    points = _polylines(np.column_stack((px(xs), py(ys))), ends)
-    for k, ((label, (_, _, dashed)), pts) in enumerate(zip(series.items(), points)):
+    points = _polylines(np.stack(np.broadcast_arrays(px(s), py(ys)), axis=-1))
+    for k, ((label, (_, dashed)), pts) in enumerate(zip(series.items(), points)):
         color = _COLORS[k % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')

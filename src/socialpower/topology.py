@@ -68,6 +68,9 @@ class Tolerances:
 
 
 TOLERANCES = Tolerances()
+# a process on x86-64 addresses 2^47 bytes: a count whose arrays need more
+# is rejected before numpy, which would raise or start to fill memory
+ADDRESS_BITS = 47
 _BOOLEANS = (bool, np.bool_)  # no number, though numpy and `float` read either as 1 or 0
 
 
@@ -277,7 +280,7 @@ class Constant:
 
     def realize(self, issues: int, num_matrices: int) -> np.ndarray:
         if not 0 <= self.index < num_matrices:
-            raise ValidationError(f"constant index {self.index} out of range")
+            raise ValidationError(f"constant index {self.index + 1} out of range 1..{num_matrices}")
         return np.full(issues, self.index, dtype=int)
 
 
@@ -297,10 +300,11 @@ class Periodic:
         return (np.arange(issues) - 1) % len(self.order)
 
     def realize(self, issues: int, num_matrices: int) -> np.ndarray:
-        order = np.asarray(self.order, dtype=int)
-        if order.size < 1 or np.any(order < 0) or np.any(order >= num_matrices):
-            raise ValidationError(f"periodic order {self.order} out of range")
-        return order[self.phases(issues)]
+        # on Python integers: numpy cannot hold one beyond int64
+        if not self.order or not 0 <= min(self.order) <= max(self.order) < num_matrices:
+            order = ", ".join(str(i + 1) for i in self.order)
+            raise ValidationError(f"periodic order [{order}] out of range 1..{num_matrices}")
+        return np.asarray(self.order, dtype=int)[self.phases(issues)]
 
 
 @dataclass(frozen=True)
@@ -310,12 +314,13 @@ class Scripted:
     sequence: tuple
 
     def realize(self, issues: int, num_matrices: int) -> np.ndarray:
-        seq = np.asarray(self.sequence, dtype=int)
-        if seq.size < issues:
-            raise ValidationError(f"scripted signal has {seq.size} entries, need {issues}")
-        if np.any(seq < 0) or np.any(seq >= num_matrices):
-            raise ValidationError("scripted index out of range")
-        return seq[:issues].copy()
+        seq = self.sequence
+        if len(seq) < issues:
+            raise ValidationError(f"scripted signal has {len(seq)} entries, need {issues}")
+        if len(seq) and not 0 <= min(seq) <= max(seq) < num_matrices:  # on Python integers
+            bad = next(i for i in seq if not 0 <= i < num_matrices)
+            raise ValidationError(f"scripted index {bad + 1} out of range 1..{num_matrices}")
+        return np.asarray(seq[:issues], dtype=int)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from .analysis import _interior, contraction_radii, jacobian, transform_chain
 from .degroot import appraisal_step_via_zeta
 from .dynamics import df_map
 from .errors import ValidationError
-from .topology import TOLERANCES, RelativeInteractionMatrix
+from .topology import ADDRESS_BITS, TOLERANCES, RelativeInteractionMatrix
 
 FD_STEP = 1e-7
 # Checks evaluate their samples as stacks, in chunks whose per-sample
@@ -152,6 +152,9 @@ def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000) -> CheckRes
 def run_suite(matrix: RelativeInteractionMatrix, samples: int, seed: int) -> list[CheckResult]:
     if samples < 1:
         raise ValidationError(f"need at least one sample, got samples = {samples}")
+    if 8 * samples * matrix.n > 2 ** ADDRESS_BITS:  # each check holds samples x n floats
+        raise ValidationError(f"samples = {samples} is too large: the samples need more than "
+                              f"2^{ADDRESS_BITS} bytes")
     rng = np.random.default_rng(seed)
     gamma = matrix.gamma
     return [

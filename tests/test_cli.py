@@ -39,6 +39,16 @@ matrix 5 boundary_contraction_step: pass, worst margin -1.687e-03
 SVG = "http://www.w3.org/2000/svg"
 
 
+def exit_and_stderr(argv, capsys):
+    """main's exit code and stderr; an exception escaping main, which the
+    console script would print as a traceback, fails the test."""
+    try:
+        code = main(argv)
+    except Exception as exc:  # noqa: BLE001
+        pytest.fail(f"main raised {type(exc).__name__}: {exc}")
+    return code, capsys.readouterr().err
+
+
 @pytest.fixture
 def program_file(tmp_path):
     path = tmp_path / "program.json"
@@ -299,6 +309,20 @@ class TestSimulate:
         assert capsys.readouterr().out.splitlines()[:2] == [f"wrote {out / 'run_hat.svg'}",
                                                             "single run: comparison chart skipped"]
         assert sorted(p.name for p in out.glob("*.svg")) == ["run_hat.svg"]
+
+    def test_comparison_of_runs_held_off_its_coordinates(self, tmp_path, program_file, capsys):
+        # both runs held at e_2 give x_1 = x_4 = x_6 = 0, the comparison's
+        # coordinates, at every issue: the y axis runs up to the 1e-12 floor
+        config = {"program": "program.json", "issues": 5, "burn_in": 5, "plot": True,
+                  "initial_conditions": {"a": "vertex:2", "b": "vertex:2"}}
+        path = tmp_path / "held.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code, _ = exit_and_stderr(["simulate", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 0
+        ticks = [t.text for t in ET.parse(out / "comparison.svg").iter(f"{{{SVG}}}text")
+                 if t.get("text-anchor") == "end"]
+        assert ticks == ["0", "2e-13", "4e-13", "6e-13", "8e-13", "1e-12"]
 
     def test_env_var_out_dir(self, simulate_config, tmp_path, monkeypatch):
         env_out = tmp_path / "envout"
@@ -634,6 +658,26 @@ class TestMalformedConfig:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digits, shown", [("9" * 5000, "9" * 5000), ("0" * 5000 + "7", "7")],
+                             ids=["nines", "leading-zeros"])
+    def test_vertex_index_beyond_the_digit_limit(self, simulate_config, tmp_path, capsys, digits, shown):
+        # int() refuses a string of more than 4300 digits, leading zeros included
+        path = self._rewrite(simulate_config, lambda doc: doc["initial_conditions"].update(
+            odd="vertex:" + digits))
+        out = tmp_path / "out"
+        code, err = exit_and_stderr(["simulate", "--config", str(path), "--out", str(out)], capsys)
+        assert (code, err) == (1, f"error: initial condition 'odd': vertex index {shown} out of 1..6\n")
+        assert not out.exists()
+
+    def test_vertex_index_with_leading_zeros_beyond_the_digit_limit(self, simulate_config, tmp_path,
+                                                                    capsys):
+        path = self._rewrite(simulate_config, lambda doc: doc.update(
+            burn_in=100, initial_conditions={"odd": "vertex:" + "0" * 5000 + "3"}))
+        out = tmp_path / "out"
+        assert exit_and_stderr(["simulate", "--config", str(path), "--out", str(out)], capsys)[0] == 0
+        last = (out / "run_odd.csv").read_text().splitlines()[-1].split(",")
+        assert [float(v) for v in last[2:]] == [0, 0, 1, 0, 0, 0]
+
     @pytest.mark.parametrize("spec, problem", [
         ([1.0, 0.2, 0, 0, 0, 0], "requires 0 <= x_i < 1 for all i"),
         ([0, 0, 0, 0, 0, 0], "needs at least one x_j > 0"),
@@ -738,6 +782,54 @@ class TestUnreadableJson:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestCountsBeyondTheAddressSpace:
+    """A count whose arrays need more than 2^47 bytes, more than a process
+    can address, exits 1 naming it, where numpy would raise; no smaller
+    count is tried, since numpy might start to fill memory for one."""
+
+    @pytest.mark.parametrize("issues", [10**16, 10**30])
+    def test_simulate_issues(self, simulate_config, tmp_path, capsys, issues):
+        simulate_config.write_text(json.dumps({**json.loads(simulate_config.read_text()), "issues": issues}))
+        out = tmp_path / "out"
+        code, err = exit_and_stderr(["simulate", "--config", str(simulate_config), "--out", str(out)], capsys)
+        assert (code, err) == (1, f"error: issues = {issues} is too large: the run needs more than 2^47 bytes\n")
+        assert not out.exists()
+
+    def test_periodic_issues(self, periodic_setup, tmp_path, capsys):
+        periodic_setup.write_text(json.dumps({**json.loads(periodic_setup.read_text()), "issues": 10**30}))
+        out = tmp_path / "out"
+        code, err = exit_and_stderr(["periodic", "--config", str(periodic_setup), "--out", str(out)], capsys)
+        assert (code, err) == (1, f"error: issues = {10**30} is too large: the run needs more than 2^47 bytes\n")
+        assert not out.exists()
+
+    def test_verify_samples(self, program_file, capsys):
+        code, err = exit_and_stderr(["verify", str(program_file), "--samples", str(10**30)], capsys)
+        assert (code, err) == (1, f"error: samples = {10**30} is too large: the samples need more than "
+                                  "2^47 bytes\n")
+
+
+class TestSignalIndices:
+    """A signal index is checked on the file's Python integer, before numpy
+    sees it, and printed 1-based, as the file writes it."""
+
+    @pytest.mark.parametrize("signal, message", [
+        ({"kind": "periodic", "order": [1, 7]}, "periodic order [1, 7] out of range 1..2"),
+        ({"kind": "periodic", "order": [0, 1]}, "periodic order [0, 1] out of range 1..2"),
+        ({"kind": "constant", "index": 7}, "constant index 7 out of range 1..2"),
+        ({"kind": "periodic", "order": [1, 10**30]}, f"periodic order [1, {10**30}] out of range 1..2"),
+        ({"kind": "scripted", "sequence": [1, 2, 10**30, 5]}, f"scripted index {10**30} out of range 1..2"),
+    ], ids=["order-7", "order-0", "constant-7", "order-huge", "sequence-huge"])
+    def test_out_of_range_index_printed_as_in_the_file(self, tmp_path, capsys, signal, message):
+        doc = json.loads((EXPERIMENTS / "group6_alternating.json").read_text())
+        doc["signal"] = signal
+        path = tmp_path / "program.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, err = exit_and_stderr(["analyze", str(path), "--out", str(out)], capsys)
+        assert (code, err) == (1, f"error: {message}\n")
         assert not out.exists()
 
 

@@ -20,7 +20,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from socialpower import analysis, dynamics, periodic, topology, verification
+from socialpower import analysis, cli, dynamics, periodic, svg, topology, verification
 from socialpower.dynamics import Trajectory
 from socialpower.errors import SocialPowerError
 import test_acceptance
@@ -188,6 +188,41 @@ MUTANTS = {
             functools.partial(test_stacked.test_checks_match_per_state_references_on_a_star, samples=1),
             functools.partial(test_cli.TestVerifyCommand().test_boundary_check_tests_a_leaf_of_a_star,
                               seed=0),
+        ]),
+    "issues bound at numpy's index range": (
+        edit(dynamics.simulate, "> 2 ** ADDRESS_BITS", "> 2 ** 63"), [
+            functools.partial(test_cli.TestCountsBeyondTheAddressSpace().test_simulate_issues, issues=10**16),
+        ]),
+    "samples bound dropped": (
+        edit(verification.run_suite, "if 8 * samples * matrix.n > 2 ** ADDRESS_BITS:", "if False:"), [
+            test_cli.TestCountsBeyondTheAddressSpace().test_verify_samples,
+        ]),
+    "periodic order range read as int64": (
+        edit(topology.Periodic.realize, "min(self.order)", "np.asarray(self.order, dtype=int).min()"), [
+            functools.partial(test_cli.TestSignalIndices().test_out_of_range_index_printed_as_in_the_file,
+                              signal={"kind": "periodic", "order": [1, 10**30]},
+                              message=f"periodic order [1, {10**30}] out of range 1..2"),
+        ]),
+    "scripted range read as int64": (
+        edit(topology.Scripted.realize, "min(seq)", "np.asarray(seq, dtype=int).min()"), [
+            functools.partial(test_cli.TestSignalIndices().test_out_of_range_index_printed_as_in_the_file,
+                              signal={"kind": "scripted", "sequence": [1, 2, 10**30]},
+                              message=f"scripted index {10**30} out of range 1..2"),
+        ]),
+    "periodic order printed 0-based": (
+        edit(topology.Periodic.realize, "str(i + 1) for i in self.order", "str(i) for i in self.order"), [
+            functools.partial(test_cli.TestSignalIndices().test_out_of_range_index_printed_as_in_the_file,
+                              signal={"kind": "periodic", "order": [1, 7]},
+                              message="periodic order [1, 7] out of range 1..2"),
+        ]),
+    "vertex index converted whole": (
+        edit(cli._parse_init, "len(k) > len(str(n)) or ", ""), [
+            functools.partial(test_cli.TestMalformedConfig().test_vertex_index_beyond_the_digit_limit,
+                              digits="9" * 5000, shown="9" * 5000),
+        ]),
+    "chart y range without its floor": (
+        edit(svg.line_chart, "max(ys.max(), 1e-12)", "ys.max()"), [
+            test_cli.TestSimulate().test_comparison_of_runs_held_off_its_coordinates,
         ]),
 }
 
