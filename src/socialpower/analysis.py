@@ -163,7 +163,10 @@ def vertex_stability(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fixed_point(gamma: np.ndarray) -> np.ndarray:
     """Unique interior equilibrium for a non-star eigenvector.
 
-    The equilibrium satisfies x_i (1 - x_i) = c gamma_i (Jia,
+    `gamma` must be one vector of finite entries > 0 that sums to 1
+    within `Tolerances.structure`, else ValidationError names the
+    problem; a star centre (`at_star`) raises StarTopology.  The
+    equilibrium satisfies x_i (1 - x_i) = c gamma_i (Jia,
     Mirtabatabaei, Friedkin & Bullo, SIAM Review 2015).  With
     k = argmax gamma, u = x_k and rho = gamma/gamma_k, every other entry
     is x_i = (1 - sqrt(D_i))/2 with D_i = 1 - 4u(1 - u)rho_i >= (1 - 2u)^2,
@@ -172,31 +175,53 @@ def fixed_point(gamma: np.ndarray) -> np.ndarray:
     bracket, bisecting whenever a step leaves it, until the next iterate
     repeats u or a bracket end.  x is accepted only if its residual
     ||F(x) - x||_1 is at most `Tolerances.fixed_point`.
+
+    The iteration runs on Python floats under one error-state context,
+    entered once rather than once a step.  Only the division by the
+    slope stays numpy's: a tie rho_i = 1 at u = 1/2 makes the slope 0/0
+    and a zero slope makes the step infinite, and either non-finite step
+    bisects, where a float division would raise ZeroDivisionError.  The
+    same context makes a gamma whose sum overflows a rejection, not a
+    warning.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if at_star(gamma).any():
-        raise StarTopology("no interior fixed point for a star topology")
-    k = int(np.argmax(gamma))
-    rho = np.delete(gamma, k) / gamma[k]
-    lo, hi = 0.0, 1.0
-    u = gamma[k] / (1.0 - gamma[k])
-    while True:
-        # D_i as a sum of nonnegative terms, and x_i in a form where a
-        # small entry does not cancel
-        p = u * (1.0 - u)
-        root = np.sqrt((1.0 - 2.0 * u) ** 2 + 4.0 * p * (1.0 - rho))
-        x = 2.0 * p * rho / (1.0 + root)
-        f = u + x.sum() - 1.0
-        lo, hi = (u, hi) if f < 0 else (lo, u)
-        # a tie rho_i = 1 at u = 1/2 makes the slope 0/0: the NaN step bisects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = u - f / (1.0 + np.sum(rho * (1.0 - 2.0 * u) / root))
-        if nxt != u and not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if nxt in (lo, hi, u):
-            break
-        u = nxt
-    x = np.insert(x, k, u)
+    if gamma.ndim != 1 or not gamma.size:
+        raise ValidationError(f"fixed_point needs gamma as one nonempty vector, got shape "
+                              f"{gamma.shape}")
+    reduce = np.add.reduce
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not (gamma.min() > 0 and abs(reduce(gamma) - 1.0) <= TOLERANCES.structure):
+            finite = np.isfinite(gamma)
+            i = int(np.argmin(finite & (gamma > 0)))
+            problem = (f"entry {i + 1} = {gamma[i]} is not finite" if not finite[i]
+                       else f"entry {i + 1} = {gamma[i]} is not > 0" if not gamma[i] > 0
+                       else f"sums to {float(reduce(gamma))!r}, not 1 within "
+                            f"{TOLERANCES.structure:.0e}")
+            raise ValidationError(f"fixed_point gamma {problem}")
+        if at_star(gamma).any():
+            raise StarTopology("no interior fixed point for a star topology")
+        k = int(gamma.argmax())
+        g = float(gamma[k])
+        rho = np.concatenate((gamma[:k], gamma[k + 1:])) / g
+        one_minus_rho = 1.0 - rho
+        lo, hi = 0.0, 1.0
+        u = g / (1.0 - g)
+        while True:
+            # D_i as a sum of nonnegative terms, and x_i in a form where a
+            # small entry does not cancel
+            p, d = u * (1.0 - u), 1.0 - 2.0 * u
+            root = np.sqrt(d ** 2 + 4.0 * p * one_minus_rho)
+            x = 2.0 * p * rho / (1.0 + root)
+            f = u + float(reduce(x)) - 1.0
+            lo, hi = (u, hi) if f < 0 else (lo, u)
+            # numpy's division: a zero or NaN slope gives a step that bisects
+            nxt = u - float(f / (1.0 + reduce(rho * d / root)))
+            if nxt != u and not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if nxt in (lo, hi, u):
+                break
+            u = nxt
+    x = np.concatenate((x[:k], (u,), x[k:]))
     residual = float(np.abs(df_map(x, gamma) - x).sum())
     if not residual <= TOLERANCES.fixed_point:
         raise NoConvergence(

@@ -3,7 +3,7 @@
 The map sends the power vector x on the simplex to
 alpha(x) * (gamma_i / (1 - x_i))_i, where alpha(x) normalizes the
 result to sum 1.  One kernel, `_issues`, does its arithmetic: it walks a
-list of states and writes each as the map of the one before.  The map
+sequence of states and writes each as the map of the one before.  The map
 divides by zero at a vertex e_i, a fixed point: `simulate` maps a whole
 run in one `_issues` call over its state stack (a single start as 1-D
 rows), then resets each row equal to e_i and checks every mapped state
@@ -147,7 +147,7 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     # a held row, or a state inside the guard, may divide by zero: the held
     # rows are reset after the run, and the check below names the state
     with np.errstate(divide="ignore", invalid="ignore"):
-        _issues(list(out), [gammas[k] for k in signal_log.tolist()])
+        _issues(out, map(gammas.__getitem__, signal_log.tolist()))
     states = out.reshape((issues + 1,) + rows.shape)  # a view, (S+1, B, n)
     states[:, ~free] = rows[~free]  # held rows stay at their vertex
     near = ~(1.0 - states[:-1].max(axis=-1) >= TOLERANCES.vertex_guard) & free

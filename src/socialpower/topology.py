@@ -46,7 +46,8 @@ class Tolerances:
     near_vertex: float = 1e-12
     # topology.at_star: gamma_i this close to 1/2 is a star centre
     star_gamma: float = 1e-9
-    # analysis.contraction_margin: allowed |row sum - 1| of a state
+    # analysis.contraction_margin and analysis.fixed_point: allowed
+    # |sum - 1| of a state (a row) and of the gamma to solve for
     structure: float = 1e-10
     # analysis.fixed_point: accepted residual ||F(x) - x||_1
     fixed_point: float = 1e-13

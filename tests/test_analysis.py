@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -205,6 +206,28 @@ class TestFixedPoint:
     def test_star_rejected(self):
         gamma = dominant_left_eigenvector(validate(star_matrix(5)))
         with pytest.raises(errors.StarTopology):
+            fixed_point(gamma)
+
+    @pytest.mark.parametrize("gamma, problem", [
+        # a NaN makes every Newton step NaN: unchecked, the loop never ends
+        ([0.3, np.nan, 0.2], "gamma entry 2 = nan is not finite"),
+        ([0.3, np.inf, 0.2], "gamma entry 2 = inf is not finite"),
+        # unchecked, this gives an "equilibrium" with x_2 < 0 that passes
+        # its own residual check
+        ([0.3, -0.1, 0.4, 0.4], "gamma entry 2 = -0.1 is not > 0"),
+        ([0.5, 0.5, 0.0], "gamma entry 3 = 0.0 is not > 0"),
+        # unchecked, the star test would reject this as a star
+        ([3.0, 2.0, 5.0], "gamma sums to 10.0, not 1 within 1e-10"),
+        # the sum overflows: rejected without a RuntimeWarning
+        ([1e308, 1e308], "gamma sums to inf, not 1 within 1e-10"),
+        # unchecked, numpy raises a bare ValueError or IndexError
+        (np.full((2, 3), 1 / 6), "gamma as one nonempty vector, got shape (2, 3)"),
+        (0.5, "gamma as one nonempty vector, got shape ()"),
+        ([], "gamma as one nonempty vector, got shape (0,)"),
+    ], ids=["nan", "inf", "negative", "zero", "sum", "overflow", "2-d", "0-d", "empty"])
+    @pytest.mark.filterwarnings("error")
+    def test_bad_gamma_rejected(self, gamma, problem):
+        with pytest.raises(errors.ValidationError, match=re.escape(problem)):
             fixed_point(gamma)
 
     def test_residual_beyond_tolerance_rejected(self, monkeypatch):

@@ -4,7 +4,8 @@
 `simulate` (`transform_chain`) and against exact rational arithmetic on
 the same floats; `fixed_point` against the equilibrium relation
 x_i (1 - x_i) = c gamma_i on near-star eigenvectors, where the map
-converges slowly.
+converges slowly, and bit for bit against the numpy-scalar Newton loop
+it replaced.
 """
 
 import json
@@ -17,7 +18,9 @@ from socialpower import errors
 from socialpower.analysis import contraction_margin, fixed_point, jacobian, transform_chain
 from socialpower.cli import main
 from socialpower.dynamics import df_map, simulate
-from socialpower.topology import RandomUniform, TopologyProgram, load_program, validate
+from socialpower.topology import (
+    RandomUniform, TopologyProgram, at_star, load_program, validate,
+)
 from socialpower.verification import sample_interior
 from networks import GROUP6
 from test_solvers import near_star
@@ -114,3 +117,66 @@ def test_fixed_point_on_near_star(w):
     assert np.abs(df_map(x, gamma) - x).sum() <= 1e-13
     c = x * (1.0 - x) / gamma
     assert (c.max() - c.min()) / c.mean() <= 1e-9
+
+
+# The Newton loop `fixed_point` replaced, kept as a reference: numpy
+# scalars, one error-state context per step, np.delete and np.insert.
+# The rewrite performs the same IEEE operations in the same order, so
+# every equilibrium must equal this one bit for bit.
+
+def fixed_point_reference(gamma):
+    k = int(np.argmax(gamma))
+    rho = np.delete(gamma, k) / gamma[k]
+    lo, hi = 0.0, 1.0
+    u = gamma[k] / (1.0 - gamma[k])
+    while True:
+        p = u * (1.0 - u)
+        root = np.sqrt((1.0 - 2.0 * u) ** 2 + 4.0 * p * (1.0 - rho))
+        x = 2.0 * p * rho / (1.0 + root)
+        f = u + x.sum() - 1.0
+        lo, hi = (u, hi) if f < 0 else (lo, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = u - f / (1.0 + np.sum(rho * (1.0 - 2.0 * u) / root))
+        if nxt != u and not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt in (lo, hi, u):
+            break
+        u = nxt
+    return np.insert(x, k, u)
+
+
+def assert_matches_reference(gamma):
+    got = fixed_point(gamma)
+    assert got.tobytes() == fixed_point_reference(gamma).tobytes(), gamma.tolist()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3])
+def test_fixed_point_matches_reference_on_dirichlet_gammas(alpha):
+    # Dirichlet(0.3) draws put most mass on a few entries: large spreads
+    # of rho and tiny entries; draws with a star centre or a zero are skipped
+    rng = np.random.default_rng(int(10 * alpha))
+    checked = 0
+    for n in range(3, 61):
+        for gamma in rng.dirichlet(np.full(n, alpha), size=4):
+            if gamma.min() > 0 and not at_star(gamma).any():
+                assert_matches_reference(gamma)
+                checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("w", [0.9, 0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("n", [4, 10, 30])
+def test_fixed_point_matches_reference_on_near_stars(n, w):
+    assert_matches_reference(validate(near_star(n, w, np.random.default_rng(n))).gamma)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 7, 30, 60])
+def test_fixed_point_matches_reference_on_uniform_gammas(n):
+    # every rho_i = 1: at u = 1/2 the slope is 0/0, a NaN step that bisects
+    assert_matches_reference(np.full(n, 1.0 / n))
+
+
+def test_fixed_point_matches_reference_on_a_dense_400_node_gamma():
+    m = np.random.default_rng(400).uniform(0.1, 1.0, (400, 400))
+    np.fill_diagonal(m, 0.0)
+    assert_matches_reference(validate(m / m.sum(axis=1, keepdims=True)).gamma)

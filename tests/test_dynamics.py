@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,20 @@ class TestSimulate:
         program = switching_program_6(seed=1)
         with pytest.raises(errors.ValidationError, match="entry 2 = nan"):
             simulate(program, np.array([0.5, np.nan, 0.1, 0.1, 0.1, 0.1]), issues=5)
+
+    def test_peak_memory_below_two_state_stacks(self):
+        # the kernel walks the state array itself and takes the signal's
+        # eigenvectors one issue at a time: no list of one view per state
+        # and no list with one entry per issue is held beside the states
+        program = switching_program_6(seed=1)
+        simulate(program, np.full(6, 1 / 6), issues=10)  # first-call allocations
+        tracemalloc.start()
+        try:
+            traj = simulate(program, np.full(6, 1 / 6), issues=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * traj.states.nbytes
 
     def test_shared_signal_log(self):
         # two calls on one program realize the same signal

@@ -117,7 +117,7 @@ MUTANTS = {
             test_degroot.TestAppraisalEquivalence().test_matches_closed_form_on_every_fixture_matrix,
         ]),
     "simulate with the eigenvectors in reverse issue order": (
-        edit(dynamics.simulate, "signal_log.tolist()]", "signal_log.tolist()[::-1]]"), [
+        edit(dynamics.simulate, "signal_log.tolist())", "signal_log.tolist()[::-1])"), [
             functools.partial(test_dynamics.TestBatch().test_states_equal_a_df_map_loop_bit_for_bit,
                               signal=topology.RandomUniform(7)),
             test_simulate_outputs.test_forgetting_outputs_are_pinned,
@@ -219,6 +219,16 @@ MUTANTS = {
         edit(cli._parse_init, "len(k) > len(str(n)) or ", ""), [
             functools.partial(test_cli.TestMalformedConfig().test_vertex_index_beyond_the_digit_limit,
                               digits="9" * 5000, shown="9" * 5000),
+        ]),
+    "fixed point Newton slope without its leading 1.0": (
+        # the bracket still converges, to other last bits
+        edit(analysis.fixed_point, "float(f / (1.0 + reduce(", "float(f / (reduce("), [
+            functools.partial(test_closed_forms.test_fixed_point_matches_reference_on_dirichlet_gammas,
+                              alpha=1.0),
+            functools.partial(test_closed_forms.test_fixed_point_matches_reference_on_near_stars,
+                              n=30, w=0.9),
+            functools.partial(test_closed_forms.test_fixed_point_matches_reference_on_uniform_gammas,
+                              n=3),
         ]),
     "chart y range without its floor": (
         edit(svg.line_chart, "max(ys.max(), 1e-12)", "ys.max()"), [
