@@ -5,6 +5,15 @@ Which issue applies which phase is defined by `topology.Periodic` alone
 composite G_p applies phase p+1 first and phase p last, so its fixed
 point y_p is the limiting state observed right after phase p acts, and
 the chain relation y_{p+1} = F_{p+1}(y_p) holds cyclically.
+
+Along the periodic orbit, y_{p,i} = c_p gamma_{p,i}/(1 - y_{p-1,i}) with
+one normaliser c_p per phase.  So once the P values u_p = y_{p,k} of one
+individual k are known, every normaliser is known, and each other
+individual's cycle is a product of P 2x2 linear-fractional maps whose
+fixed point is the root of a quadratic.  The orbit is solved for on
+those P unknowns (`periodic_fixed_points`); P = 1 is the relation
+x_i (1 - x_i) = c gamma_i of Jia, Mirtabatabaei, Friedkin & Bullo
+(SIAM Review 2015).
 """
 
 from __future__ import annotations
@@ -27,17 +36,35 @@ class PeriodicLimit:
     chain_residuals: np.ndarray
 
 
+# relative step of the forward differences that give Newton's system: the
+# square root of the double epsilon, where their error is least
+_STEP = 2.0 ** -26
+
+
 def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     """Fixed point of each composite map, with the chain property verified.
 
     The program needs a `Periodic` signal with at least two phases,
-    else ValidationError, and no star phase, else StarTopology.  y_0
-    solves G_0(x) = x by Newton's method from the uniform vector,
-    stopping once ||G_0(x) - x||_1 stops falling or a step leaves the
-    open simplex.  The other y_p = F_p(y_{p-1}) are the states G_0
-    passes through, so only the closing chain residual
-    ||F_0(y_{P-1}) - y_0||_1, the residual Newton stopped at, is not 0
-    by construction; one beyond `Tolerances.chain` raises NoConvergence.
+    else ValidationError, and no star phase, else StarTopology.
+
+    The orbit is solved for on the P values u_p = y_{p,k} of the
+    individual k with the largest sum of gamma_{p,k} over the phases.
+    Given u, the normalisers are c_p = u_p (1 - u_{p-1})/gamma_{p,k}, and
+    every other individual sits on the attracting fixed point of its
+    cycle map (`_orbits`).  At most one individual can sit on a
+    repelling one: prod_p r_{p,i} > 1, with r = y/(1 - y), forces
+    prod_p r_{p,j} < 1 for every j != i.  Newton's method drives the P
+    residuals sum_i y_{p,i} - 1 towards 0 from `_start`, on a Jacobian
+    of forward differences (`_newton_step`).  A step halves until u
+    stays in (0, 1)^P and the residual falls, and a NaN residual does
+    not fall.  The solve stops when the residual stops falling or is 0,
+    or after a step no longer than the difference step, which leaves an
+    error at the rounding level.
+
+    y_0 is the solution, and the other y_p = F_p(y_{p-1}) are the states
+    G_0 passes through, so only the closing chain residual
+    ||F_0(y_{P-1}) - y_0||_1 is not 0 by construction; one beyond
+    `Tolerances.chain` raises NoConvergence.
     """
     signal = program.signal
     if not isinstance(signal, Periodic):
@@ -45,32 +72,124 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     period = len(signal.order)
     if period < 2:
         raise ValidationError("need at least two phases")
-    gammas = [program.matrices[i].gamma for i in signal.order]
+    gammas = np.array([program.matrices[i].gamma for i in signal.order])
     if at_star(gammas).any():
         raise StarTopology("periodic programs exclude star phases")
-    n = program.n
-    cycle = gammas[1:] + gammas[:1]  # G_0: phase 1 first, phase 0 last
-    x, best = np.full(n, 1.0 / n), np.inf
-    while True:
-        states, jac = [x], np.eye(n)
-        for gamma in cycle:
-            states.append(df_map(states[-1], gamma))
-            # J_k = (I - y_k 1^T) diag(y_k / (1 - y_{k-1})), applied in O(n^2)
-            jac = (states[-1] / (1.0 - states[-2]))[:, None] * jac
-            jac -= np.outer(states[-1], jac.sum(axis=0))
-        residual = np.abs(states[-1] - x).sum()
-        if not residual < best:
-            break
-        best, points = residual, states[:-1]
-        if residual == 0:
-            break
-        x = x + np.linalg.solve(jac - np.eye(n), x - states[-1])
-        if not np.all((x > 0) & (x < 1)):  # a NaN step fails this too
-            break
-    residuals = np.append(np.zeros(period - 1), best)  # y_{p+1} is F_{p+1}(y_p) itself
-    if best > TOLERANCES.chain:
+    k = int(gammas.sum(axis=0).argmax())
+    others = np.arange(program.n) != k
+    ratios = gammas[:, others] / gammas[:, k:k + 1]
+    prev = np.arange(period) - 1  # phase p - 1, cyclically
+    # column 0 keeps u, column q + 1 lowers u_q by the relative step
+    stencil = 1.0 - _STEP * np.eye(period, period + 1, 1)
+    best, last = np.inf, False
+    with np.errstate(all="ignore"):
+        v = _start(gammas, others, ratios, prev)
+        while True:
+            orbits, residuals = _orbits(v[:, None] * stencil, ratios, prev)
+            residual = np.add.reduce(np.abs(residuals[:, 0]))
+            if residual < best:
+                u, y, best = v, orbits[:, 0], residual
+                if residual == 0 or last:
+                    break
+                z = _newton_step(residuals)
+                size = np.abs(z).max()  # in difference steps; NaN for a singular system
+                if not size < np.inf:
+                    break
+                last = size <= 1.0
+                step, t = z * u, _STEP
+            elif last or best == np.inf:
+                break
+            else:
+                t *= 0.5
+            v = u - t * step
+            while not (0.0 < v.min() and v.max() < 1.0):  # ends: u is inside, the start too
+                t *= 0.5
+                v = u - t * step
+            if not (v != u).any():
+                break
+    if best == np.inf:
+        raise NoConvergence("periodic solve: no finite residual at the start")
+    points = [np.concatenate((y[0, :k], u[:1], y[0, k:]))]
+    for gamma in gammas[1:]:
+        points.append(df_map(points[-1], gamma))
+    closing = np.abs(df_map(points[-1], gammas[0]) - points[0]).sum()
+    residuals = np.append(np.zeros(period - 1), closing)  # y_{p+1} is F_{p+1}(y_p) itself
+    if closing > TOLERANCES.chain:
         raise NoConvergence(f"chain residuals {residuals} exceed {TOLERANCES.chain}")
     return PeriodicLimit(program, tuple(points), residuals)
+
+
+def _start(gammas, others, ratios, prev):
+    """Values u_p of individual k in the basin of the solve, in closed form.
+
+    The others are guessed first: each phase's normalised bound shape
+    gamma/(1 - gamma), carried two issues forward by the map, every
+    phase at once (one `df_map` call a sweep).  With the others fixed
+    at the guess of the phase before, the residuals read
+    u_p (1 + s_p (1 - u_{p-1})) = 1, s_p = sum_{i != k} ratio_{p,i}/(1 - y_{p-1,i}):
+    a cycle of the maps [[0, 1], [-s_p, 1 + s_p]], which all fix u = 1.
+    The other fixed point of their product [[A, B], [C, D]] is -B/C,
+    inside (0, 1) as every s_p > 1 when no phase is a star.
+    """
+    guess = gammas / (1.0 - gammas)
+    guess /= guess.sum(axis=1, keepdims=True)
+    for _ in range(2):  # on group6_alternating.json: start residual 1.2e-2 -> 3.4e-4
+        guess = df_map(guess[prev], gammas)
+    s = (ratios / (1.0 - guess[prev][:, others])).sum(axis=1).tolist()
+    A, B, C, D = 1.0, 0.0, 0.0, 1.0
+    for s_p in s[1:] + s[:1]:  # phase 1 first, as in G_0
+        A, B, C, D = C, D, (1.0 + s_p) * C - s_p * A, (1.0 + s_p) * D - s_p * B
+        scale = abs(C) + abs(D)
+        A, B, C, D = A / scale, B / scale, C / scale, D / scale
+    u = [-B / C]
+    for s_p in s[1:]:
+        u.append(1.0 / (1.0 + s_p * (1.0 - u[-1])))
+    return np.array(u)
+
+
+def _orbits(u, ratios, prev):
+    """The others' orbit y, shape (P, m, n - 1), and the residuals
+    sum_i y_{p,i} - 1, shape (P, m), for each column of hub values u (P, m).
+
+    Phase p maps y to a_p/(1 - y), a_{p,i} = u_p (1 - u_{p-1}) ratio_{p,i}:
+    the matrix M_p = [[0, a_p], [-1, 1]].  The cycle map is
+    M = M_0 M_{P-1} ... M_1, as G_0 applies phase 1 first; with
+    M = [[A, B], [C, D]] and b = D - A, its attracting fixed point is
+    2B/(b + sign(A + D) sqrt(b^2 + 4BC)).  Each partial product is
+    rescaled, since a fixed point does not depend on the matrix's scale.
+    """
+    a = (u * (1.0 - u[prev]))[:, :, None] * ratios[:, None]
+    A, B, C, D = 0.0, a[1], -1.0, 1.0
+    for a_p in a[2:]:
+        A, B, C, D = a_p * C, a_p * D, C - A, D - B
+        scale = abs(C) + abs(D)
+        A, B, C, D = A / scale, B / scale, C / scale, D / scale
+    A, B, C, D = a[0] * C, a[0] * D, C - A, D - B
+    b = D - A
+    y = np.empty_like(a)
+    np.divide(2.0 * B, b + np.copysign(np.sqrt(b * b + 4.0 * B * C), A + D), out=y[0])
+    for p in range(1, len(a)):
+        np.divide(a[p], 1.0 - y[p - 1], out=y[p])
+    return y, np.add.reduce(y, -1) + u - 1.0
+
+
+def _newton_step(residuals):
+    """The Newton step in units of the difference steps: z with
+    sum_q (r_{q+1} - r_0) z_q = -r_0, for the residual columns r of `_orbits`.
+
+    Gauss-Jordan elimination with partial pivoting; each of its P steps
+    updates every row at once, so a long order stays cheap.
+    """
+    system = residuals - residuals[:, :1]  # column q + 1: the change along u_q
+    system[:, 0] = -residuals[:, 0]
+    for j in range(len(system)):
+        pivot = j + int(np.abs(system[j:, j + 1]).argmax())
+        if pivot != j:
+            system[[j, pivot]] = system[[pivot, j]]
+        factors = system[:, j + 1] / system[j, j + 1]
+        factors[j] = 0.0
+        system -= factors[:, None] * system[j]
+    return system[:, 0] / system.diagonal(1)
 
 
 def verify_periodic_limit(traj: Trajectory, limit: PeriodicLimit, burn_in: int) -> tuple[bool, float]:

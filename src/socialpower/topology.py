@@ -52,8 +52,8 @@ class Tolerances:
     # analysis.fixed_point: accepted residual ||F(x) - x||_1
     fixed_point: float = 1e-13
     # periodic.periodic_fixed_points: the closing chain residual
-    # ||F_0(y_{P-1}) - y_0||_1, Newton's own, above this raises
-    # NoConvergence; the other links are 0 by construction
+    # ||F_0(y_{P-1}) - y_0||_1 of the P-normaliser solve's y_0, above this
+    # raises NoConvergence; the other links are 0 by construction
     chain: float = 1e-12
     # periodic.verify_periodic_limit: allowed 1-norm deviation of a run
     # from the per-phase limit

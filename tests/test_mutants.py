@@ -81,9 +81,16 @@ MUTANTS = {
                               issues=40),
         ]),
     "closing chain residual left at 0": (
-        edit(periodic.periodic_fixed_points, "np.zeros(period - 1), best", "np.zeros(period - 1), 0.0"), [
-            test_periodic.TestPeriodicFixedPoints().test_newton_step_off_the_simplex_stops_the_solve,
+        edit(periodic.periodic_fixed_points, "np.zeros(period - 1), closing", "np.zeros(period - 1), 0.0"), [
+            test_periodic.TestPeriodicFixedPoints().test_nan_residual_does_not_fall,
             functools.partial(test_periodic_properties.check_chain_residuals,
+                              test_periodic_properties.sparse_cycle_program()),
+        ]),
+    "non-hub individuals take the repelling root": (
+        edit(periodic._orbits, "np.sqrt(b * b + 4.0 * B * C), A + D)",
+             "np.sqrt(b * b + 4.0 * B * C), -(A + D))"), [
+            test_periodic.TestPeriodicFixedPoints().test_two_phase_chain,
+            functools.partial(test_periodic_properties.check_matches_reference,
                               test_periodic_properties.sparse_cycle_program()),
         ]),
     "file written without its truncate()": (

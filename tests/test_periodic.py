@@ -96,18 +96,47 @@ class TestPeriodicFixedPoints:
         with pytest.raises(errors.NoConvergence, match=r"chain residuals .* exceed -1.0"):
             periodic_fixed_points(two_phase_program())
 
-    def test_newton_step_off_the_simplex_stops_the_solve(self, monkeypatch):
-        # the solve stops at the last iterate inside the simplex, here the
-        # uniform start, and reports that iterate's closing residual (only a
-        # further step would reach df_map's vertex guard)
+    def test_step_off_the_box_halves_back_inside(self, monkeypatch):
+        # every Newton step, scaled by 2^40, leaves (0, 1)^P; halving brings
+        # it back inside, and the solve ends where it does unscaled
         program = two_phase_program()
-        u = np.full(6, 1 / 6)
-        first, second = (m.gamma for m in program.matrices)
-        closing = np.abs(df_map(df_map(u, second), first) - u).sum()
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.ones_like(b))
+        want = periodic_fixed_points(program)
+        newton_step = periodic._newton_step
+        monkeypatch.setattr(periodic, "_newton_step", lambda residuals: 2.0 ** 40 * newton_step(residuals))
+        got = periodic_fixed_points(program)
+        assert got.chain_residuals.max() <= TOLERANCES.chain
+        for y, z in zip(got.fixed_points, want.fixed_points, strict=True):
+            assert np.abs(y - z).max() <= 1e-15
+
+    def test_nan_residual_does_not_fall(self, monkeypatch):
+        # every residual after the start's is NaN: the steps halve until
+        # they no longer move u, and the solve reports the closing residual
+        # of the start, the one iterate whose residual fell
+        program = two_phase_program()
+        orbits, calls = periodic._orbits, []
+
+        def nan_after_the_start(u, ratios, prev):
+            y, residuals = orbits(u, ratios, prev)
+            calls.append((u[:, 0], y[:, 0]))
+            return y, residuals if len(calls) == 1 else np.full_like(residuals, np.nan)
+
+        monkeypatch.setattr(periodic, "_orbits", nan_after_the_start)
         with pytest.raises(errors.NoConvergence) as info:
             periodic_fixed_points(program)
+        (u, y), *trials = calls
+        assert len(trials) > 1
+        first, second = (m.gamma for m in program.matrices)
+        k = int(np.argmax(first + second))
+        start = np.insert(y[0], k, u[0])
+        closing = np.abs(df_map(df_map(start, second), first) - start).sum()
         assert str(info.value) == f"chain residuals {np.array([0.0, closing])} exceed {TOLERANCES.chain}"
+
+    def test_nan_residual_at_the_start_rejected(self, monkeypatch):
+        orbits = periodic._orbits
+        monkeypatch.setattr(periodic, "_orbits", lambda u, ratios, prev: (
+            orbits(u, ratios, prev)[0], np.full((len(u), u.shape[1]), np.nan)))
+        with pytest.raises(errors.NoConvergence, match="no finite residual at the start"):
+            periodic_fixed_points(two_phase_program())
 
 
 class TestVerifyPeriodicLimit:

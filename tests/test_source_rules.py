@@ -1,0 +1,63 @@
+"""Source rules: where in `src/` a pattern may appear.
+
+Each row holds an id, a regular expression matched against every line of
+the package's modules (`src/**/*.py`), the modules the rule reads (None
+for all of them), the modules that own the pattern and may use it, and
+the reason for the rule.  A matching line anywhere else fails the row.
+A module named in a row must exist, so a rename cannot turn a row into
+a check of nothing.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted(SRC.rglob("*.py"))
+CHECKS = ("verification.py", "analysis.py", "periodic.py")  # the modules that hold checks
+
+# (id, pattern, modules read, owners, reason)
+RULES = [
+    ("no-eigensolve", r"linalg.eig", None, (),
+     "the library certifies spectra from entry identities: no eigensolve in src/"),
+    ("one-star-rule", r"star_gamma", None, ("topology.py",),
+     "one star rule: only topology.at_star reads the star tolerance"),
+    ("certificate-vertex-tolerance", r"\bnear_vertex\b", None, ("analysis.py", "topology.py"),
+     "one rule per vertex tolerance: only analysis reads the certificate's near_vertex"),
+    ("map-vertex-tolerance", r"\bvertex_guard\b", None, ("dynamics.py", "topology.py"),
+     "one rule per vertex tolerance: only dynamics reads the map's vertex_guard"),
+    ("one-map-kernel", r"\b_issues\b", None, ("dynamics.py",),
+     "one kernel for the map's arithmetic: only dynamics calls the unguarded _issues "
+     "(df_map and simulate guard what it maps)"),
+    ("one-burn-in-window", r"burn_in \+ 1|max\(burn_in", None, ("dynamics.py",),
+     "one post-burn-in window: only dynamics (Trajectory.post_burn_in) slices the states "
+     "after the burn-in"),
+    ("one-double-writer", r"17g", None, ("topology.py",),
+     "one writer of doubles: only topology._format_rows writes %.17g"),
+    ("one-file-writer", r"open\([^)]*[\"']w", None, ("topology.py",),
+     "one file writer: only topology (_write_text) opens a file for writing"),
+    ("one-validation-owner", r"\b(validate|is_irreducible)\(", None, ("topology.py",),
+     "one owner of the validation rule: only topology calls validate or is_irreducible "
+     "(load_program validates a program as one stack)"),
+    ("no-nothing-checked-margin", r"-np.inf", CHECKS, (),
+     "a check that tests nothing FAILs: no -inf 'nothing checked' margin in the modules "
+     "that hold checks"),
+    ("stacked-draws", r"range\(samples\)", ("verification.py",), (),
+     "every check draws its samples as stacks: no per-draw loop in verification"),
+    ("periodic-without-lapack", r"linalg", ("periodic.py",), (),
+     "the periodic solve works on P normalisers with elementwise elimination: no linalg "
+     "call in periodic"),
+]
+
+
+@pytest.mark.parametrize("pattern, scope, owners, reason",
+                         [rule[1:] for rule in RULES], ids=[rule[0] for rule in RULES])
+def test_source_rule(pattern, scope, owners, reason):
+    names = {path.name for path in MODULES}
+    assert set(scope or ()) | set(owners) <= names, f"a module of the rule is missing: {reason}"
+    regex = re.compile(pattern)
+    hits = [f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+            for path in MODULES if (scope is None or path.name in scope) and path.name not in owners
+            for number, line in enumerate(path.read_text().splitlines(), 1) if regex.search(line)]
+    assert not hits, reason + "\n" + "\n".join(hits)
