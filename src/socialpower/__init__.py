@@ -1,7 +1,6 @@
 """Social power evolution under constant, switching, and periodic topologies."""
 
 from .analysis import (
-    ContractionReport,
     contraction_margin,
     contraction_radii,
     convergence_rate,

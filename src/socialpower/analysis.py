@@ -3,17 +3,17 @@ vertex stability and the interior equilibrium.
 
 H = Theta * Phi has induced 1-norm below 1 on interior states, which
 forces trajectory differences to shrink exponentially (a contraction
-metric: Lohmiller & Slotine, Automatica 1998).  `transform_chain`
-certifies H at a state by O(n^2) entry identities, no eigensolve: Phi
-is a graph Laplacian (PSD by Gershgorin), H is similar to
-Theta^(1/2) Phi Theta^(1/2) (real spectrum >= 0), and
-rho(H) <= ||H||_1 < 1 with trace(H) = 1.  `contraction_margin` is
-1 - ||H||_1 in closed form; `fixed_point` solves x_i (1 - x_i) = c gamma_i.
+metric: Lohmiller & Slotine, Automatica 1998).  `contraction_margin` is
+1 - ||H||_1 in closed form, accurate to a few ulp relative even near a
+vertex, and decides the certificate ||H||_1 < 1.  `transform_chain`
+builds Phi and H at a state for the O(n^2) entry identities that place
+H's spectrum in [0, 1) with no eigensolve: Phi is a graph Laplacian
+(PSD by Gershgorin), H is similar to Theta^(1/2) Phi Theta^(1/2) (real
+spectrum >= 0), and rho(H) <= ||H||_1 < 1 with trace(H) = 1.
+`fixed_point` solves x_i (1 - x_i) = c gamma_i.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +22,9 @@ from .errors import NearVertex, NoConvergence, StarTopology, ValidationError
 from .topology import TOLERANCES, at_star
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    phi: np.ndarray
-    h: np.ndarray
-    h_one_norm: float
-
-
 def _interior(x: np.ndarray) -> np.ndarray:
     """Rows of `x` (..., n) in the certificate's domain: x_i > 0 and 1 - x_i >= near_vertex."""
-    return np.all((x > 0) & (1.0 - x >= TOLERANCES.near_vertex), axis=-1)  # NaN fails both
+    return ((x > 0) & (1.0 - x >= TOLERANCES.near_vertex)).all(axis=-1)  # NaN fails both
 
 
 def _require_interior(x: np.ndarray):
@@ -59,9 +52,9 @@ def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> np.ndarray:
     return J
 
 
-def transform_chain(x_next: np.ndarray) -> ContractionReport:
-    """Phi, H = Theta Phi and ||H||_1 at a post-update state, with
-    Theta = diag(1/(1 - x_i)); the state is certified when ||H||_1 < 1.
+def transform_chain(x_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi and H = Theta Phi at a post-update state, with
+    Theta = diag(1/(1 - x_i)).
 
     Phi is the weighted Laplacian of a complete undirected graph
     (phi_ii = x_i(1 - x_i), phi_ij = -x_i x_j); H has h_ii = x_i and
@@ -72,15 +65,17 @@ def transform_chain(x_next: np.ndarray) -> ContractionReport:
     - H = Theta Phi with Theta positive diagonal is similar to the PSD
       Theta^(1/2) Phi Theta^(1/2), so its spectrum is real and >= 0;
     - rho(H) <= ||H||_1 < 1, and trace(H) = 1.
+    The norm is not taken here: summed from H's entries, 1 - ||H||_1
+    loses every digit below about 1e-6 from a vertex, so the
+    certificate ||H||_1 < 1 is decided by `contraction_margin` > 0.
+    H's entries carry rounding of order u max(Theta), u = 2^-53: an
+    identity on H is exact only relative to that scale.
     """
     x = np.asarray(x_next, dtype=float)
     _require_interior(x)
-    theta = 1.0 / (1.0 - x)
     phi = -(x[:, None] * x)
     phi.flat[::x.size + 1] = x * (1.0 - x)
-    h = theta[:, None] * phi
-    h_one_norm = float(np.abs(h).sum(axis=0).max())
-    return ContractionReport(phi=phi, h=h, h_one_norm=h_one_norm)
+    return phi, (1.0 / (1.0 - x))[:, None] * phi
 
 
 def contraction_margin(states: np.ndarray) -> np.ndarray:
@@ -208,9 +203,10 @@ def fixed_point(gamma: np.ndarray) -> np.ndarray:
         u = g / (1.0 - g)
         while True:
             # D_i as a sum of nonnegative terms, and x_i in a form where a
-            # small entry does not cancel
+            # small entry does not cancel; d * d is correctly rounded, where
+            # a power of d would call the C library's pow
             p, d = u * (1.0 - u), 1.0 - 2.0 * u
-            root = np.sqrt(d ** 2 + 4.0 * p * one_minus_rho)
+            root = np.sqrt(d * d + 4.0 * p * one_minus_rho)
             x = 2.0 * p * rho / (1.0 + root)
             f = u + float(reduce(x)) - 1.0
             lo, hi = (u, hi) if f < 0 else (lo, u)

@@ -246,10 +246,14 @@ def cmd_periodic(args) -> int:
     traj = simulate(program, init, issues)
     ok, worst = periodic.verify_periodic_limit(traj, limit, burn_in)
     period = len(limit.fixed_points)
+    # the cycle's Jacobian is similar to H(y_0) H(y_{P-1}) ... H(y_1), so
+    # the product of the ||H(y_p)||_1 bounds its spectral radius
+    rate = np.prod(1.0 - analysis.contraction_margin(np.array(limit.fixed_points)))
     doc = {
         "period": period,
         "fixed_points": list(limit.fixed_points),
         "chain_residuals": limit.chain_residuals,
+        "cycle_rate_bound": rate,
         "burn_in": burn_in,
         "worst_deviation": worst,
         "verified": ok,

@@ -60,7 +60,9 @@ class Tolerances:
     periodic_limit: float = 1e-8
     # verification: relative Jacobian error against central differences
     # (also the column-sum scale), the certificate's structural deviation
-    # and the 1-norm gap between the opinion oracle and the map
+    # (Phi's identities, H's relative to its largest theta, and the link
+    # between ||H||_1 and the closed-form margin) and the 1-norm gap
+    # between the opinion oracle and the map
     finite_difference: float = 1e-5
     certificate_structure: float = 1e-9
     oracle_gap: float = 1e-10

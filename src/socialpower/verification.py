@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _interior, contraction_radii, jacobian, transform_chain
+from .analysis import _interior, contraction_margin, contraction_radii, jacobian, transform_chain
 from .degroot import appraisal_step_via_zeta
 from .dynamics import df_map
 from .errors import ValidationError
@@ -75,35 +75,47 @@ def check_jacobian_fd(gamma: np.ndarray, rng, samples: int = 100) -> CheckResult
 
 def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000) -> CheckResult:
     """||H||_1 < 1 and the entry identities of `transform_chain` at mapped
-    states: one `transform_chain` call per state, the identities reduced
-    on each chunk's stacked Phi and H."""
+    states.
+
+    The certificate is decided by one stacked `contraction_margin` call
+    per chunk, and the worst ||H||_1 is reported as 1 - min margin.  The
+    identities are reduced on each chunk's stacked Phi and H, built by
+    one `transform_chain` call per state: Phi's entries are at most 1/4,
+    so its identities are absolute, while H's row sums and trace - 1 are
+    measured relative to the state's largest theta, 1/(1 - max x), the
+    scale of H's rounding.  The link |||H||_1 - (1 - margin)|, with the
+    norm summed from H's entries, joins the structural deviation.
+    """
     n = gamma.size
 
     def worst(xs):
-        # per state: ||H||_1 and the largest structural deviation
+        # per chunk: the least margin and the largest structural deviation
+        mapped = df_map(xs, gamma)
         phi = np.empty((len(xs), n, n))
         h = np.empty_like(phi)
-        norms = np.empty(len(xs))
-        for k, x in enumerate(df_map(xs, gamma)):
-            rep = transform_chain(x)
-            phi[k], h[k], norms[k] = rep.phi, rep.h, rep.h_one_norm
+        for k, x in enumerate(mapped):
+            phi[k], h[k] = transform_chain(x)
+        margins = contraction_margin(mapped)
+        scale = 1.0 - mapped.max(axis=-1)  # 1/max theta
         deviations = [
             np.abs(phi.sum(axis=-2)).max(axis=-1),
             np.abs(phi - np.swapaxes(phi, -1, -2)).max(axis=(-2, -1)),
-            np.abs(h.sum(axis=-1)).max(axis=-1),
-            np.abs(np.trace(h, axis1=-2, axis2=-1) - 1.0),
+            np.abs(h.sum(axis=-1)).max(axis=-1) * scale,
+            np.abs(np.trace(h, axis1=-2, axis2=-1) - 1.0) * scale,
+            np.abs(np.abs(h).sum(axis=-2).max(axis=-1) - (1.0 - margins)),
         ]
         # the largest off-diagonal entry, or 0 from the zeroed diagonal:
         # a positive one means Phi is no Laplacian
         phi.reshape(len(xs), -1)[:, ::n + 1] = 0.0
         deviations.append(phi.max(axis=(-2, -1)))
-        return np.column_stack([norms, np.max(deviations, axis=0)])
+        return [[margins.min(), np.max(deviations)]]
 
     xs = sample_interior(n, rng, samples)
-    worst_norm, worst_struct = np.maximum(_per_sample(worst, xs, n * n).max(axis=0), 0.0).tolist()
-    passed = worst_norm < 1.0 and worst_struct <= TOLERANCES.certificate_structure
+    chunks = _per_sample(worst, xs, n * n)
+    margin, worst_struct = float(chunks[:, 0].min()), float(chunks[:, 1].max())
+    passed = margin > 0 and worst_struct <= TOLERANCES.certificate_structure
     return CheckResult(
-        "contraction_certificate", passed, worst_norm,
+        "contraction_certificate", passed, 1.0 - margin,
         detail=f"worst structural deviation {worst_struct:.2e}",
     )
 

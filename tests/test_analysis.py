@@ -8,6 +8,7 @@ import pytest
 import socialpower
 from socialpower import analysis, errors, verification
 from socialpower.analysis import (
+    contraction_margin,
     contraction_radii,
     convergence_rate,
     equilibrium_upper_bound,
@@ -68,17 +69,17 @@ class TestJacobian:
 
 class TestTransformChain:
     def test_uniform_values_and_norm(self):
-        report = transform_chain(np.full(3, 1 / 3))
-        assert np.allclose(np.diag(report.h), 1 / 3, atol=1e-14)
-        assert np.allclose(report.h[~np.eye(3, dtype=bool)], -1 / 6, atol=1e-14)
-        assert report.h_one_norm == pytest.approx(2 / 3, abs=1e-14)
-        assert report.h_one_norm < 1
+        x = np.full(3, 1 / 3)
+        _, h = transform_chain(x)
+        assert np.allclose(np.diag(h), 1 / 3, atol=1e-14)
+        assert np.allclose(h[~np.eye(3, dtype=bool)], -1 / 6, atol=1e-14)
+        assert np.abs(h).sum(axis=0).max() == pytest.approx(2 / 3, abs=1e-14)
+        assert contraction_margin(x[None])[0] == pytest.approx(1 / 3, abs=1e-14)
 
     def test_symmetric_factor_is_psd_with_one_null_direction(self):
         rng = np.random.default_rng(4)
         for x in sample_interior(5, rng, 40):
-            report = transform_chain(x)
-            phi = report.phi
+            phi, _ = transform_chain(x)
             assert np.abs(phi - phi.T).max() <= 1e-14
             eigs = np.sort(np.linalg.eigvalsh(phi))
             assert eigs[0] >= -1e-12
@@ -90,9 +91,9 @@ class TestTransformChain:
     def test_h_trace_and_spectrum(self):
         rng = np.random.default_rng(5)
         for x in sample_interior(5, rng, 40):
-            report = transform_chain(x)
-            assert abs(np.trace(report.h) - 1) <= 1e-12
-            eigs = np.linalg.eigvals(report.h)
+            _, h = transform_chain(x)
+            assert abs(np.trace(h) - 1) <= 1e-12
+            eigs = np.linalg.eigvals(h)
             assert np.abs(np.imag(eigs)).max() <= 1e-9
             real = np.real(eigs)
             assert real.min() >= -1e-10
@@ -100,16 +101,14 @@ class TestTransformChain:
 
     def test_certificate_at_fixture_fixed_point(self):
         gamma = dominant_left_eigenvector(validate(interaction_set_6()[1]))
-        x = fixed_point(gamma)
-        report = transform_chain(x)
-        assert report.h_one_norm < 1
+        assert contraction_margin(fixed_point(gamma)[None])[0] > 0
 
     def test_equals_jacobian_product(self):
         rng = np.random.default_rng(6)
         for x in sample_interior(4, rng, 20):
-            report = transform_chain(x)
+            phi, h = transform_chain(x)
             theta = 1 / (1 - x)
-            assert np.allclose(theta[:, None] * report.phi, report.h, atol=1e-13)
+            assert np.allclose(theta[:, None] * phi, h, atol=1e-13)
 
 
 class TestContractionRadii:
@@ -312,10 +311,10 @@ class TestVerificationSuite:
         real = verification.transform_chain
 
         def broken(x):
-            rep = real(x)
-            kick = np.zeros_like(rep.phi)
+            phi, h = real(x)
+            kick = np.zeros_like(phi)
             kick[:2, :2] = [[-1.0, 1.0], [1.0, -1.0]]
-            return dataclasses.replace(rep, phi=rep.phi + kick)
+            return phi + kick, h
 
         monkeypatch.setattr(verification, "transform_chain", broken)
         gamma = dominant_left_eigenvector(validate(interaction_set_6()[1]))
@@ -323,3 +322,19 @@ class TestVerificationSuite:
         assert not res.passed
         assert res.worst_margin < 1.0  # the norm itself still certifies
         assert float(res.detail.split()[-1]) > 0.9
+
+    @pytest.mark.parametrize("distance", [1e-8, 1e-9, 1e-10, 1e-11])
+    def test_certificate_passes_near_every_vertex(self, monkeypatch, distance):
+        # draws `distance` from each vertex of group6 matrix 1 map to states
+        # about 5 * distance from it, where max theta is 2e7 to 2e10: an
+        # absolute identity on H sees rounding of order 1e-9 to 1e-6 there,
+        # relative to max theta a few ulp; the closed-form margin stays > 0
+        gamma = validate(interaction_set_6()[0]).gamma
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([np.insert(rng.dirichlet(np.ones(5), 50) * distance, i, 1.0 - distance,
+                                       axis=1) for i in range(6)])
+        monkeypatch.setattr(verification, "sample_interior", lambda n, rng, count: xs)
+        res = check_contraction_certificates(gamma, np.random.default_rng(0), len(xs))
+        assert res.passed, res
+        assert res.worst_margin <= 1.0
+        assert float(res.detail.split()[-1]) <= 1e-15

@@ -7,22 +7,24 @@ import numpy as np
 import pytest
 
 from socialpower import verification
+from socialpower.analysis import transform_chain
 from socialpower.cli import main
 from socialpower.topology import Periodic, TopologyProgram, load_program, save_program, validate
 from networks import EXPERIMENTS, interaction_set_6, star_matrix, switching_program_6
+from test_solvers import near_star
 
 # `verify experiments/group6_random.json --samples 200`, exactly as printed
 GROUP6_VERIFY_200 = """\
 matrix 1 jacobian_finite_difference: pass, worst margin 1.789e-09
-matrix 1 contraction_certificate: pass, worst margin 9.972e-01 (worst structural deviation 1.22e-15)
+matrix 1 contraction_certificate: pass, worst margin 9.972e-01 (worst structural deviation 3.33e-16)
 matrix 1 opinion_oracle_equivalence: pass, worst margin 4.025e-16
 matrix 1 boundary_contraction_step: pass, worst margin -6.045e-03
 matrix 2 jacobian_finite_difference: pass, worst margin 2.598e-09
-matrix 2 contraction_certificate: pass, worst margin 9.796e-01 (worst structural deviation 4.44e-16)
+matrix 2 contraction_certificate: pass, worst margin 9.796e-01 (worst structural deviation 2.78e-16)
 matrix 2 opinion_oracle_equivalence: pass, worst margin 6.349e-16
 matrix 2 boundary_contraction_step: pass, worst margin -1.407e-02
 matrix 3 jacobian_finite_difference: pass, worst margin 1.894e-09
-matrix 3 contraction_certificate: pass, worst margin 8.767e-01 (worst structural deviation 4.44e-16)
+matrix 3 contraction_certificate: pass, worst margin 8.767e-01 (worst structural deviation 3.33e-16)
 matrix 3 opinion_oracle_equivalence: pass, worst margin 8.049e-16
 matrix 3 boundary_contraction_step: pass, worst margin -3.055e-02
 matrix 4 jacobian_finite_difference: pass, worst margin 1.842e-09
@@ -30,7 +32,7 @@ matrix 4 contraction_certificate: pass, worst margin 9.188e-01 (worst structural
 matrix 4 opinion_oracle_equivalence: pass, worst margin 7.563e-16
 matrix 4 boundary_contraction_step: pass, worst margin -8.984e-04
 matrix 5 jacobian_finite_difference: pass, worst margin 2.956e-09
-matrix 5 contraction_certificate: pass, worst margin 9.911e-01 (worst structural deviation 6.11e-16)
+matrix 5 contraction_certificate: pass, worst margin 9.911e-01 (worst structural deviation 4.44e-16)
 matrix 5 opinion_oracle_equivalence: pass, worst margin 4.710e-16
 matrix 5 boundary_contraction_step: pass, worst margin -1.687e-03
 """
@@ -386,6 +388,33 @@ class TestPeriodicCommand:
         assert max(doc["chain_residuals"]) <= 1e-12
         for y in doc["fixed_points"]:
             assert abs(sum(y) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("which", ["group6_alternating", "near_star"])
+    def test_cycle_rate_bound_bounds_the_cycle_spectral_radius(self, tmp_path, which):
+        # the cycle's Jacobian is similar to H(y_0) H(y_{P-1}) ... H(y_1);
+        # its spectral radius, from an eigensolve here only, is at most the
+        # reported product of the ||H(y_p)||_1
+        if which == "near_star":  # hubs at node 1, gamma_hub = w/(1 + w) = 0.487
+            matrices = tuple(validate(near_star(6, 0.95, np.random.default_rng(s))) for s in (1, 2))
+            program = tmp_path / "near_star.json"
+            save_program(TopologyProgram(matrices, Periodic((0, 1))), program)
+            config = {"program": str(program), "issues": 1000, "burn_in": 800}
+        else:
+            config = json.loads((EXPERIMENTS / "alternating.json").read_text())
+            config["program"] = str(EXPERIMENTS / config["program"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["periodic", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "periodic.json").read_text())
+        ys = [np.array(y) for y in doc["fixed_points"]]
+        product = np.eye(ys[0].size)
+        for y in ys[:1] + ys[:0:-1]:
+            product = product @ transform_chain(y)[1]
+        rho = np.abs(np.linalg.eigvals(product)).max()
+        bound = doc["cycle_rate_bound"]
+        assert rho <= bound < 1.0
+        if which == "near_star":  # both approach 1 as the hubs approach a star
+            assert 0.9 < rho and 0.99 < bound
 
     def test_missing_program_is_config_error(self, periodic_setup, tmp_path, capsys):
         config = json.loads(periodic_setup.read_text())

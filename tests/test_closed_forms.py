@@ -57,7 +57,8 @@ def near_vertex_runs():
 @pytest.mark.parametrize("n,count", [(3, 200), (6, 200), (30, 100), (400, 4)])
 def test_margin_matches_transform_chain(n, count):
     states = sample_interior(n, np.random.default_rng(n), count)
-    reference = np.array([1.0 - transform_chain(x).h_one_norm for x in states])
+    # 1 - ||H||_1 summed from the entries of transform_chain's H
+    reference = np.array([1.0 - np.abs(transform_chain(x)[1]).sum(axis=0).max() for x in states])
     assert np.abs(contraction_margin(states) - reference).max() <= 1e-15
 
 
@@ -122,7 +123,8 @@ def test_fixed_point_on_near_star(w):
 # The Newton loop `fixed_point` replaced, kept as a reference: numpy
 # scalars, one error-state context per step, np.delete and np.insert.
 # The rewrite performs the same IEEE operations in the same order, so
-# every equilibrium must equal this one bit for bit.
+# every equilibrium must equal this one bit for bit.  Both square
+# d = 1 - 2u as d * d, correctly rounded, not through the C library's pow.
 
 def fixed_point_reference(gamma):
     k = int(np.argmax(gamma))
@@ -130,13 +132,13 @@ def fixed_point_reference(gamma):
     lo, hi = 0.0, 1.0
     u = gamma[k] / (1.0 - gamma[k])
     while True:
-        p = u * (1.0 - u)
-        root = np.sqrt((1.0 - 2.0 * u) ** 2 + 4.0 * p * (1.0 - rho))
+        p, d = u * (1.0 - u), 1.0 - 2.0 * u
+        root = np.sqrt(d * d + 4.0 * p * (1.0 - rho))
         x = 2.0 * p * rho / (1.0 + root)
         f = u + x.sum() - 1.0
         lo, hi = (u, hi) if f < 0 else (lo, u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = u - f / (1.0 + np.sum(rho * (1.0 - 2.0 * u) / root))
+            nxt = u - f / (1.0 + np.sum(rho * d / root))
         if nxt != u and not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if nxt in (lo, hi, u):

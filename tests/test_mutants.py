@@ -237,6 +237,19 @@ MUTANTS = {
             functools.partial(test_closed_forms.test_fixed_point_matches_reference_on_uniform_gammas,
                               n=3),
         ]),
+    "certificate decided at the best mapped state": (
+        edit(verification.check_contraction_certificates, "[[margins.min(),", "[[margins.max(),"), [
+            functools.partial(test_stacked.test_checks_match_per_state_references, n=6),
+            test_cli.TestVerifyCommand().test_group6_stdout_is_pinned,
+        ]),
+    "certificate's H identities without the theta scaling": (
+        edit(verification.check_contraction_certificates, "scale = 1.0 - mapped.max(axis=-1)",
+             "scale = 1.0"), [
+            functools.partial(test_analysis.TestVerificationSuite().test_certificate_passes_near_every_vertex,
+                              distance=1e-8),
+            functools.partial(test_analysis.TestVerificationSuite().test_certificate_passes_near_every_vertex,
+                              distance=1e-11),
+        ]),
     "chart y range without its floor": (
         edit(svg.line_chart, "max(ys.max(), 1e-12)", "ys.max()"), [
             test_cli.TestSimulate().test_comparison_of_runs_held_off_its_coordinates,

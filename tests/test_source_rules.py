@@ -45,6 +45,9 @@ RULES = [
      "that hold checks"),
     ("stacked-draws", r"range\(samples\)", ("verification.py",), (),
      "every check draws its samples as stacks: no per-draw loop in verification"),
+    ("correctly-rounded-squares", r"\*\* ?2\b", ("analysis.py", "periodic.py"), (),
+     "the solvers square as d * d, correctly rounded: d ** 2 calls the C library's pow, "
+     "whose last bit differs between libraries"),
     ("periodic-without-lapack", r"linalg", ("periodic.py",), (),
      "the periodic solve works on P normalisers with elementwise elimination: no linalg "
      "call in periodic"),

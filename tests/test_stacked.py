@@ -6,7 +6,9 @@ loops they replaced."""
 import numpy as np
 import pytest
 
-from socialpower.analysis import _interior, contraction_radii, jacobian, transform_chain
+from socialpower.analysis import (
+    _interior, contraction_margin, contraction_radii, jacobian, transform_chain,
+)
 from socialpower.degroot import appraisal_step_via_zeta, build_w
 from socialpower.dynamics import df_map
 from socialpower.errors import NoConvergence
@@ -124,23 +126,28 @@ def sample_interior_reference(n, rng, count):
 
 
 def certificate_reference(gamma, rng, samples):
-    worst_norm = 0.0
+    # per state: the closed-form margin, Phi's identities, and H's row sums
+    # and trace - 1 relative to the state's largest theta, then the link
+    # between ||H||_1 summed from H's entries and 1 - margin
+    worst_margin = np.inf
     worst_struct = 0.0
     xs = sample_interior_reference(gamma.size, rng, samples)
     for x in verification._per_sample(lambda x: df_map(x, gamma), xs, gamma.size):
-        rep = transform_chain(x)
-        worst_norm = max(worst_norm, rep.h_one_norm)
+        phi, h = transform_chain(x)
+        margin = contraction_margin(x[None])[0]
+        worst_margin = min(worst_margin, margin)
         worst_struct = max(
             worst_struct,
-            np.abs(rep.phi.sum(axis=0)).max(),
-            np.abs(rep.phi - rep.phi.T).max(),
-            (rep.phi - np.diag(np.diag(rep.phi))).max(),
-            np.abs(rep.h.sum(axis=1)).max(),
-            abs(np.trace(rep.h) - 1.0),
+            np.abs(phi.sum(axis=0)).max(),
+            np.abs(phi - phi.T).max(),
+            (phi - np.diag(np.diag(phi))).max(),
+            np.abs(h.sum(axis=1)).max() * (1.0 - x.max()),
+            abs(np.trace(h) - 1.0) * (1.0 - x.max()),
+            abs(np.abs(h).sum(axis=0).max() - (1.0 - margin)),
         )
-    passed = worst_norm < 1.0 and worst_struct <= TOLERANCES.certificate_structure
+    passed = worst_margin > 0 and worst_struct <= TOLERANCES.certificate_structure
     return CheckResult(
-        "contraction_certificate", passed, worst_norm,
+        "contraction_certificate", passed, 1.0 - worst_margin,
         detail=f"worst structural deviation {worst_struct:.2e}",
     )
 
@@ -244,6 +251,6 @@ def test_transform_chain_matches_outer_product_construction(n):
     for x in sample_interior(n, np.random.default_rng(n), 5):
         phi = -np.outer(x, x)
         np.fill_diagonal(phi, x * (1.0 - x))
-        rep = transform_chain(x)
-        assert np.array_equal(rep.phi, phi)
-        assert np.array_equal(rep.h, (1.0 / (1.0 - x))[:, None] * phi)
+        got_phi, got_h = transform_chain(x)
+        assert np.array_equal(got_phi, phi)
+        assert np.array_equal(got_h, (1.0 / (1.0 - x))[:, None] * phi)
