@@ -11,9 +11,9 @@ one normaliser c_p per phase.  So once the P values u_p = y_{p,k} of one
 individual k are known, every normaliser is known, and each other
 individual's cycle is a product of P 2x2 linear-fractional maps whose
 fixed point is the root of a quadratic.  The orbit is solved for on
-those P unknowns (`periodic_fixed_points`); P = 1 is the relation
-x_i (1 - x_i) = c gamma_i of Jia, Mirtabatabaei, Friedkin & Bullo
-(SIAM Review 2015).
+those P unknowns (`periodic_fixed_points`), with `_orbits` the one 2x2
+cycle product; P = 1 is the relation x_i (1 - x_i) = c gamma_i of Jia,
+Mirtabatabaei, Friedkin & Bullo (SIAM Review 2015).
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     cycle map (`_orbits`).  At most one individual can sit on a
     repelling one: prod_p r_{p,i} > 1, with r = y/(1 - y), forces
     prod_p r_{p,j} < 1 for every j != i.  Newton's method drives the P
-    residuals sum_i y_{p,i} - 1 towards 0 from `_start`, on a Jacobian
-    of forward differences (`_newton_step`).  A step halves until u
+    residuals sum_i y_{p,i} - 1 towards 0 on a Jacobian of forward
+    differences (`_newton_step`).  It starts from each phase's normalised
+    bound shape, u_p = b_{p,k}/sum_i b_{p,i} with b = gamma/(1 - gamma),
+    the bound that also starts `fixed_point`.  A step halves until u
     stays in (0, 1)^P and the residual falls, and a NaN residual does
     not fall.  The solve stops when the residual stops falling or is 0,
     or after a step no longer than the difference step, which leaves an
@@ -81,9 +83,10 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     prev = np.arange(period) - 1  # phase p - 1, cyclically
     # column 0 keeps u, column q + 1 lowers u_q by the relative step
     stencil = 1.0 - _STEP * np.eye(period, period + 1, 1)
+    bound = gammas / (1.0 - gammas)
+    v = bound[:, k] / bound.sum(axis=1)
     best, last = np.inf, False
     with np.errstate(all="ignore"):
-        v = _start(gammas, others, ratios, prev)
         while True:
             orbits, residuals = _orbits(v[:, None] * stencil, ratios, prev)
             residual = np.add.reduce(np.abs(residuals[:, 0]))
@@ -117,34 +120,6 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     if closing > TOLERANCES.chain:
         raise NoConvergence(f"chain residuals {residuals} exceed {TOLERANCES.chain}")
     return PeriodicLimit(program, tuple(points), residuals)
-
-
-def _start(gammas, others, ratios, prev):
-    """Values u_p of individual k in the basin of the solve, in closed form.
-
-    The others are guessed first: each phase's normalised bound shape
-    gamma/(1 - gamma), carried two issues forward by the map, every
-    phase at once (one `df_map` call a sweep).  With the others fixed
-    at the guess of the phase before, the residuals read
-    u_p (1 + s_p (1 - u_{p-1})) = 1, s_p = sum_{i != k} ratio_{p,i}/(1 - y_{p-1,i}):
-    a cycle of the maps [[0, 1], [-s_p, 1 + s_p]], which all fix u = 1.
-    The other fixed point of their product [[A, B], [C, D]] is -B/C,
-    inside (0, 1) as every s_p > 1 when no phase is a star.
-    """
-    guess = gammas / (1.0 - gammas)
-    guess /= guess.sum(axis=1, keepdims=True)
-    for _ in range(2):  # on group6_alternating.json: start residual 1.2e-2 -> 3.4e-4
-        guess = df_map(guess[prev], gammas)
-    s = (ratios / (1.0 - guess[prev][:, others])).sum(axis=1).tolist()
-    A, B, C, D = 1.0, 0.0, 0.0, 1.0
-    for s_p in s[1:] + s[:1]:  # phase 1 first, as in G_0
-        A, B, C, D = C, D, (1.0 + s_p) * C - s_p * A, (1.0 + s_p) * D - s_p * B
-        scale = abs(C) + abs(D)
-        A, B, C, D = A / scale, B / scale, C / scale, D / scale
-    u = [-B / C]
-    for s_p in s[1:]:
-        u.append(1.0 / (1.0 + s_p * (1.0 - u[-1])))
-    return np.array(u)
 
 
 def _orbits(u, ratios, prev):

@@ -77,8 +77,8 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000) 
     """||H||_1 < 1 and the entry identities of `transform_chain` at mapped
     states.
 
-    The certificate is decided by one stacked `contraction_margin` call
-    per chunk, and the worst ||H||_1 is reported as 1 - min margin.  The
+    The certificate passes iff the least `contraction_margin` (one
+    stacked call per chunk) is > 0, and that margin is reported.  The
     identities are reduced on each chunk's stacked Phi and H, built by
     one `transform_chain` call per state: Phi's entries are at most 1/4,
     so its identities are absolute, while H's row sums and trace - 1 are
@@ -115,7 +115,7 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000) 
     margin, worst_struct = float(chunks[:, 0].min()), float(chunks[:, 1].max())
     passed = margin > 0 and worst_struct <= TOLERANCES.certificate_structure
     return CheckResult(
-        "contraction_certificate", passed, 1.0 - margin,
+        "contraction_certificate", passed, margin,
         detail=f"worst structural deviation {worst_struct:.2e}",
     )
 

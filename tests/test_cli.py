@@ -16,23 +16,23 @@ from test_solvers import near_star
 # `verify experiments/group6_random.json --samples 200`, exactly as printed
 GROUP6_VERIFY_200 = """\
 matrix 1 jacobian_finite_difference: pass, worst margin 1.789e-09
-matrix 1 contraction_certificate: pass, worst margin 9.972e-01 (worst structural deviation 3.33e-16)
+matrix 1 contraction_certificate: pass, worst margin 2.750e-03 (worst structural deviation 3.33e-16)
 matrix 1 opinion_oracle_equivalence: pass, worst margin 4.025e-16
 matrix 1 boundary_contraction_step: pass, worst margin -6.045e-03
 matrix 2 jacobian_finite_difference: pass, worst margin 2.598e-09
-matrix 2 contraction_certificate: pass, worst margin 9.796e-01 (worst structural deviation 2.78e-16)
+matrix 2 contraction_certificate: pass, worst margin 2.044e-02 (worst structural deviation 2.78e-16)
 matrix 2 opinion_oracle_equivalence: pass, worst margin 6.349e-16
 matrix 2 boundary_contraction_step: pass, worst margin -1.407e-02
 matrix 3 jacobian_finite_difference: pass, worst margin 1.894e-09
-matrix 3 contraction_certificate: pass, worst margin 8.767e-01 (worst structural deviation 3.33e-16)
+matrix 3 contraction_certificate: pass, worst margin 1.233e-01 (worst structural deviation 3.33e-16)
 matrix 3 opinion_oracle_equivalence: pass, worst margin 8.049e-16
 matrix 3 boundary_contraction_step: pass, worst margin -3.055e-02
 matrix 4 jacobian_finite_difference: pass, worst margin 1.842e-09
-matrix 4 contraction_certificate: pass, worst margin 9.188e-01 (worst structural deviation 3.33e-16)
+matrix 4 contraction_certificate: pass, worst margin 8.120e-02 (worst structural deviation 3.33e-16)
 matrix 4 opinion_oracle_equivalence: pass, worst margin 7.563e-16
 matrix 4 boundary_contraction_step: pass, worst margin -8.984e-04
 matrix 5 jacobian_finite_difference: pass, worst margin 2.956e-09
-matrix 5 contraction_certificate: pass, worst margin 9.911e-01 (worst structural deviation 4.44e-16)
+matrix 5 contraction_certificate: pass, worst margin 8.896e-03 (worst structural deviation 4.44e-16)
 matrix 5 opinion_oracle_equivalence: pass, worst margin 4.710e-16
 matrix 5 boundary_contraction_step: pass, worst margin -1.687e-03
 """
@@ -451,18 +451,20 @@ class TestPeriodicCommand:
 
     def test_run_within_burn_in_rejected(self, tmp_path, capsys):
         # alternating.json has a burn-in of 40: 1 or 40 issues leave no state
-        # to compare, since the states s = 41 ... issues are compared
+        # to compare, since the states s = 41 ... issues are compared; nor
+        # does a burn-in of 120 on its 120 issues
         config = json.loads((EXPERIMENTS / "alternating.json").read_text())
         config["program"] = str(EXPERIMENTS / config["program"])
-        for issues in (1, 40):
-            config["issues"] = issues
+        for issues, burn_in in ((1, 40), (40, 40), (120, 120)):
+            config["issues"], config["burn_in"] = issues, burn_in
             path = tmp_path / "alternating.json"
             path.write_text(json.dumps(config))
-            argv = ["periodic", "--config", str(path), "--out", str(tmp_path / "out")]
-            assert main(argv) == 1
+            out = tmp_path / "out"
+            assert main(["periodic", "--config", str(path), "--out", str(out)]) == 1
             captured = capsys.readouterr()
-            assert f"{issues} issues, burn-in 40" in captured.err
+            assert f"{issues} issues, burn-in {burn_in}" in captured.err
             assert "verified" not in captured.out
+            assert not out.exists()
 
     def test_order_past_matrix_list_rejected(self, tmp_path, capsys):
         doc = json.loads((EXPERIMENTS / "group6_alternating.json").read_text())
@@ -932,6 +934,13 @@ class TestVerifyCommand:
         assert lines[8].startswith("matrix 3 jacobian_finite_difference: FAIL, worst margin ")
         assert sum("FAIL" in line for line in lines) == 2
         assert lines[-1] == "first failing property: matrix 2 contraction_certificate"
+
+    def test_alternating_program_passes(self, capsys):
+        path = EXPERIMENTS / "group6_alternating.json"
+        assert main(["verify", str(path), "--samples", "200"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 8  # 2 matrices x 4 checks
+        assert all(": pass" in line for line in lines)
 
     def test_group6_stdout_is_pinned(self, capsys):
         assert main(["verify", str(EXPERIMENTS / "group6_random.json"), "--samples", "200"]) == 0

@@ -147,7 +147,7 @@ def certificate_reference(gamma, rng, samples):
         )
     passed = worst_margin > 0 and worst_struct <= TOLERANCES.certificate_structure
     return CheckResult(
-        "contraction_certificate", passed, 1.0 - worst_margin,
+        "contraction_certificate", passed, worst_margin,
         detail=f"worst structural deviation {worst_struct:.2e}",
     )
 
