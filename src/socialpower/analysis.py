@@ -41,6 +41,8 @@ def jacobian(x_now: np.ndarray, x_next: np.ndarray) -> np.ndarray:
     J_ii = x'_i (1 - x'_i)/(1 - x_i) and J_ij = -x'_i x'_j/(1 - x_j),
     written with x' = x_next.  Columns sum to 0.  Stacks of state pairs
     with shape (..., n) give a stack of Jacobians, shape (..., n, n).
+    Each entry is within 4u (u = 2^-53) relative of the formula; at x' =
+    `df_map`(x_now), column j is within (2n + 11)u x'_j/(1 - x_j) of F'.
     """
     x_now = np.asarray(x_now, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
@@ -90,9 +92,9 @@ def contraction_margin(states: np.ndarray) -> np.ndarray:
     S = sum_{i != k} r_i and Q = sum_{i != k} r_i x_i, which removes the
     cancellation near a vertex, where r_k is huge: column j != k gives
     r_k ((1 - x_k) - x_j) + (1 - x_j)(S - r_j) - (Q - r_j x_j), and
-    column k sums its own terms.  Away from a vertex, S - r_j and
-    Q - r_j x_j can still cancel when x_j holds almost all of 1 - x_k;
-    the absolute error there is that of 1 - ||H||_1 itself.
+    column k sums its own terms.  Column j's margin is within (n + 6)u M_j
+    (u = 2^-53), M_j its formula with each difference but 1 - x_i a sum:
+    relative for column k, not where x_j holds almost all of 1 - x_k.
     """
     x = np.asarray(states, dtype=float)
     _require_interior(x)

@@ -170,7 +170,7 @@ def cmd_simulate(args) -> int:
     post = batch.states[1:]
     interior = np.all(post > 0, axis=-1)  # a run held at its vertex has no margin
     try:
-        min_margin = float(analysis.contraction_margin(post[interior]).min(initial=1.0))
+        min_margin = float(analysis.contraction_margin(post[interior]).min()) if interior.any() else None
     except NearVertex as exc:
         t, b = np.argwhere(interior)[exc.row].tolist()
         raise NearVertex(f"run {names[b]!r}, issue {t + 1}: {exc}") from exc
@@ -198,8 +198,8 @@ def cmd_simulate(args) -> int:
     if bound_checked == 0:
         print(f"warning: burn_in {burn_in} >= issues {issues}: no state was checked "
               "against the equilibrium bound", file=sys.stderr)
-    print(f"simulate: {len(names)} run(s), {issues} issues, "
-          f"{violations} bound violations, min margin {min_margin:.4f}")
+    print(f"simulate: {len(names)} run(s), {issues} issues, {violations} bound violations, "
+          f"min margin {'n/a' if min_margin is None else f'{min_margin:.4f}'}")
     return 0 if violations == 0 else 1
 
 

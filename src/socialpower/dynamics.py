@@ -29,11 +29,12 @@ def near_vertex_error(where: str = "") -> NearVertex:
 def df_map(x, gamma: np.ndarray) -> np.ndarray:
     """One issue of the social power update, away from the vertices.
 
-    `x` may be a stack of states with shape (..., n); each row is mapped
-    exactly as it would be on its own.
+    `x` may be a stack of states with shape (..., n), complex for the
+    complex step (its real part guarded); each row is mapped exactly as on
+    its own, each float entry within (n + 4)u relative (u = 2^-53).
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(1.0 - x.max(axis=-1) >= TOLERANCES.vertex_guard):  # a NaN entry fails too
+    x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    if not np.all(1.0 - x.real.max(axis=-1) >= TOLERANCES.vertex_guard):  # a NaN entry fails too
         raise near_vertex_error()
     out = np.empty_like(x)
     _issues([x, out], [gamma])

@@ -66,7 +66,7 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     y_0 is the solution, and the other y_p = F_p(y_{p-1}) are the states
     G_0 passes through, so only the closing chain residual
     ||F_0(y_{P-1}) - y_0||_1 is not 0 by construction; one beyond
-    `Tolerances.chain` raises NoConvergence.
+    `Tolerances.fixed_point` raises NoConvergence.
     """
     signal = program.signal
     if not isinstance(signal, Periodic):
@@ -117,8 +117,8 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
         points.append(df_map(points[-1], gamma))
     closing = np.abs(df_map(points[-1], gammas[0]) - points[0]).sum()
     residuals = np.append(np.zeros(period - 1), closing)  # y_{p+1} is F_{p+1}(y_p) itself
-    if closing > TOLERANCES.chain:
-        raise NoConvergence(f"chain residuals {residuals} exceed {TOLERANCES.chain}")
+    if closing > TOLERANCES.fixed_point:
+        raise NoConvergence(f"chain residuals {residuals} exceed {TOLERANCES.fixed_point}")
     return PeriodicLimit(program, tuple(points), residuals)
 
 

@@ -49,21 +49,18 @@ class Tolerances:
     # analysis.contraction_margin and analysis.fixed_point: allowed
     # |sum - 1| of a state (a row) and of the gamma to solve for
     structure: float = 1e-10
-    # analysis.fixed_point: accepted residual ||F(x) - x||_1
+    # every computed limit: the accepted residual ||F(x) - x||_1 of
+    # analysis.fixed_point, and of periodic_fixed_points' closing link
     fixed_point: float = 1e-13
-    # periodic.periodic_fixed_points: the closing chain residual
-    # ||F_0(y_{P-1}) - y_0||_1 of the P-normaliser solve's y_0, above this
-    # raises NoConvergence; the other links are 0 by construction
-    chain: float = 1e-12
     # periodic.verify_periodic_limit: allowed 1-norm deviation of a run
     # from the per-phase limit
     periodic_limit: float = 1e-8
-    # verification: relative Jacobian error against central differences
-    # (also the column-sum scale), the certificate's structural deviation
-    # (Phi's identities, H's relative to its largest theta, and the link
-    # between ||H||_1 and the closed-form margin) and the 1-norm gap
-    # between the opinion oracle and the map
-    finite_difference: float = 1e-5
+    # verification: the Jacobian's error against the complex step ((4n + 30)u
+    # bound, u = 2^-53; worst 1.1e-15 = 9.7u on experiments/ and the bench's
+    # seed-1 programs, 93 times below 1e-13), the certificate's structural
+    # deviation (Phi's identities, H's relative to its largest theta, the
+    # link of ||H||_1 to the margin) and the opinion oracle's gap to the map
+    finite_difference: float = 1e-13
     certificate_structure: float = 1e-9
     oracle_gap: float = 1e-10
     # cli simulate: slack on the equilibrium bound gamma/(1 - gamma)

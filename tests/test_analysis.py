@@ -53,13 +53,13 @@ class TestJacobian:
             assert np.abs(J.sum(axis=0)).max() <= 1e-12
 
     def test_matches_finite_differences(self):
+        # the complex step, column j relative to x'_j/(1 - x_j)
         gamma = dominant_left_eigenvector(validate(interaction_set_6()[1]))
         rng = np.random.default_rng(9)
         for x in sample_interior(6, rng, 10):
-            analytic = jacobian(x, df_map(x, gamma))
-            numeric = finite_difference_jacobian(x, gamma)
-            denom = max(1.0, np.abs(analytic).max())
-            assert np.abs(analytic - numeric).max() / denom <= 1e-5
+            nxt = df_map(x, gamma)
+            gap = np.abs(jacobian(x, nxt) - finite_difference_jacobian(x, gamma))
+            assert (gap * (1.0 - x) / nxt).max() <= TOLERANCES.finite_difference
 
     def test_near_vertex_rejected(self):
         x = np.array([1 - 1e-13, 1e-13, 0.0])
@@ -251,9 +251,8 @@ class TestTolerances:
             "star_gamma": 1e-9,
             "structure": 1e-10,
             "fixed_point": 1e-13,
-            "chain": 1e-12,
             "periodic_limit": 1e-8,
-            "finite_difference": 1e-5,
+            "finite_difference": 1e-13,
             "certificate_structure": 1e-9,
             "oracle_gap": 1e-10,
             "bound_slack": 1e-9,

@@ -15,23 +15,23 @@ from test_solvers import near_star
 
 # `verify experiments/group6_random.json --samples 200`, exactly as printed
 GROUP6_VERIFY_200 = """\
-matrix 1 jacobian_finite_difference: pass, worst margin 1.789e-09
+matrix 1 jacobian_finite_difference: pass, worst margin 5.358e-16
 matrix 1 contraction_certificate: pass, worst margin 2.750e-03 (worst structural deviation 3.33e-16)
 matrix 1 opinion_oracle_equivalence: pass, worst margin 4.025e-16
 matrix 1 boundary_contraction_step: pass, worst margin -6.045e-03
-matrix 2 jacobian_finite_difference: pass, worst margin 2.598e-09
+matrix 2 jacobian_finite_difference: pass, worst margin 7.659e-16
 matrix 2 contraction_certificate: pass, worst margin 2.044e-02 (worst structural deviation 2.78e-16)
 matrix 2 opinion_oracle_equivalence: pass, worst margin 6.349e-16
 matrix 2 boundary_contraction_step: pass, worst margin -1.407e-02
-matrix 3 jacobian_finite_difference: pass, worst margin 1.894e-09
+matrix 3 jacobian_finite_difference: pass, worst margin 7.702e-16
 matrix 3 contraction_certificate: pass, worst margin 1.233e-01 (worst structural deviation 3.33e-16)
 matrix 3 opinion_oracle_equivalence: pass, worst margin 8.049e-16
 matrix 3 boundary_contraction_step: pass, worst margin -3.055e-02
-matrix 4 jacobian_finite_difference: pass, worst margin 1.842e-09
+matrix 4 jacobian_finite_difference: pass, worst margin 5.351e-16
 matrix 4 contraction_certificate: pass, worst margin 8.120e-02 (worst structural deviation 3.33e-16)
 matrix 4 opinion_oracle_equivalence: pass, worst margin 7.563e-16
 matrix 4 boundary_contraction_step: pass, worst margin -8.984e-04
-matrix 5 jacobian_finite_difference: pass, worst margin 2.956e-09
+matrix 5 jacobian_finite_difference: pass, worst margin 7.546e-16
 matrix 5 contraction_certificate: pass, worst margin 8.896e-03 (worst structural deviation 4.44e-16)
 matrix 5 opinion_oracle_equivalence: pass, worst margin 4.710e-16
 matrix 5 boundary_contraction_step: pass, worst margin -1.687e-03
@@ -151,6 +151,25 @@ class TestSimulate:
         rows = (out / "run_autocrat.csv").read_text().strip().split("\n")
         last = [float(v) for v in rows[-1].split(",")]
         assert last[2 + 2] == 1.0  # individual 3 holds all power
+
+    def test_runs_all_held_at_a_vertex_take_no_margin(self, tmp_path, capsys):
+        # no state after the start is interior, so no margin is taken: null,
+        # printed n/a; a free run among them gives its margin again
+        def run(starts):
+            config = {"program": str(EXPERIMENTS / "group6_random.json"), "issues": 10, "burn_in": 5,
+                      "initial_conditions": starts}
+            path = tmp_path / "held.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / "out"
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+            return json.loads((out / "report.json").read_text())["min_contraction_margin"], \
+                capsys.readouterr().out
+
+        margin, stdout = run({"a": "vertex:1", "b": "vertex:2"})
+        assert margin is None
+        assert stdout == "simulate: 2 run(s), 10 issues, 10 bound violations, min margin n/a\n"
+        margin, stdout = run({"a": "vertex:1", "b": "vertex:2", "c": [1 / 6] * 6})
+        assert 0 < margin < 1 and stdout.endswith(f"min margin {margin:.4f}\n")
 
     def test_start_near_a_vertex_names_run_and_issue(self, simulate_config, tmp_path, capsys):
         # admissible (simulate's guard is 1e-14), but after issue 1 the state

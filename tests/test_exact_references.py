@@ -1,0 +1,145 @@
+"""The rounding bound each docstring states, in units of u = 2^-53,
+checked against exact rational arithmetic.
+
+`df_map`, `jacobian`, the complex-step Jacobian and `contraction_margin`
+are evaluated on dyadic states (every entry a float, the entries summing
+to exactly 1) for n <= 6, among them states 2e-12 from each vertex, and
+compared with the same quantities computed in `fractions.Fraction` on the
+same floats.  A first-order bound of K u is checked as Higham's
+gamma_K = K u/(1 - K u).
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from socialpower.analysis import contraction_margin, jacobian
+from socialpower.dynamics import df_map
+from socialpower.topology import validate
+from socialpower.verification import finite_difference_jacobian
+from networks import interaction_set_6
+from test_solvers import near_star
+
+U = Fraction(1, 2 ** 53)
+
+
+def gamma_k(k):
+    return k * U / (1 - k * U)
+
+
+def exact(values):
+    return [Fraction(float(v)) for v in values]
+
+
+def dyadic_states(n, rng, count=40, bits=30):
+    """Random states whose entries are multiples of 2^-(bits + 3), summing to 1."""
+    total = 2 ** (bits + 3)
+    for _ in range(count):
+        parts = [int(a) for a in rng.integers(1, 2 ** bits, n - 1)]
+        yield [Fraction(a, total) for a in parts] + [Fraction(total - sum(parts), total)]
+
+
+def near_vertex_states(n, rng, distance=2e-12):
+    """For each vertex k, x_k = fl(1 - distance) and the rest, 1 - x_k
+    (exact, with 15 significant bits), split in dyadic parts."""
+    top = Fraction(1.0 - distance)
+    for k in range(n):
+        parts = [int(a) for a in rng.integers(1, 2 ** 20, n - 2)]
+        shares = [Fraction(a, 2 ** 24) for a in parts]
+        rest = [(1 - top) * s for s in shares + [1 - sum(shares)]]
+        yield rest[:k] + [top] + rest[k:]
+
+
+def gammas():
+    rng = np.random.default_rng(6)
+    yield from (validate(m).gamma for m in interaction_set_6())
+    yield validate(near_star(6, 0.9999, rng)).gamma
+    for n in (3, 4):
+        m = rng.uniform(0.1, 1.0, (n, n))
+        np.fill_diagonal(m, 0.0)
+        yield validate(m / m.sum(axis=1, keepdims=True)).gamma
+
+
+GAMMAS = list(gammas())
+
+
+def states(k):
+    rng = np.random.default_rng(k)
+    n = GAMMAS[k].size
+    return [*dyadic_states(n, rng), *near_vertex_states(n, rng)]
+
+
+def floats(x):
+    out = np.array([float(v) for v in x])
+    assert exact(out) == x and sum(x) == 1  # each entry a float, summing to exactly 1
+    return out
+
+
+def exact_map(x, gamma):
+    q = [g / (1 - v) for g, v in zip(exact(gamma), x)]
+    total = sum(q)
+    return [v / total for v in q]
+
+
+def exact_jacobian(x, nxt):
+    """J_ii = x'_i (1 - x'_i)/(1 - x_i), J_ij = -x'_i x'_j/(1 - x_j), exactly."""
+    n = len(x)
+    return [[(nxt[i] * (1 - nxt[i]) if i == j else -nxt[i] * nxt[j]) / (1 - x[j]) for j in range(n)]
+            for i in range(n)]
+
+
+def column_scale_errors(got, x, mapped):
+    """max_ij |got_ij - J_ij| (1 - x_j)/F_j against the exact derivative."""
+    want = exact_jacobian(x, mapped)
+    n = len(x)
+    return max(abs(Fraction(float(got[i, j])) - want[i][j]) * (1 - x[j]) / mapped[j]
+               for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("k", range(len(GAMMAS)))
+def test_map_and_jacobians_within_their_bounds(k):
+    gamma = GAMMAS[k]
+    n = gamma.size
+    for x in states(k):
+        xf = floats(x)
+        mapped = exact_map(x, gamma)
+        got = df_map(xf, gamma)
+        # df_map: every entry within (n + 4)u relative
+        assert max(abs(Fraction(float(a)) - b) / b for a, b in zip(got, mapped)) <= gamma_k(n + 4)
+        # jacobian: every entry within 4u relative of its formula on the given floats
+        J = jacobian(xf, got)
+        on_inputs = exact_jacobian(x, exact(got))
+        assert max(abs(Fraction(float(J[i, j])) - on_inputs[i][j]) / abs(on_inputs[i][j])
+                   for i in range(n) for j in range(n)) <= gamma_k(4)
+        # against the exact derivative, column j relative to F_j/(1 - x_j): jacobian
+        # at df_map's states within (2n + 11)u, the complex step within (2n + 19)u
+        assert column_scale_errors(J, x, mapped) <= gamma_k(2 * n + 11)
+        cs = finite_difference_jacobian(xf, gamma)
+        assert column_scale_errors(cs, x, mapped) <= gamma_k(2 * n + 19)
+
+
+@pytest.mark.parametrize("k", range(len(GAMMAS)))
+def test_margin_within_its_bound(k):
+    for x in states(k):
+        check_margin(x)
+
+
+def check_margin(x):
+    """Column j's margin m_j within (n + 6)u M_j, M_j its formula with each
+    difference taken as a sum; so the least margin lies between the least
+    m_j - (n + 6)u M_j and the least m_j + (n + 6)u M_j."""
+    n = len(x)
+    got = Fraction(float(contraction_margin(floats(x)[None])[0]))
+    top = max(range(n), key=x.__getitem__)
+    d = [1 - v for v in x]
+    r = [v / w for v, w in zip(x, d)]
+    s = sum(r[i] for i in range(n) if i != top)
+    q = sum(r[i] * x[i] for i in range(n) if i != top)
+    exact_margins = [sum(r[i] * (d[j] - x[i]) for i in range(n) if i != j) for j in range(n)]
+    sizes = [sum(r[i] * (d[top] + x[i]) for i in range(n) if i != top) if j == top
+             else r[top] * (d[top] + x[j]) + d[j] * (s + r[j]) + q + r[j] * x[j]
+             for j in range(n)]
+    bound = gamma_k(n + 6)
+    assert min(m - bound * size for m, size in zip(exact_margins, sizes)) <= got
+    assert got <= min(m + bound * size for m, size in zip(exact_margins, sizes))

@@ -107,6 +107,12 @@ MUTANTS = {
         edit(analysis.jacobian, "J = -(x_next", "J = (x_next"), [
             test_acceptance.test_criterion_6_jacobian_against_finite_differences,
         ]),
+    "jacobian scaled by 1 + 1e-8": (
+        # far inside central differences' error, far outside the complex step's
+        edit(analysis.jacobian, "return J", "return J * (1.0 + 1e-8)"), [
+            test_acceptance.test_criterion_6_jacobian_against_finite_differences,
+            test_cli.TestVerifyCommand().test_passes_on_example_group_program,
+        ]),
     "digit pairs keep their trailing zero": (
         pairs_keep_trailing_zeros, [
             test_format.test_uniform_states,
@@ -130,7 +136,7 @@ MUTANTS = {
             test_simulate_outputs.test_forgetting_outputs_are_pinned,
         ]),
     "df_map guard reads x.min": (
-        edit(dynamics.df_map, "x.max(axis=-1)", "x.min(axis=-1)"), [
+        edit(dynamics.df_map, "x.real.max(axis=-1)", "x.real.min(axis=-1)"), [
             test_dynamics.TestDfMap().test_overflow_guard,
             functools.partial(test_dynamics.TestDfMap().test_guard_edge_in_the_last_column_of_a_later_row,
                               toward=1.0, rejected=True),

@@ -92,7 +92,7 @@ class TestPeriodicFixedPoints:
 
     def test_chain_residual_beyond_tolerance_rejected(self, monkeypatch):
         # every residual, even an exact 0, exceeds a negative tolerance
-        monkeypatch.setattr(periodic, "TOLERANCES", dataclasses.replace(TOLERANCES, chain=-1.0))
+        monkeypatch.setattr(periodic, "TOLERANCES", dataclasses.replace(TOLERANCES, fixed_point=-1.0))
         with pytest.raises(errors.NoConvergence, match=r"chain residuals .* exceed -1.0"):
             periodic_fixed_points(two_phase_program())
 
@@ -104,7 +104,7 @@ class TestPeriodicFixedPoints:
         newton_step = periodic._newton_step
         monkeypatch.setattr(periodic, "_newton_step", lambda residuals: 2.0 ** 40 * newton_step(residuals))
         got = periodic_fixed_points(program)
-        assert got.chain_residuals.max() <= TOLERANCES.chain
+        assert got.chain_residuals.max() <= TOLERANCES.fixed_point
         for y, z in zip(got.fixed_points, want.fixed_points, strict=True):
             assert np.abs(y - z).max() <= 1e-15
 
@@ -129,7 +129,7 @@ class TestPeriodicFixedPoints:
         k = int(np.argmax(first + second))
         start = np.insert(y[0], k, u[0])
         closing = np.abs(df_map(df_map(start, second), first) - start).sum()
-        assert str(info.value) == f"chain residuals {np.array([0.0, closing])} exceed {TOLERANCES.chain}"
+        assert str(info.value) == f"chain residuals {np.array([0.0, closing])} exceed {TOLERANCES.fixed_point}"
 
     def test_nan_residual_at_the_start_rejected(self, monkeypatch):
         orbits = periodic._orbits

@@ -144,7 +144,7 @@ def check_matches_reference(program, tol=1e-12):
 def check_chain_residuals(program):
     limit = periodic_fixed_points(program)
     assert limit.chain_residuals.shape == (len(program.signal.order),)
-    assert np.all(limit.chain_residuals <= TOLERANCES.chain)
+    assert np.all(limit.chain_residuals <= TOLERANCES.fixed_point)
     # every link ||F_{p+1}(y_p) - y_{p+1}||_1 recomputed, bit for bit
     gammas = [program.matrices[i].gamma for i in program.signal.order]
     points, period = limit.fixed_points, len(gammas)
@@ -156,7 +156,7 @@ def check_chain_residuals(program):
 def check_invariant_under_composite(program):
     limit = periodic_fixed_points(program)
     for p, y in enumerate(limit.fixed_points):
-        assert np.abs(composite(program, p, y) - y).sum() <= TOLERANCES.chain
+        assert np.abs(composite(program, p, y) - y).sum() <= TOLERANCES.fixed_point
 
 
 def sparse_cycle_program():

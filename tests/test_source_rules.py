@@ -48,9 +48,9 @@ RULES = [
     ("correctly-rounded-squares", r"\*\* ?2\b", ("analysis.py", "periodic.py"), (),
      "the solvers square as d * d, correctly rounded: d ** 2 calls the C library's pow, "
      "whose last bit differs between libraries"),
-    ("periodic-without-lapack", r"linalg", ("periodic.py",), (),
-     "the periodic solve works on P normalisers with elementwise elimination: no linalg "
-     "call in periodic"),
+    ("one-lapack-call-site", r"linalg", None, ("topology.py",),
+     "one LAPACK call site: only topology (stationary_vector) calls linalg, so the "
+     "dependence of outputs on the BLAS kernel stays in one function"),
 ]
 
 

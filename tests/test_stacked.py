@@ -79,17 +79,23 @@ def test_stationary_vector(case):
     assert_rows_equal(stationary_vector(ws), [stationary_vector(w) for w in ws])
 
 
-def test_finite_difference_perturbs_one_entry_per_column():
-    # column j of the Jacobian moves x_j alone, by exactly +-FD_STEP
+def test_finite_difference_perturbs_one_entry_per_column(monkeypatch):
+    # the complex step: one df_map call, whose row j moves x_j alone, by
+    # exactly i h; column j equals the one-row call's Im F / h
     x = np.array([0.2, 0.3, 0.5])
     gamma = np.array([0.25, 0.35, 0.4])
+    h = verification.COMPLEX_STEP
+    calls = []
+    monkeypatch.setattr(verification, "df_map", lambda xs, g: calls.append(xs) or df_map(xs, g))
     J = finite_difference_jacobian(x, gamma)
+    (steps,) = calls
+    assert steps.dtype == complex and steps.shape == (3, 3)
+    assert np.array_equal(steps.real, np.tile(x, (3, 1)))
+    assert np.array_equal(steps.imag, h * np.eye(3))
     for j in range(3):
-        hi, lo = x.copy(), x.copy()
-        hi[j] += verification.FD_STEP
-        lo[j] -= verification.FD_STEP
-        expected = (df_map(hi, gamma) - df_map(lo, gamma)) / (2 * verification.FD_STEP)
-        assert np.array_equal(J[:, j], expected)
+        step = x.astype(complex)
+        step[j] += 1j * h
+        assert np.array_equal(J[:, j], df_map(step, gamma).imag / h)
 
 
 def test_defective_matrix_in_stack_is_named():
