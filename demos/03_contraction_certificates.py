@@ -37,6 +37,7 @@ print("derivative column sums (zero: the map fixes the total):",
       np.round(J.sum(axis=0), 12))
 
 print("\npackaged invariant suite:")
-for res in run_suite(matrix, samples=200, seed=0):
+(results,) = run_suite([matrix], samples=200, seed=0)
+for res in results:
     print(f"  {res.name}: {'pass' if res.passed else 'FAIL'}"
           f" (worst margin {res.worst_margin:.3e})")

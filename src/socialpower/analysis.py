@@ -23,8 +23,13 @@ from .topology import TOLERANCES, at_star
 
 
 def _interior(x: np.ndarray) -> np.ndarray:
-    """Rows of `x` (..., n) in the certificate's domain: x_i > 0 and 1 - x_i >= near_vertex."""
-    return ((x > 0) & (1.0 - x >= TOLERANCES.near_vertex)).all(axis=-1)  # NaN fails both
+    """Rows of `x` (..., n) in the certificate's domain: x_i > 0 and 1 - x_i >= near_vertex.
+
+    Two reductions decide it without a temporary the size of `x`: fl(1 - x)
+    never grows as x grows, so the largest entry decides the second test;
+    a NaN entry makes both extremes NaN and fails.
+    """
+    return (x.min(axis=-1) > 0) & (1.0 - x.max(axis=-1) >= TOLERANCES.near_vertex)
 
 
 def _require_interior(x: np.ndarray):

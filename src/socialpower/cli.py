@@ -270,13 +270,13 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValidationError(f"random seed {args.seed} is negative")
     failed = None
-    for k, matrix in enumerate(program.matrices):
-        for res in run_suite(matrix, args.samples, args.seed + k):
+    for k, results in enumerate(run_suite(program.matrices, args.samples, args.seed), 1):
+        for res in results:
             status = "pass" if res.passed else "FAIL"
             extra = f" ({res.detail})" if res.detail else ""
-            print(f"matrix {k + 1} {res.name}: {status}, worst margin {res.worst_margin:.3e}{extra}")
+            print(f"matrix {k} {res.name}: {status}, worst margin {res.worst_margin:.3e}{extra}")
             if not res.passed and failed is None:
-                failed = f"matrix {k + 1} {res.name}"
+                failed = f"matrix {k} {res.name}"
     if failed:
         print(f"first failing property: {failed}")
         return 1

@@ -16,27 +16,32 @@ from .errors import ValidationError
 from .topology import RelativeInteractionMatrix, stationary_vector
 
 
-def build_w(x: np.ndarray, C: RelativeInteractionMatrix) -> np.ndarray:
+def build_w(x: np.ndarray, C: RelativeInteractionMatrix | np.ndarray) -> np.ndarray:
     """Influence matrix X + (I - X)C; row-stochastic with diagonal x.
 
     A stack of self-weight vectors, shape (..., n), gives a stack of
-    influence matrices, shape (..., n, n).
+    influence matrices, shape (..., n, n).  `C` is a
+    RelativeInteractionMatrix, or a stack of their entries whose leading
+    axes broadcast against those of x: entries (K, 1, n, n) pair
+    matrix k with the rows x[k] of a (K, S, n) stack, and are not copied
+    per row.
     """
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0) & (x < 1)):  # a NaN entry fails too
         raise ValidationError("self-weights must satisfy 0 <= x_i < 1")
-    w = (1.0 - x)[..., :, None] * C.entries
+    entries = C.entries if isinstance(C, RelativeInteractionMatrix) else C
+    w = (1.0 - x)[..., :, None] * entries
     diag = np.arange(x.shape[-1])
     w[..., diag, diag] += x
     return w
 
 
-def appraisal_step_via_zeta(x, C: RelativeInteractionMatrix):
+def appraisal_step_via_zeta(x, C: RelativeInteractionMatrix | np.ndarray):
     """Next power vector via the consensus weights of W(x).
 
     Must agree with the reduced map evaluated at the dominant left
     eigenvector of C; any discrepancy beyond `Tolerances.oracle_gap` is a
     defect in one of the two paths.  A stack of states, shape (..., n),
-    is solved as one stack of influence matrices.
+    is solved as one stack of influence matrices; `C` is as in `build_w`.
     """
     return stationary_vector(build_w(x, C))

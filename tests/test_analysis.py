@@ -263,11 +263,12 @@ class TestTolerances:
 
 class TestVerificationSuite:
     def test_all_checks_pass_on_fixture_matrix(self):
-        results = run_suite(validate(interaction_set_6()[1]), samples=40, seed=0)
-        assert results and all(r.passed for r in results)
+        (results,) = run_suite([validate(interaction_set_6()[1])], samples=40, seed=0)
+        assert len(results) == 4 and all(r.passed for r in results)
 
     def test_reports_named_checks(self):
-        names = {r.name for r in run_suite(validate(interaction_set_6()[2]), samples=10, seed=1)}
+        (results,) = run_suite([validate(interaction_set_6()[2])], samples=10, seed=1)
+        names = {r.name for r in results}
         assert "jacobian_finite_difference" in names
         assert "contraction_certificate" in names
         assert "opinion_oracle_equivalence" in names
@@ -303,6 +304,30 @@ class TestVerificationSuite:
             tracemalloc.stop()
         assert res.passed
         assert peak <= 3 * samples * n * 8
+
+    def test_suite_of_several_matrices_peaks_at_one_chunk(self):
+        # the checks hold the (K, S, n) samples whole and work on them one
+        # chunk at a time: at n = 400 a chunk is one sample of each matrix,
+        # and the Jacobian check's peak holds three copies of its complex
+        # step stack (the stack, its image under the map and the Jacobian
+        # pair); the four samples of each matrix in one chunk would hold 12
+        n, count, samples = 400, 3, 4
+        rng = np.random.default_rng(0)
+        matrices = []
+        for _ in range(count):
+            m = rng.uniform(0.1, 1.0, (n, n))
+            np.fill_diagonal(m, 0.0)
+            matrices.append(validate(m / m.sum(axis=1, keepdims=True)))
+        chunk = count * 2 * n * n * 8  # bytes of one chunk's complex step stack
+        assert verification.CHUNK_FLOATS < count * 2 * n * n
+        tracemalloc.start()
+        try:
+            results = run_suite(matrices, samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for checks in results for r in checks)
+        assert peak <= count * samples * n * 8 + 3.25 * chunk
 
     def test_certificate_fails_on_positive_off_diagonal(self, monkeypatch):
         # a Phi that is symmetric with zero sums but has phi_12 > 0 is no

@@ -860,6 +860,20 @@ class TestCountsBeyondTheAddressSpace:
         assert (code, err) == (1, f"error: samples = {10**30} is too large: the samples need more than "
                                   "2^47 bytes\n")
 
+    def test_verify_samples_of_every_matrix(self, program_file, capsys, monkeypatch):
+        # the checks hold the samples of all five matrices (n = 6) at once:
+        # these fit one matrix's 2^47 bytes, not five; no state may be drawn
+        samples = 2 ** 47 // (8 * 6)
+        assert 8 * samples * 6 <= 2 ** 47 < 8 * 5 * samples * 6
+
+        def sample_interior(n, rng, count):
+            raise AssertionError(f"{count} samples drawn past the address guard")
+
+        monkeypatch.setattr(verification, "sample_interior", sample_interior)
+        code, err = exit_and_stderr(["verify", str(program_file), "--samples", str(samples)], capsys)
+        assert (code, err) == (1, f"error: samples = {samples} is too large: the samples need more than "
+                                  "2^47 bytes\n")
+
 
 class TestSignalIndices:
     """A signal index is checked on the file's Python integer, before numpy
@@ -938,12 +952,13 @@ class TestVerifyCommand:
 
     def test_names_the_first_failing_check(self, program_file, capsys, monkeypatch):
         # every check passes on a valid matrix: fail matrix 2's certificate and
-        # matrix 3's Jacobian check by hand (run_suite gets seed + k for matrix k)
+        # matrix 3's Jacobian check by hand (run_suite returns the four results
+        # of each matrix in program order)
         failing = {1: "contraction_certificate", 2: "jacobian_finite_difference"}
 
-        def run_suite(matrix, samples, seed):
-            return [dataclasses.replace(res, passed=res.name != failing.get(seed))
-                    for res in verification.run_suite(matrix, samples, seed)]
+        def run_suite(matrices, samples, seed):
+            return [[dataclasses.replace(res, passed=res.name != failing.get(k)) for res in results]
+                    for k, results in enumerate(verification.run_suite(matrices, samples, seed))]
 
         monkeypatch.setattr("socialpower.cli.run_suite", run_suite)
         assert main(["verify", str(program_file), "--samples", "10", "--seed", "0"]) == 1

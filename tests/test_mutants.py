@@ -99,7 +99,7 @@ MUTANTS = {
         ]),
     "boundary radius times 1.5": (
         # capped at 1, so that x_j stays in [0, 1 - r]
-        edit(verification.check_boundary_step, "rng.uniform(0.0, radii[j])",
+        edit(verification._boundary_draws, "rng.uniform(0.0, radii[j])",
              "rng.uniform(0.0, np.minimum(1.5 * radii[j], 1.0))"), [
             test_cli.TestVerifyCommand().test_passes_on_example_group_program,
         ]),
@@ -190,12 +190,16 @@ MUTANTS = {
             test_cli.TestVerifyCommand().test_near_star_centre_band_is_not_tested,
         ]),
     "boundary factor not bounded by 1/r": (
-        edit(verification.check_boundary_step, "1.0 / np.maximum(r, 2.0 / 3.0)", "1.5"), [
+        edit(verification._boundary_draws, "1.0 / np.maximum(r, 2.0 / 3.0)", "1.5"), [
             functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_keeps_every_draw,
                               gamma=np.full(30, 1 / 30)),
         ]),
+    "skipped boundary states counted": (
+        edit(verification.check_boundary_step, "np.where(keep, margin, first_kept)", "margin"), [
+            test_stacked.test_boundary_check_skips_states_matrix_by_matrix,
+        ]),
     "boundary check draws star centres": (
-        edit(verification.check_boundary_step, "np.flatnonzero(radii > 0)", "np.arange(n)"), [
+        edit(verification._boundary_draws, "np.flatnonzero(radii > 0)", "np.arange(n)"), [
             functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_keeps_every_draw,
                               gamma=np.array([0.5, 0.25, 0.25])),
             functools.partial(test_stacked.test_checks_match_per_state_references_on_a_star, samples=1),
@@ -207,8 +211,19 @@ MUTANTS = {
             functools.partial(test_cli.TestCountsBeyondTheAddressSpace().test_simulate_issues, issues=10**16),
         ]),
     "samples bound dropped": (
-        edit(verification.run_suite, "if 8 * samples * matrix.n > 2 ** ADDRESS_BITS:", "if False:"), [
+        edit(verification.run_suite, "if 8 * len(matrices) * samples * matrices[0].n > 2 ** ADDRESS_BITS:",
+             "if False:"), [
             test_cli.TestCountsBeyondTheAddressSpace().test_verify_samples,
+        ]),
+    "address guard without K": (
+        edit(verification.run_suite, "8 * len(matrices) * samples", "8 * samples"), [
+            test_cli.TestCountsBeyondTheAddressSpace().test_verify_samples_of_every_matrix,
+        ]),
+    "rows paired with the next matrix's gamma": (
+        edit(verification.run_suite, "gammas = np.stack([m.gamma for m in matrices])",
+             "gammas = np.roll(np.stack([m.gamma for m in matrices]), 1, axis=0)"), [
+            functools.partial(test_stacked.test_suite_matches_the_per_matrix_loop, n=6, samples=30, count=2),
+            test_cli.TestVerifyCommand().test_group6_stdout_is_pinned,
         ]),
     "periodic order range read as int64": (
         edit(topology.Periodic.realize, "min(self.order)", "np.asarray(self.order, dtype=int).min()"), [
@@ -244,7 +259,8 @@ MUTANTS = {
                               n=3),
         ]),
     "certificate decided at the best mapped state": (
-        edit(verification.check_contraction_certificates, "[[margins.min(),", "[[margins.max(),"), [
+        edit(verification.check_contraction_certificates, "states[..., 0].min(axis=-1)",
+             "states[..., 0].max(axis=-1)"), [
             functools.partial(test_stacked.test_checks_match_per_state_references, n=6),
             test_cli.TestVerifyCommand().test_group6_stdout_is_pinned,
         ]),

@@ -18,6 +18,8 @@ from socialpower.verification import (
     CheckResult,
     check_boundary_step,
     check_contraction_certificates,
+    check_jacobian_fd,
+    check_oracle_equivalence,
     finite_difference_jacobian,
     run_suite,
     sample_interior,
@@ -116,10 +118,46 @@ def test_chunked_suite_equals_unchunked(monkeypatch, n):
         matrix = validate(interaction_set_6()[1])
     else:
         matrix = random_matrix(n, np.random.default_rng(1))
-    whole = run_suite(matrix, 40, seed=3)
+    whole = run_suite([matrix], 40, seed=3)
     # 3 samples per chunk for the (n, n) stacks, 3 * n for the states
     monkeypatch.setattr(verification, "CHUNK_FLOATS", 3 * n * n)
-    assert run_suite(matrix, 40, seed=3) == whole
+    assert run_suite([matrix], 40, seed=3) == whole
+
+
+# The per-matrix loop that `run_suite` replaced, kept as its reference:
+# matrix k's four checks, one matrix at a time, on its own generator.
+
+def run_suite_reference(matrices, samples, seed):
+    results = []
+    for k, matrix in enumerate(matrices):
+        rng = np.random.default_rng(seed + k)
+        gamma = matrix.gamma
+        results.append([
+            check_jacobian_fd(gamma, rng, min(samples, 200)),
+            check_contraction_certificates(gamma, rng, samples),
+            check_oracle_equivalence(matrix, rng, samples),
+            check_boundary_step(gamma, rng, samples),
+        ])
+    return results
+
+
+# (n, samples, matrix counts): at n = 400 one sample's complex step holds
+# 2.6 MB a matrix
+PROGRAMS = [(3, 30, range(1, 6)), (6, 30, range(1, 6)), (30, 30, range(1, 6)), (400, 2, (1, 2))]
+
+
+@pytest.mark.parametrize("n, samples, count", [
+    (n, samples, count) for n, samples, counts in PROGRAMS for count in counts])
+def test_suite_matches_the_per_matrix_loop(monkeypatch, n, samples, count):
+    # 5 n^2 floats a chunk: across K matrices 5 // K samples (at least 1)
+    # of each (n, n) stack, 5 n // K states; at n = 400 one sample a chunk
+    matrices = [random_matrix(n, np.random.default_rng([n, count, k])) for k in range(count)]
+    monkeypatch.setattr(verification, "CHUNK_FLOATS", 5 * n * n)
+    got = run_suite(matrices, samples, seed=11)
+    assert got == run_suite_reference(matrices, samples, seed=11)
+    assert [[r.name for r in results] for results in got] == [[
+        "jacobian_finite_difference", "contraction_certificate", "opinion_oracle_equivalence",
+        "boundary_contraction_step"]] * count
 
 
 # The per-state loops that `check_contraction_certificates` and
@@ -138,7 +176,7 @@ def certificate_reference(gamma, rng, samples):
     worst_margin = np.inf
     worst_struct = 0.0
     xs = sample_interior_reference(gamma.size, rng, samples)
-    for x in verification._per_sample(lambda x: df_map(x, gamma), xs, gamma.size):
+    for x in df_map(xs, gamma):
         phi, h = transform_chain(x)
         margin = contraction_margin(x[None])[0]
         worst_margin = min(worst_margin, margin)
@@ -162,7 +200,7 @@ def boundary_keep_reference(x):
     return ~(np.any(x >= 1.0 - TOLERANCES.near_vertex, axis=1) | np.any(x <= 0, axis=1))
 
 
-def boundary_reference(gamma, rng, samples):
+def boundary_reference(gamma, rng, samples, keep_rows=boundary_keep_reference):
     # the check's blocks of draws, in its order (j among the individuals
     # with a positive radius, r, the factor bounded so that x_j > 0, the
     # rest); then one state per draw
@@ -179,10 +217,10 @@ def boundary_reference(gamma, rng, samples):
     j = np.array([d[0] for d in draws], dtype=int)
     r = np.array([d[1] for d in draws])
     x = np.array([d[2] for d in draws]).reshape(-1, n)
-    keep = boundary_keep_reference(x)
+    keep = keep_rows(x)
     if not keep.any():
         return CheckResult("boundary_contraction_step", False, np.nan, "no boundary state checked")
-    mapped = verification._per_sample(lambda x: df_map(x, gamma), x[keep], n)
+    mapped = df_map(x[keep], gamma)
     worst = float((mapped[np.arange(len(mapped)), j[keep]] - (1.0 - r[keep])).max())
     return CheckResult("boundary_contraction_step", worst < 0, worst)
 
@@ -213,11 +251,40 @@ def test_checks_match_per_state_references_on_a_star(samples):
     assert result.passed and np.isfinite(result.worst_margin)
 
 
+def test_boundary_check_skips_states_matrix_by_matrix(monkeypatch):
+    # a skipped state leaves its matrix's worst margin to the kept ones,
+    # and a matrix that keeps none FAILs beside matrices that pass.  Of
+    # three matrices the second keeps none and the third all; the first
+    # skips its first state, and every state whose margin is at least that
+    # of the centre of the simplex under the first draw (what is mapped in
+    # a skipped state's place), so that none of these may count
+    samples, n = 60, 6
+    gammas = np.stack([random_matrix(n, np.random.default_rng(k)).gamma for k in range(3)])
+    x = np.zeros((samples, n))
+    j, r = verification._boundary_draws(contraction_radii(gammas[0]), np.random.default_rng(0), x)
+    own = df_map(x, gammas[0])[np.arange(samples), j] - (1.0 - r)
+    centre = df_map(np.full(n, 1.0 / n), gammas[0])[j[0]] - (1.0 - r[0])
+    first = (own < centre) & (np.arange(samples) > 0)
+    assert 10 <= first.sum() <= 50 and not first[0]
+    patterns = [first, np.zeros(samples, dtype=bool), np.ones(samples, dtype=bool)]
+    monkeypatch.setattr(verification, "_interior", lambda rows: _interior(rows) & np.concatenate(patterns))
+    monkeypatch.setattr(verification, "CHUNK_FLOATS", 7 * 3 * n)  # 7 states of each matrix a chunk
+    got = check_boundary_step(gammas, [np.random.default_rng(k) for k in range(3)], samples)
+    want = [boundary_reference(gamma, np.random.default_rng(k), samples,
+                               lambda x, keep=keep: boundary_keep_reference(x) & keep)
+            for k, (gamma, keep) in enumerate(zip(gammas, patterns))]
+    assert got == want
+    assert got[0].worst_margin == own[first].max()
+    assert [r.passed for r in got] == [True, False, True]
+    assert got[1].detail == "no boundary state checked"
+
+
 def test_checks_match_per_state_references_across_chunks():
-    # n = 400: CHUNK_FLOATS // n**2 = 6 certificate states per chunk, and
-    # about 2600 boundary states per chunk of mapped states
+    # n = 400: one (n, n) stack entry exceeds CHUNK_FLOATS, so each
+    # certificate chunk holds one state, and 81 boundary states make a
+    # chunk of mapped states
     n = 400
-    assert verification.CHUNK_FLOATS // n ** 2 == 6
+    assert verification.CHUNK_FLOATS // n ** 2 == 0 and verification.CHUNK_FLOATS // n == 81
     gamma = random_matrix(n, np.random.default_rng(n)).gamma
     got = check_contraction_certificates(gamma, np.random.default_rng(1), 13)
     assert got == certificate_reference(gamma, np.random.default_rng(1), 13)
@@ -225,16 +292,34 @@ def test_checks_match_per_state_references_across_chunks():
     assert got == boundary_reference(gamma, np.random.default_rng(1), 4000)
 
 
+def interior_elementwise(x):
+    # the domain as its definition writes it, one comparison per entry
+    return ((x > 0) & (1.0 - x >= TOLERANCES.near_vertex)).all(axis=-1)
+
+
 def test_boundary_check_keeps_the_reference_draws_at_the_edges():
     # the check keeps a draw by analysis._interior, 1 - x_i >= near_vertex and
-    # x_i > 0; the reference writes x_i < 1 - near_vertex: equal on the floats
-    # at and beside 1 - near_vertex and at the zero, sign and subnormal edges
+    # x_i > 0, decided by the row's least and largest entries; the reference
+    # writes x_i < 1 - near_vertex, entry by entry: equal on the floats at
+    # and beside 1 - near_vertex and at the zero, sign and subnormal edges
     edge = 1.0 - TOLERANCES.near_vertex
-    firsts = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 0.5, 1.0]
-    seconds = [0.25, 0.0, -0.0, 5e-324, -5e-324]
+    beside = [edge]
+    for _ in range(3):
+        beside = [np.nextafter(beside[0], 0.0), *beside, np.nextafter(beside[-1], 1.0)]
+    firsts = [*beside, 0.5, 1.0]
+    seconds = [0.25, 0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny, *beside[:3]]
     x = np.array([[a, b, 0.25] for a in firsts for b in seconds])
     assert np.array_equal(_interior(x), boundary_keep_reference(x))
     assert _interior(x).any() and not _interior(x).all()
+    # NaN and the infinities too, each entry in each column, as (..., n)
+    # stacks: the two reductions give the elementwise form's booleans
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, *beside, 0.5]
+    rows = np.array([[a, b, c] for a in specials for b in specials for c in (0.25, np.nan, -0.0)])
+    for stack in (rows, rows.reshape(3, -1, 3), rows.reshape(-1, 9, 1, 3)):
+        assert np.array_equal(_interior(stack), interior_elementwise(stack))
+    assert _interior(rows).any() and not _interior(rows).all()
+    finite = np.isfinite(rows).all(axis=-1)
+    assert np.array_equal(_interior(rows[finite]), boundary_keep_reference(rows[finite]))
 
 
 def test_certificate_makes_one_transform_chain_call_per_sample(monkeypatch):
