@@ -119,7 +119,12 @@ def contraction_margin(states: np.ndarray) -> np.ndarray:
 
 
 def contraction_radii(gamma: np.ndarray) -> np.ndarray:
-    """Boundary radii r_j = (1 - 2 gamma_j)/(1 - gamma_j), 0 at a star centre (`at_star`)."""
+    """Boundary radii r_j = (1 - 2 gamma_j)/(1 - gamma_j), 0 at a star centre (`at_star`):
+    x_j <= 1 - r with 0 < r <= r_j gives F_j(x) < 1 - r.  With S = sum_{i != j}
+    gamma_i/(1 - x_i) >= 1 - gamma_j (each 1/(1 - x_i) >= 1; strict unless x = e_j),
+    F_j = gamma_j/(gamma_j + (1 - x_j) S) <= gamma_j/(gamma_j + r (1 - gamma_j)),
+    which is below 1 - r exactly when r < r_j and, S's bound being strict, at r_j.
+    """
     gamma = np.asarray(gamma, dtype=float)
     return np.where(at_star(gamma), 0.0, (1.0 - 2.0 * gamma) / (1.0 - gamma))
 

@@ -1,8 +1,8 @@
 """Command-line front end: simulate, analyze, periodic, verify.
 
 Exit codes: 0 all checks passed, 1 domain/validation failure, 2 IO or
-configuration failure.  Output directory precedence: --out flag, then
-the SOCIALPOWER_OUT environment variable, then the working directory.
+configuration failure.  Output goes to the --out directory, else to
+the working directory.
 A `simulate` or `periodic` run is set by its config file alone (issues,
 burn-in, seed, starts), read by `_read_config` against the command's
 table of keys, and every threshold comes from `Tolerances`; no flag
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -42,8 +41,7 @@ from .verification import run_suite
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("SOCIALPOWER_OUT") or "."
-    path = Path(out)
+    path = Path(args.out or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 

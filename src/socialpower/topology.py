@@ -41,8 +41,7 @@ class Tolerances:
     # dynamics alone (the guard of df_map and simulate): some 1 - x_i below
     # this is a caller error; `simulate` holds a vertex start instead
     vertex_guard: float = 1e-14
-    # analysis._interior alone, the certificate's domain (also for the draws
-    # of verification.check_boundary_step): minimum 1 - x_i of a state
+    # analysis._interior alone, the certificate's domain: minimum 1 - x_i of a state
     near_vertex: float = 1e-12
     # topology.at_star: gamma_i this close to 1/2 is a star centre
     star_gamma: float = 1e-9
@@ -188,7 +187,7 @@ def _validated(raw: list) -> tuple:
     conversion, one pass per rule of `validate`, one closure and one
     `stationary_vector` call.  When the stack breaks any rule, or its
     matrices differ in shape, they are validated one at a time in order,
-    so the first bad one raises its own error.
+    so the first bad one, k (1-based), raises its own error led by "matrix k: ".
     """
     try:
         entries = _numbers(raw)
@@ -221,7 +220,13 @@ def _validated(raw: list) -> tuple:
     except (ValidationError, NoConvergence):
         if len(raw) == 1:
             raise
-        return tuple(m for matrix in raw for m in _validated([matrix]))
+        matrices = []
+        for k, matrix in enumerate(raw, 1):
+            try:
+                matrices += _validated([matrix])
+            except (ValidationError, NoConvergence) as exc:
+                raise type(exc)(f"matrix {k}: {exc}") from None
+        return tuple(matrices)
     entries.setflags(write=False)
     gammas.setflags(write=False)
     return tuple(map(RelativeInteractionMatrix, entries, gammas.reshape(entries.shape[:2])))

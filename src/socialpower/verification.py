@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _interior, contraction_margin, contraction_radii, jacobian, transform_chain
+from .analysis import contraction_margin, contraction_radii, jacobian, transform_chain
 from .degroot import appraisal_step_via_zeta
 from .dynamics import df_map
 from .errors import ValidationError
@@ -36,6 +36,7 @@ CHUNK_FLOATS = 2 ** 15
 # a power of two, so dividing by it is exact; h/(1 - x_i) < 2^-53 on the
 # map's domain, so terms of order h^2 fall below the rounding
 COMPLEX_STEP = 2.0 ** -100
+BOUNDARY_FLOOR = 2.0 ** -40  # F, the boundary draws' floor of r and x_j: 1 - x_i >= F/2
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,10 @@ def finite_difference_jacobian(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     `gamma` broadcasts against the states, as (K, 1, n) over (K, S, n).
     """
     x = np.asarray(x, dtype=float)
-    steps = x[..., None, :] + 1j * COMPLEX_STEP * np.eye(x.shape[-1])  # row j: x + i h e_j
-    return np.swapaxes(df_map(steps, np.asarray(gamma)[..., None, :]).imag / COMPLEX_STEP, -1, -2)
+    # row j: x + i h e_j; the stack is freed once mapped, before the quotient is taken
+    mapped = df_map(x[..., None, :] + 1j * COMPLEX_STEP * np.eye(x.shape[-1]),
+                    np.asarray(gamma)[..., None, :])
+    return np.swapaxes(mapped.imag / COMPLEX_STEP, -1, -2)
 
 
 def _stacks(gamma, rng):
@@ -101,8 +104,9 @@ def check_jacobian_fd(gamma: np.ndarray, rng, samples: int = 100):
 
     def errors(s):
         x = xs[:, s]
+        cs = finite_difference_jacobian(x, gammas)  # first: its peak holds no Jacobian beside it
         nxt = df_map(x, gammas)
-        gap = np.abs(jacobian(x, nxt) - finite_difference_jacobian(x, gammas))
+        gap = np.abs(jacobian(x, nxt) - cs)
         return (gap * ((1.0 - x) / nxt)[..., None, :]).max(axis=(-2, -1))
 
     worst = _per_sample(errors, xs.shape[:2], 2 * n * n).max(axis=-1).tolist()
@@ -180,18 +184,17 @@ def check_oracle_equivalence(matrix, rng, samples: int = 1000):
         return np.abs(appraisal_step_via_zeta(x, entries) - df_map(x, gammas)).sum(axis=-1)
 
     worst = _per_sample(gaps, xs.shape[:2], n * n).max(axis=-1).tolist()
-    results = [CheckResult("opinion_oracle_equivalence", w <= TOLERANCES.oracle_gap, w)
-               for w in (max(0.0, w) for w in worst)]
+    results = [CheckResult("opinion_oracle_equivalence", w <= TOLERANCES.oracle_gap, w) for w in worst]
     return results[0] if single else results
 
 
 def _boundary_draws(radii: np.ndarray, rng, x: np.ndarray):
-    """One generator's boundary draws, written into its states x (S, n),
-    which must be zero: returns each draw's j and r."""
+    """One generator's boundary draws, written into its states x (S, n); returns their j and r."""
     samples, n = x.shape
     j = rng.choice(np.flatnonzero(radii > 0), samples)
-    r = rng.uniform(0.0, radii[j])
-    x_j = 1.0 - r * rng.uniform(1.0, 1.0 / np.maximum(r, 2.0 / 3.0))
+    u, v = rng.random((2, samples))  # r, then the factor, lo + (hi - lo) u as numpy's `uniform`
+    r = BOUNDARY_FLOOR + (np.minimum(radii[j], 1.0 - BOUNDARY_FLOOR) - BOUNDARY_FLOOR) * u
+    x_j = 1.0 - r * (1.0 + (np.minimum(1.5, (1.0 - BOUNDARY_FLOOR) / r) - 1.0) * v)
     others = np.arange(n) != j[:, None]
     x[others] = rng.dirichlet(np.ones(n - 1), samples).ravel()
     x *= (1.0 - x_j)[:, None]
@@ -200,34 +203,24 @@ def _boundary_draws(radii: np.ndarray, rng, x: np.ndarray):
 
 
 def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000):
-    """x_j <= 1 - r with r <= r_j must imply F_j(x) < 1 - r.
-
-    Stacked draws, in a fixed order per generator: j with r_j > 0 (a star
-    centre's band is empty), r in [0, r_j), x_j = 1 - r * factor in
-    (0, 1 - r] with the factor in [1, min(1.5, 1/r)), the rest from a flat
-    Dirichlet.  A state outside `analysis._interior` is skipped: the
-    centre of the simplex is mapped in its place, and its margin is
-    replaced by that of its matrix's first kept state, which leaves the
-    matrix's largest margin exact.  A matrix whose check keeps none FAILs.
-    The states are mapped, and their margins taken, chunk by chunk.
+    """x_j <= 1 - r with r <= r_j must imply F_j(x) < 1 - r, as `contraction_radii`
+    proves: a test of `df_map` near the faces.  Draws per generator, in order: j
+    with r_j > 0 (a star centre's band is empty, any other r_j > 2e-9), r in
+    [F, min(r_j, 1 - F)), a factor in [1, min(1.5, (1 - F)/r)) for x_j = 1 - r *
+    factor, the rest flat Dirichlet; F = BOUNDARY_FLOOR.  So x_j <= 1 - r, x_j >= F
+    but for 2u of rounding, and every 1 - x_i >= F/2: `df_map` maps every draw.
     """
     gammas, rngs, single = _stacks(gamma, rng)
     n = gammas.shape[-1]
     x = np.zeros((len(rngs), samples, n))
     j, r = map(np.array, zip(*map(_boundary_draws, contraction_radii(gammas[:, 0]), rngs, x)))
-    keep = _interior(x.reshape(-1, n)).reshape(x.shape[:2])
-    x[~keep] = 1.0 / n
 
     def margins(s):
         mapped = df_map(x[:, s], gammas)
         return np.take_along_axis(mapped, j[:, s, None], axis=-1)[..., 0] - (1.0 - r[:, s])
 
-    margin = _per_sample(margins, keep.shape, n)
-    first_kept = np.take_along_axis(margin, keep.argmax(axis=-1)[:, None], axis=-1)
-    worst = np.where(keep, margin, first_kept).max(axis=-1).tolist()
-    results = [CheckResult("boundary_contraction_step", w < 0, w) if kept
-               else CheckResult("boundary_contraction_step", False, np.nan, "no boundary state checked")
-               for w, kept in zip(worst, keep.any(axis=-1).tolist())]
+    worst = _per_sample(margins, x.shape[:2], n).max(axis=-1).tolist()
+    results = [CheckResult("boundary_contraction_step", w < 0, w) for w in worst]
     return results[0] if single else results
 
 

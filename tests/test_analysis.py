@@ -261,10 +261,49 @@ class TestTolerances:
         assert socialpower.Tolerances is Tolerances
 
 
+# gamma_1 = 2^-42 < F: r_1 > 1 - F, so r is capped at 1 - F, which keeps x_1 >= F
+BELOW_FLOOR = np.array([2.0 ** -42, 1 / 3, 1 / 3, 1 / 3 - 2.0 ** -42])
+
+
+class EndsOfRanges:
+    """A generator whose `random` gives, at random, the least or the
+    largest positive value that numpy's can, 2^-53 or 1 - 2^-53, so that
+    every draw scaled from it sits at an end of its range (off 0, where a
+    range from 0 would divide by 0); its other draws are a default
+    generator's."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, shape):
+        return np.where(self.rng.random(shape) < 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53)
+
+
 class TestVerificationSuite:
     def test_all_checks_pass_on_fixture_matrix(self):
         (results,) = run_suite([validate(interaction_set_6()[1])], samples=40, seed=0)
         assert len(results) == 4 and all(r.passed for r in results)
+
+    def test_oracle_check_fails_on_a_nan_gap(self, monkeypatch):
+        # one state's oracle step is NaN: its gap is NaN, which no fold of
+        # the worst gap may turn into a pass, alone or in the suite
+        real = verification.appraisal_step_via_zeta
+
+        def one_nan(x, entries):
+            out = real(x, entries)
+            out[..., 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(verification, "appraisal_step_via_zeta", one_nan)
+        matrix = validate(interaction_set_6()[1])
+        res = verification.check_oracle_equivalence(matrix, np.random.default_rng(0), 30)
+        assert not res.passed and np.isnan(res.worst_margin)
+        (results,) = run_suite([matrix], samples=30, seed=0)
+        assert [r.passed for r in results] == [True, True, False, True]
+        assert np.isnan(results[2].worst_margin)
 
     def test_reports_named_checks(self):
         (results,) = run_suite([validate(interaction_set_6()[2])], samples=10, seed=1)
@@ -277,18 +316,26 @@ class TestVerificationSuite:
     @pytest.mark.parametrize("gamma", [
         np.array([0.5, 0.25, 0.25]),  # a star: the centre's band is empty
         np.full(30, 1 / 30),  # radii near 0.97: a factor up to 1.5 would pass x_j below 0
-    ], ids=["star", "uniform30"])
-    def test_boundary_check_keeps_every_draw(self, monkeypatch, gamma):
-        masks = []
-
-        def interior(x):
-            masks.append(analysis._interior(x))
-            return masks[-1]
-
-        monkeypatch.setattr(verification, "_interior", interior)
-        res = verification.check_boundary_step(gamma, np.random.default_rng(0), 500)
-        assert res.passed and len(masks) == 1
-        assert masks[0].shape == (500,) and masks[0].all()
+        BELOW_FLOOR,
+    ], ids=["star", "uniform30", "below_floor"])
+    def test_boundary_check_keeps_every_draw(self, gamma):
+        # every draw lies in the boundary lemma's hypothesis, F <= r <= r_j
+        # and x_j <= 1 - r, with x_j >= F but for the rounding of 1 - r *
+        # factor (2u at the factor's top end), and 1 - x_i >= F/2 keeps
+        # every entry far from df_map's vertex guard, so the check maps
+        # them all; drawn at random, and with every uniform at an end of
+        # its range, where r may round to r_j
+        floor = verification.BOUNDARY_FLOOR
+        radii = contraction_radii(gamma)
+        for rng in (np.random.default_rng(0), EndsOfRanges(0)):
+            x = np.zeros((500, gamma.size))
+            j, r = verification._boundary_draws(radii, rng, x)
+            x_j = x[np.arange(len(x)), j]
+            assert (floor <= r).all() and (r <= radii[j]).all()
+            assert (floor - 2.0 ** -52 <= x_j).all() and (x_j <= 1.0 - r).all()
+            assert x.min() >= 0 and (1.0 - x.max(axis=1) >= floor / 2).all()
+            res = verification.check_boundary_step(gamma, rng, 500)
+            assert res.passed and res.worst_margin < 0
 
     def test_boundary_check_peaks_below_three_state_stacks(self):
         # the kept states are mapped and reduced chunk by chunk, so neither
@@ -308,9 +355,10 @@ class TestVerificationSuite:
     def test_suite_of_several_matrices_peaks_at_one_chunk(self):
         # the checks hold the (K, S, n) samples whole and work on them one
         # chunk at a time: at n = 400 a chunk is one sample of each matrix,
-        # and the Jacobian check's peak holds three copies of its complex
-        # step stack (the stack, its image under the map and the Jacobian
-        # pair); the four samples of each matrix in one chunk would hold 12
+        # and the Jacobian check's peak holds two copies of its complex
+        # step stack (the stack and its image under the map; the stack is
+        # freed before the quotient, and the Jacobian pair is built after
+        # it); the four samples of each matrix in one chunk would hold 8
         n, count, samples = 400, 3, 4
         rng = np.random.default_rng(0)
         matrices = []
@@ -327,7 +375,7 @@ class TestVerificationSuite:
         finally:
             tracemalloc.stop()
         assert all(r.passed for checks in results for r in checks)
-        assert peak <= count * samples * n * 8 + 3.25 * chunk
+        assert peak <= count * samples * n * 8 + 2.25 * chunk
 
     def test_certificate_fails_on_positive_off_diagonal(self, monkeypatch):
         # a Phi that is symmetric with zero sums but has phi_12 > 0 is no

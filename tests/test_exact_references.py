@@ -6,15 +6,18 @@ are evaluated on dyadic states (every entry a float, the entries summing
 to exactly 1) for n <= 6, among them states 2e-12 from each vertex, and
 compared with the same quantities computed in `fractions.Fraction` on the
 same floats.  A first-order bound of K u is checked as Higham's
-gamma_K = K u/(1 - K u).
+gamma_K = K u/(1 - K u).  The boundary lemma of `contraction_radii` is
+checked exactly on dyadic face states, x_j = 1 - r with r < r_j, for
+n <= 12.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from socialpower.analysis import contraction_margin, jacobian
+from socialpower.analysis import contraction_margin, contraction_radii, jacobian
 from socialpower.dynamics import df_map
 from socialpower.topology import validate
 from socialpower.verification import finite_difference_jacobian
@@ -143,3 +146,47 @@ def check_margin(x):
     bound = gamma_k(n + 6)
     assert min(m - bound * size for m, size in zip(exact_margins, sizes)) <= got
     assert got <= min(m + bound * size for m, size in zip(exact_margins, sizes))
+
+
+def face_gammas():
+    yield from GAMMAS  # group6's five, a near-star and two random ones
+    rng = np.random.default_rng(12)
+    for n in (8, 12):
+        m = rng.uniform(0.1, 1.0, (n, n))
+        np.fill_diagonal(m, 0.0)
+        yield validate(m / m.sum(axis=1, keepdims=True)).gamma
+
+
+def face_state(n, j, a, rng, bits=40):
+    """x_j = 1 - r with r = a 2^-bits, and the other entries positive
+    multiples of 2^-bits summing to r: every entry a float."""
+    cuts = np.sort(rng.integers(0, a - (n - 1) + 1, n - 2)).tolist()
+    parts = [hi - lo + 1 for lo, hi in zip([0, *cuts], [*cuts, a - (n - 1)])]
+    x = [Fraction(p, 2 ** bits) for p in parts]
+    return x[:j] + [1 - Fraction(a, 2 ** bits)] + x[j:]
+
+
+FACE_GAMMAS = list(face_gammas())
+
+
+@pytest.mark.parametrize("k", range(len(FACE_GAMMAS)))
+def test_boundary_lemma_on_face_states(k):
+    # on x_j = 1 - r, 0 < r < r_j (`contraction_radii`), exactly: F_j(x) <=
+    # g_j/(g_j + r(1 - g_j)) < 1 - r, with g the float gamma scaled to sum
+    # to exactly 1 (the map reads gamma up to scale); df_map's F_j within
+    # its (n + 4)u bound.  r runs from its least value, (n - 1) 2^-40, to
+    # the largest below r_j
+    gamma = FACE_GAMMAS[k]
+    n = gamma.size
+    rng = np.random.default_rng(k)
+    g = exact(gamma)
+    g = [v / sum(g) for v in g]
+    for j, r_j in enumerate(contraction_radii(gamma).tolist()):
+        top = math.ceil(Fraction(r_j) * 2 ** 40) - 1
+        for a in [n - 1, top, *rng.integers(n - 1, top, 3).tolist()]:
+            r = Fraction(a, 2 ** 40)
+            x = face_state(n, j, a, rng)
+            f_j = exact_map(x, gamma)[j]
+            assert f_j <= g[j] / (g[j] + r * (1 - g[j])) < 1 - r
+            got = Fraction(float(df_map(floats(x), gamma)[j]))
+            assert abs(got - f_j) <= gamma_k(n + 4) * f_j

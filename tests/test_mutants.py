@@ -20,7 +20,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from socialpower import analysis, cli, dynamics, periodic, svg, topology, verification
+from socialpower import analysis, cli, degroot, dynamics, periodic, svg, topology, verification
 from socialpower.dynamics import Trajectory
 from socialpower.errors import SocialPowerError
 import test_acceptance
@@ -98,9 +98,9 @@ MUTANTS = {
             test_cli.TestRerun().test_simulate_over_a_longer_run,
         ]),
     "boundary radius times 1.5": (
-        # capped at 1, so that x_j stays in [0, 1 - r]
-        edit(verification._boundary_draws, "rng.uniform(0.0, radii[j])",
-             "rng.uniform(0.0, np.minimum(1.5 * radii[j], 1.0))"), [
+        # still capped at 1 - F, so that x_j stays in [F, 1 - r]
+        edit(verification._boundary_draws, "np.minimum(radii[j], 1.0 - BOUNDARY_FLOOR)",
+             "np.minimum(1.5 * radii[j], 1.0 - BOUNDARY_FLOOR)"), [
             test_cli.TestVerifyCommand().test_passes_on_example_group_program,
         ]),
     "jacobian off-diagonal sign flipped": (
@@ -190,13 +190,24 @@ MUTANTS = {
             test_cli.TestVerifyCommand().test_near_star_centre_band_is_not_tested,
         ]),
     "boundary factor not bounded by 1/r": (
-        edit(verification._boundary_draws, "1.0 / np.maximum(r, 2.0 / 3.0)", "1.5"), [
+        # the bound is (1 - F)/r, so that x_j >= F
+        edit(verification._boundary_draws, "np.minimum(1.5, (1.0 - BOUNDARY_FLOOR) / r)", "1.5"), [
             functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_keeps_every_draw,
                               gamma=np.full(30, 1 / 30)),
         ]),
-    "skipped boundary states counted": (
-        edit(verification.check_boundary_step, "np.where(keep, margin, first_kept)", "margin"), [
-            test_stacked.test_boundary_check_skips_states_matrix_by_matrix,
+    "boundary floor or cap dropped": (
+        # r from [0, r_j): r_j > 1 - F sets x_j below F at its band's end
+        edit(verification._boundary_draws,
+             "BOUNDARY_FLOOR + (np.minimum(radii[j], 1.0 - BOUNDARY_FLOOR) - BOUNDARY_FLOOR) * u",
+             "radii[j] * u"), [
+            functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_keeps_every_draw,
+                              gamma=test_analysis.BELOW_FLOOR),
+        ]),
+    "oracle returns NaN for one state": (
+        edit(degroot.appraisal_step_via_zeta, "return stationary_vector(build_w(x, C))",
+             "v = stationary_vector(build_w(x, C)); v.reshape(-1, v.shape[-1])[0] = np.nan; return v"), [
+            test_analysis.TestVerificationSuite().test_all_checks_pass_on_fixture_matrix,
+            test_cli.TestVerifyCommand().test_group6_stdout_is_pinned,
         ]),
     "boundary check draws star centres": (
         edit(verification._boundary_draws, "np.flatnonzero(radii > 0)", "np.arange(n)"), [

@@ -25,6 +25,9 @@ RULES = [
      "one star rule: only topology.at_star reads the star tolerance"),
     ("certificate-vertex-tolerance", r"\bnear_vertex\b", None, ("analysis.py", "topology.py"),
      "one rule per vertex tolerance: only analysis reads the certificate's near_vertex"),
+    ("one-certificate-domain", r"\b_interior\b", None, ("analysis.py", "topology.py"),
+     "one owner of the certificate's domain: only analysis uses _interior (topology's ledger "
+     "names it), so no check filters its draws by that domain"),
     ("map-vertex-tolerance", r"\bvertex_guard\b", None, ("dynamics.py", "topology.py"),
      "one rule per vertex tolerance: only dynamics reads the map's vertex_guard"),
     ("one-map-kernel", r"\b_issues\b", None, ("dynamics.py",),

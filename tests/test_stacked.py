@@ -196,19 +196,16 @@ def certificate_reference(gamma, rng, samples):
     )
 
 
-def boundary_keep_reference(x):
-    return ~(np.any(x >= 1.0 - TOLERANCES.near_vertex, axis=1) | np.any(x <= 0, axis=1))
-
-
-def boundary_reference(gamma, rng, samples, keep_rows=boundary_keep_reference):
+def boundary_reference(gamma, rng, samples):
     # the check's blocks of draws, in its order (j among the individuals
-    # with a positive radius, r, the factor bounded so that x_j > 0, the
-    # rest); then one state per draw
+    # with a positive radius, r from [F, min(r_j, 1 - F)), the factor
+    # bounded so that x_j >= F, the rest); then one state per draw
+    floor = 2.0 ** -40
     radii = contraction_radii(gamma)
     n = gamma.size
     js = np.flatnonzero(radii > 0)[rng.integers(np.count_nonzero(radii > 0), size=samples)]
-    rs = rng.uniform(0.0, radii[js])
-    scales = rng.uniform(1.0, 1.0 / np.maximum(rs, 2.0 / 3.0))
+    rs = rng.uniform(floor, np.minimum(radii[js], 1.0 - floor))
+    scales = rng.uniform(1.0, np.minimum(1.5, (1.0 - floor) / rs))
     rests = rng.dirichlet(np.ones(n - 1), samples)
     draws = []
     for j, r, scale, rest in zip(js, rs, scales, rests):
@@ -216,12 +213,8 @@ def boundary_reference(gamma, rng, samples, keep_rows=boundary_keep_reference):
         draws.append((j, r, np.insert(rest * (1.0 - x_j), j, x_j)))
     j = np.array([d[0] for d in draws], dtype=int)
     r = np.array([d[1] for d in draws])
-    x = np.array([d[2] for d in draws]).reshape(-1, n)
-    keep = keep_rows(x)
-    if not keep.any():
-        return CheckResult("boundary_contraction_step", False, np.nan, "no boundary state checked")
-    mapped = df_map(x[keep], gamma)
-    worst = float((mapped[np.arange(len(mapped)), j[keep]] - (1.0 - r[keep])).max())
+    mapped = df_map(np.array([d[2] for d in draws]).reshape(-1, n), gamma)
+    worst = float((mapped[np.arange(samples), j] - (1.0 - r)).max())
     return CheckResult("boundary_contraction_step", worst < 0, worst)
 
 
@@ -251,34 +244,6 @@ def test_checks_match_per_state_references_on_a_star(samples):
     assert result.passed and np.isfinite(result.worst_margin)
 
 
-def test_boundary_check_skips_states_matrix_by_matrix(monkeypatch):
-    # a skipped state leaves its matrix's worst margin to the kept ones,
-    # and a matrix that keeps none FAILs beside matrices that pass.  Of
-    # three matrices the second keeps none and the third all; the first
-    # skips its first state, and every state whose margin is at least that
-    # of the centre of the simplex under the first draw (what is mapped in
-    # a skipped state's place), so that none of these may count
-    samples, n = 60, 6
-    gammas = np.stack([random_matrix(n, np.random.default_rng(k)).gamma for k in range(3)])
-    x = np.zeros((samples, n))
-    j, r = verification._boundary_draws(contraction_radii(gammas[0]), np.random.default_rng(0), x)
-    own = df_map(x, gammas[0])[np.arange(samples), j] - (1.0 - r)
-    centre = df_map(np.full(n, 1.0 / n), gammas[0])[j[0]] - (1.0 - r[0])
-    first = (own < centre) & (np.arange(samples) > 0)
-    assert 10 <= first.sum() <= 50 and not first[0]
-    patterns = [first, np.zeros(samples, dtype=bool), np.ones(samples, dtype=bool)]
-    monkeypatch.setattr(verification, "_interior", lambda rows: _interior(rows) & np.concatenate(patterns))
-    monkeypatch.setattr(verification, "CHUNK_FLOATS", 7 * 3 * n)  # 7 states of each matrix a chunk
-    got = check_boundary_step(gammas, [np.random.default_rng(k) for k in range(3)], samples)
-    want = [boundary_reference(gamma, np.random.default_rng(k), samples,
-                               lambda x, keep=keep: boundary_keep_reference(x) & keep)
-            for k, (gamma, keep) in enumerate(zip(gammas, patterns))]
-    assert got == want
-    assert got[0].worst_margin == own[first].max()
-    assert [r.passed for r in got] == [True, False, True]
-    assert got[1].detail == "no boundary state checked"
-
-
 def test_checks_match_per_state_references_across_chunks():
     # n = 400: one (n, n) stack entry exceeds CHUNK_FLOATS, so each
     # certificate chunk holds one state, and 81 boundary states make a
@@ -297,11 +262,12 @@ def interior_elementwise(x):
     return ((x > 0) & (1.0 - x >= TOLERANCES.near_vertex)).all(axis=-1)
 
 
-def test_boundary_check_keeps_the_reference_draws_at_the_edges():
-    # the check keeps a draw by analysis._interior, 1 - x_i >= near_vertex and
-    # x_i > 0, decided by the row's least and largest entries; the reference
-    # writes x_i < 1 - near_vertex, entry by entry: equal on the floats at
-    # and beside 1 - near_vertex and at the zero, sign and subnormal edges
+def test_interior_reductions_match_the_elementwise_domain():
+    # analysis._interior decides 1 - x_i >= near_vertex and x_i > 0 by a
+    # row's least and largest entries: equal to the definition, entry by
+    # entry, on the floats at and beside 1 - near_vertex, at the zero,
+    # sign and subnormal edges, and at NaN and the infinities, each entry
+    # in each column, as (..., n) stacks
     edge = 1.0 - TOLERANCES.near_vertex
     beside = [edge]
     for _ in range(3):
@@ -309,17 +275,13 @@ def test_boundary_check_keeps_the_reference_draws_at_the_edges():
     firsts = [*beside, 0.5, 1.0]
     seconds = [0.25, 0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny, *beside[:3]]
     x = np.array([[a, b, 0.25] for a in firsts for b in seconds])
-    assert np.array_equal(_interior(x), boundary_keep_reference(x))
+    assert np.array_equal(_interior(x), interior_elementwise(x))
     assert _interior(x).any() and not _interior(x).all()
-    # NaN and the infinities too, each entry in each column, as (..., n)
-    # stacks: the two reductions give the elementwise form's booleans
     specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, *beside, 0.5]
     rows = np.array([[a, b, c] for a in specials for b in specials for c in (0.25, np.nan, -0.0)])
     for stack in (rows, rows.reshape(3, -1, 3), rows.reshape(-1, 9, 1, 3)):
         assert np.array_equal(_interior(stack), interior_elementwise(stack))
     assert _interior(rows).any() and not _interior(rows).all()
-    finite = np.isfinite(rows).all(axis=-1)
-    assert np.array_equal(_interior(rows[finite]), boundary_keep_reference(rows[finite]))
 
 
 def test_certificate_makes_one_transform_chain_call_per_sample(monkeypatch):

@@ -453,8 +453,8 @@ class TestProgramFiles:
 
     @pytest.mark.parametrize("first, second, message", [
         # the first matrix breaks a later rule than the second: the first is reported
-        (reducible_6(), edited(1, 0, 1, "0.5"), "^support graph is not strongly connected$"),
-        (edited(0, 0, 5, 1.01), edited(1, 1, 0, -0.25), "^row 1 sums to 1.01, expected 1$"),
+        (reducible_6(), edited(1, 0, 1, "0.5"), "^matrix 1: support graph is not strongly connected$"),
+        (edited(0, 0, 5, 1.01), edited(1, 1, 0, -0.25), "^matrix 1: row 1 sums to 1.01, expected 1$"),
     ])
     def test_first_bad_matrix_in_file_order_is_reported(self, tmp_path, first, second, message):
         doc = {"n": 6, "matrices": [first, second, interaction_set_6()[2].tolist()],
@@ -463,6 +463,20 @@ class TestProgramFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(errors.ValidationError, match=message):
             load_program(path)
+
+    def test_bad_third_matrix_is_named(self, tmp_path):
+        # group6_random.json with matrix 3's (1, 2) entry raised by 0.1: the
+        # error names the matrix, 1-based, before what the matrix alone raises
+        doc = json.loads((EXPERIMENTS / "group6_random.json").read_text())
+        doc["matrices"][2][0][1] += 0.1
+        path = tmp_path / "third_bad.json"
+        path.write_text(json.dumps(doc))
+        message = r"^matrix 3: row 1 sums to 1\.1\d*, expected 1$"
+        with pytest.raises(errors.ValidationError, match=message) as info:
+            load_program(path)
+        with pytest.raises(errors.ValidationError) as alone:
+            validate(np.array(doc["matrices"][2]))
+        assert str(info.value) == f"matrix 3: {alone.value}"
 
     def test_bad_row_sum_in_file(self, tmp_path):
         bad = star_matrix(3)
