@@ -6,7 +6,7 @@ one matrix's gamma (n,) with one generator and returns one result, or the
 gammas of K matrices (K, n) with K generators and returns K: it draws
 each matrix's samples from its own generator, then evaluates all of them
 as one (K, S, n) stack, with the gammas as (K, 1, n), so that its fixed
-numpy costs are paid once per program, not once per matrix.
+numpy costs are paid once per program (Phi and H: once per sample).
 """
 
 from __future__ import annotations
@@ -122,11 +122,12 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000):
     The certificate passes iff the least `contraction_margin` (one
     stacked call per chunk) is > 0, and that margin is reported.  The
     identities are reduced on each chunk's stacked Phi and H, built by
-    one `transform_chain` call per state: Phi's entries are at most 1/4,
-    so its identities are absolute, while H's row sums and trace - 1 are
-    measured relative to the state's largest theta, 1/(1 - max x), the
-    scale of H's rounding.  The link |||H||_1 - (1 - margin)|, with the
-    norm summed from H's entries, joins the structural deviation.
+    one `transform_chain` call per sample over all K matrices: Phi's
+    entries are at most 1/4, so its identities are absolute, while H's row
+    sums and trace - 1 are measured relative to the state's largest theta,
+    1/(1 - max x), the scale of H's rounding.  The link
+    |||H||_1 - (1 - margin)|, with the norm summed from H's entries, joins
+    the structural deviation.
     """
     gammas, rngs, single = _stacks(gamma, rng)
     n = gammas.shape[-1]
@@ -137,9 +138,8 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000):
         mapped = df_map(xs[:, s], gammas)
         phi = np.empty(mapped.shape + (n,))
         h = np.empty_like(phi)
-        phis, hs = phi.reshape(-1, n, n), h.reshape(-1, n, n)  # views, one state a row
-        for i, x in enumerate(mapped.reshape(-1, n)):
-            phis[i], hs[i] = transform_chain(x)
+        for i in range(mapped.shape[1]):
+            phi[:, i], h[:, i] = transform_chain(mapped[:, i])
         margins = contraction_margin(mapped)
         scale = 1.0 - mapped.max(axis=-1)  # 1/max theta
         deviations = [

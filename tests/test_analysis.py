@@ -385,7 +385,7 @@ class TestVerificationSuite:
         def broken(x):
             phi, h = real(x)
             kick = np.zeros_like(phi)
-            kick[:2, :2] = [[-1.0, 1.0], [1.0, -1.0]]
+            kick[..., :2, :2] = [[-1.0, 1.0], [1.0, -1.0]]
             return phi + kick, h
 
         monkeypatch.setattr(verification, "transform_chain", broken)

@@ -23,7 +23,7 @@ from socialpower.topology import (
 )
 from socialpower.verification import sample_interior
 from networks import GROUP6
-from test_solvers import near_star
+from test_solvers import near_star, sparse_irreducible
 
 VERTEX_EPS = 1e-9
 SEEDS = (1, 2, 3)
@@ -91,6 +91,45 @@ def test_margin_rejects_rows_off_the_simplex():
     # transform_chain accepts this row; the closed form needs sum(x) = 1
     with pytest.raises(errors.ValidationError):
         contraction_margin(np.full((1, 3), 0.3))
+
+
+# J(x -> x') = Phi(x') Theta(x), the chain relation every contraction
+# argument rests on: column j of the Jacobian is Phi(x')'s column j over
+# 1 - x_j.  The diagonals are the same operations in the same order; an
+# off-diagonal entry is fl(x'_i fl(x'_j/(1 - x_j))) in one and
+# fl(fl(x'_i x'_j)/(1 - x_j)) in the other, each within 2u of
+# x'_i x'_j/(1 - x_j) <= x'_j/(1 - x_j), so column j over x'_j/(1 - x_j)
+# is within 4u (u = 2^-53) to first order.  Worst seen: 1.92u, on group6.
+CHAIN_BOUND = 4 * 2.0 ** -53
+
+
+def chain_gammas(case):
+    """The gammas (K, n) of one case: group6's five matrices, near-stars at
+    n = 30 (gamma_hub up to 0.49997), or random dense and sparse matrices."""
+    if case == "group6":
+        return np.stack([m.gamma for m in load_program(GROUP6).matrices])
+    if case == "near-star":
+        return np.stack([validate(near_star(30, w, np.random.default_rng(30))).gamma
+                         for w in (0.9, 0.99, 0.9999)])
+    n = int(case.removeprefix("random-"))
+    rng = np.random.default_rng(n)
+    dense = rng.uniform(0.1, 1.0, (n, n))
+    np.fill_diagonal(dense, 0.0)
+    return np.stack([validate(m / m.sum(axis=1, keepdims=True)).gamma
+                     for m in (dense, sparse_irreducible(n, rng))])
+
+
+@pytest.mark.parametrize("case", ["group6", "near-star", *(f"random-{n}" for n in range(3, 13))])
+def test_jacobian_is_phi_at_the_image_times_theta(case):
+    gammas = chain_gammas(case)[:, None]
+    k, n = gammas.shape[0], gammas.shape[-1]
+    count = 10_000 // k if case == "group6" else 300
+    rng = np.random.default_rng(k * n)
+    x = sample_interior(n, rng, k * count).reshape(k, count, n)
+    nxt = df_map(x, gammas)
+    link = transform_chain(nxt)[0] / (1.0 - x)[..., None, :]
+    gap = np.abs(jacobian(x, nxt) - link) / (nxt / (1.0 - x))[..., None, :]
+    assert gap.max() <= CHAIN_BOUND
 
 
 def test_cli_margin_positive_near_every_vertex(tmp_path):

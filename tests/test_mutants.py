@@ -283,6 +283,25 @@ MUTANTS = {
             functools.partial(test_analysis.TestVerificationSuite().test_certificate_passes_near_every_vertex,
                               distance=1e-11),
         ]),
+    "H = Phi Theta in transform_chain": (
+        # Theta on the right: H's columns, not its rows, sum to 0
+        edit(analysis.transform_chain, "(1.0 / (1.0 - x))[..., :, None] * phi",
+             "phi * (1.0 / (1.0 - x))[..., None, :]"), [
+            functools.partial(test_stacked.test_transform_chain_matches_outer_product_construction, n=6),
+            test_analysis.TestVerificationSuite().test_all_checks_pass_on_fixture_matrix,
+        ]),
+    "certificate builds Phi, H at the previous sample": (
+        edit(verification.check_contraction_certificates, "transform_chain(mapped[:, i])",
+             "transform_chain(mapped[:, i - 1])"), [
+            functools.partial(test_stacked.test_checks_match_per_state_references, n=6),
+            test_cli.TestVerifyCommand().test_group6_stdout_is_pinned,
+        ]),
+    "jacobian with one off-diagonal sign flipped": (
+        edit(analysis.jacobian, "return J", "J[..., 0, 1] = -J[..., 0, 1]; return J"), [
+            functools.partial(test_closed_forms.test_jacobian_is_phi_at_the_image_times_theta,
+                              case="random-3"),
+            test_acceptance.test_criterion_6_jacobian_against_finite_differences,
+        ]),
     "chart y range without its floor": (
         edit(svg.line_chart, "max(ys.max(), 1e-12)", "ys.max()"), [
             test_cli.TestSimulate().test_comparison_of_runs_held_off_its_coordinates,

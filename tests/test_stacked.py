@@ -11,7 +11,7 @@ from socialpower.analysis import (
 )
 from socialpower.degroot import appraisal_step_via_zeta, build_w
 from socialpower.dynamics import df_map
-from socialpower.errors import NoConvergence
+from socialpower.errors import NearVertex, NoConvergence
 from socialpower.topology import TOLERANCES, stationary_vector, validate
 from socialpower import verification
 from socialpower.verification import (
@@ -257,17 +257,22 @@ def test_checks_match_per_state_references_across_chunks():
     assert got == boundary_reference(gamma, np.random.default_rng(1), 4000)
 
 
-def interior_elementwise(x):
-    # the domain as its definition writes it, one comparison per entry
-    return ((x > 0) & (1.0 - x >= TOLERANCES.near_vertex)).all(axis=-1)
+def interior_references(x):
+    # the domain as its definition writes it, one Python comparison per
+    # entry, and the two reductions that decided it before: fl(1 - x) never
+    # grows as x grows, so a row's largest entry decides 1 - x_i >= near_vertex
+    near = TOLERANCES.near_vertex
+    rows = x.reshape(-1, x.shape[-1]).tolist()
+    definition = np.array([all(v > 0 and 1.0 - v >= near for v in row) for row in rows])
+    reductions = (x.min(axis=-1) > 0) & (1.0 - x.max(axis=-1) >= near)
+    return definition.reshape(x.shape[:-1]), reductions
 
 
 def test_interior_reductions_match_the_elementwise_domain():
-    # analysis._interior decides 1 - x_i >= near_vertex and x_i > 0 by a
-    # row's least and largest entries: equal to the definition, entry by
-    # entry, on the floats at and beside 1 - near_vertex, at the zero,
-    # sign and subnormal edges, and at NaN and the infinities, each entry
-    # in each column, as (..., n) stacks
+    # analysis._interior, entry by entry, against the definition and the
+    # reductions: equal on the floats at and beside 1 - near_vertex, at
+    # the zero, sign and subnormal edges, and at NaN and the infinities,
+    # each entry in each column, as (..., n) stacks
     edge = 1.0 - TOLERANCES.near_vertex
     beside = [edge]
     for _ in range(3):
@@ -275,28 +280,50 @@ def test_interior_reductions_match_the_elementwise_domain():
     firsts = [*beside, 0.5, 1.0]
     seconds = [0.25, 0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny, *beside[:3]]
     x = np.array([[a, b, 0.25] for a in firsts for b in seconds])
-    assert np.array_equal(_interior(x), interior_elementwise(x))
+    for reference in interior_references(x):
+        assert np.array_equal(_interior(x), reference)
     assert _interior(x).any() and not _interior(x).all()
     specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, *beside, 0.5]
     rows = np.array([[a, b, c] for a in specials for b in specials for c in (0.25, np.nan, -0.0)])
     for stack in (rows, rows.reshape(3, -1, 3), rows.reshape(-1, 9, 1, 3)):
-        assert np.array_equal(_interior(stack), interior_elementwise(stack))
+        for reference in interior_references(stack):
+            assert np.array_equal(_interior(stack), reference)
     assert _interior(rows).any() and not _interior(rows).all()
 
 
 def test_certificate_makes_one_transform_chain_call_per_sample(monkeypatch):
+    # one call per sample index, over the states of all K matrices
     calls = []
     real = verification.transform_chain
 
     def counted(x):
-        calls.append(x)
+        calls.append(x.shape)
         return real(x)
 
     monkeypatch.setattr(verification, "transform_chain", counted)
-    monkeypatch.setattr(verification, "CHUNK_FLOATS", 4 * 36)  # chunks of 4 states
-    gamma = validate(interaction_set_6()[1]).gamma
-    check_contraction_certificates(gamma, np.random.default_rng(0), 37)
-    assert len(calls) == 37
+    monkeypatch.setattr(verification, "CHUNK_FLOATS", 3 * 4 * 36)  # chunks of 4 samples
+    matrices = [validate(m) for m in interaction_set_6()[:3]]
+    check_contraction_certificates(np.stack([m.gamma for m in matrices]),
+                                   [np.random.default_rng(k) for k in range(3)], 37)
+    assert calls == [(3, 6)] * 37
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 30, 400])
+def test_transform_chain_on_stacks_matches_per_row_calls(n):
+    # a (K, S, n) stack gives each row's (Phi, H) bit for bit as a 1-D
+    # call; a stack with rows off the domain names the first of them,
+    # counted over all its rows
+    k, count = (2, 2) if n == 400 else (3, 4)
+    xs = sample_interior(n, np.random.default_rng(n), k * count).reshape(k, count, n)
+    phi, h = transform_chain(xs)
+    assert phi.shape == h.shape == (k, count, n, n)
+    for index in np.ndindex(k, count):
+        row_phi, row_h = transform_chain(xs[index])
+        assert np.array_equal(phi[index], row_phi) and np.array_equal(h[index], row_h)
+    xs[1, 0] = xs[1, -1] = np.eye(n)[0]
+    with pytest.raises(NearVertex) as info:
+        transform_chain(xs)
+    assert info.value.row == count
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 30, 400])
