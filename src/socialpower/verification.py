@@ -1,12 +1,13 @@
-"""Randomized invariant suite run by the `verify` CLI command.
+"""Invariant suite run by the `verify` CLI command.
 
 Each check returns its worst observed margin so a failure names the
 property and how badly it was missed, not just a boolean.  A check takes
-one matrix's gamma (n,) with one generator and returns one result, or the
-gammas of K matrices (K, n) with K generators and returns K: it draws
-each matrix's samples from its own generator, then evaluates all of them
-as one (K, S, n) stack, with the gammas as (K, 1, n), so that its fixed
-numpy costs are paid once per program (Phi and H: once per sample).
+one matrix's gamma (n,) and returns one result, or the gammas of K
+matrices (K, n) and returns K.  A sampled check draws each matrix's
+samples from its own generator, then evaluates all of them as one
+(K, S, n) stack, with the gammas as (K, 1, n), so that its fixed numpy
+costs are paid once per program (Phi and H: once per sample).  The
+boundary check maps fixed face states and draws nothing.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .dynamics import df_map
 from .errors import ValidationError
 from .topology import ADDRESS_BITS, TOLERANCES, RelativeInteractionMatrix
 
-# Checks evaluate the samples of all K matrices as one (K, S, n) stack,
-# in chunks along S whose per-sample work across K (n floats for a state,
-# n * n for a Jacobian, an influence matrix or a certificate state's Phi
-# and H, 2 n * n for the complex step's stack) stays below this many
+# Sampled checks evaluate the samples of all K matrices as one (K, S, n)
+# stack, in chunks along S whose per-sample work across K (n * n floats
+# for a Jacobian, an influence matrix or a certificate state's Phi and H,
+# 2 n * n for the complex step's stack) stays below this many
 # floats per temporary array (256 kB), or holds one sample of each matrix.
 # Set by the benchmark's peak RSS: a chunk must not hold many more states
 # than one matrix's chunk did before the matrices were stacked.  Near-star
@@ -36,7 +37,7 @@ CHUNK_FLOATS = 2 ** 15
 # a power of two, so dividing by it is exact; h/(1 - x_i) < 2^-53 on the
 # map's domain, so terms of order h^2 fall below the rounding
 COMPLEX_STEP = 2.0 ** -100
-BOUNDARY_FLOOR = 2.0 ** -40  # F, the boundary draws' floor of r and x_j: 1 - x_i >= F/2
+BOUNDARY_FLOOR = 2.0 ** -40  # F, the boundary states' floor of r = 1 - x_j
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,8 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000):
     stacked call per chunk) is > 0, and that margin is reported.  The
     identities are reduced on each chunk's stacked Phi and H, built by
     one `transform_chain` call per sample over all K matrices: Phi's
-    entries are at most 1/4, so its identities are absolute, while H's row
+    entries are at most 1/4, so its column sums are absolute (its
+    symmetry and off-diagonal sign hold by construction), while H's row
     sums and trace - 1 are measured relative to the state's largest theta,
     1/(1 - max x), the scale of H's rounding.  The link
     |||H||_1 - (1 - margin)|, with the norm summed from H's entries, joins
@@ -144,15 +146,10 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000):
         scale = 1.0 - mapped.max(axis=-1)  # 1/max theta
         deviations = [
             np.abs(phi.sum(axis=-2)).max(axis=-1),
-            np.abs(phi - np.swapaxes(phi, -1, -2)).max(axis=(-2, -1)),
             np.abs(h.sum(axis=-1)).max(axis=-1) * scale,
             np.abs(np.trace(h, axis1=-2, axis2=-1) - 1.0) * scale,
             np.abs(np.abs(h).sum(axis=-2).max(axis=-1) - (1.0 - margins)),
         ]
-        # the largest off-diagonal entry, or 0 from the zeroed diagonal:
-        # a positive one means Phi is no Laplacian
-        phi.reshape(-1, n * n)[:, ::n + 1] = 0.0
-        deviations.append(phi.max(axis=(-2, -1)))
         return np.stack([margins, np.max(deviations, axis=0)], axis=-1)
 
     states = _per_sample(worst, xs.shape[:2], n * n)
@@ -188,51 +185,53 @@ def check_oracle_equivalence(matrix, rng, samples: int = 1000):
     return results[0] if single else results
 
 
-def _boundary_draws(radii: np.ndarray, rng, x: np.ndarray):
-    """One generator's boundary draws, written into its states x (S, n); returns their j and r."""
-    samples, n = x.shape
-    j = rng.choice(np.flatnonzero(radii > 0), samples)
-    u, v = rng.random((2, samples))  # r, then the factor, lo + (hi - lo) u as numpy's `uniform`
-    r = BOUNDARY_FLOOR + (np.minimum(radii[j], 1.0 - BOUNDARY_FLOOR) - BOUNDARY_FLOOR) * u
-    x_j = 1.0 - r * (1.0 + (np.minimum(1.5, (1.0 - BOUNDARY_FLOOR) / r) - 1.0) * v)
-    others = np.arange(n) != j[:, None]
-    x[others] = rng.dirichlet(np.ones(n - 1), samples).ravel()
-    x *= (1.0 - x_j)[:, None]
-    x[~others] = x_j
-    return j, r
-
-
-def check_boundary_step(gamma: np.ndarray, rng, samples: int = 1000):
-    """x_j <= 1 - r with r <= r_j must imply F_j(x) < 1 - r, as `contraction_radii`
-    proves: a test of `df_map` near the faces.  Draws per generator, in order: j
-    with r_j > 0 (a star centre's band is empty, any other r_j > 2e-9), r in
-    [F, min(r_j, 1 - F)), a factor in [1, min(1.5, (1 - F)/r)) for x_j = 1 - r *
-    factor, the rest flat Dirichlet; F = BOUNDARY_FLOOR.  So x_j <= 1 - r, x_j >= F
-    but for 2u of rounding, and every 1 - x_i >= F/2: `df_map` maps every draw.
+def _face_states(gammas: np.ndarray):
+    """The boundary check's states of gammas (K, n): j (K,), x (K, 39, n) and
+    the kept (K, 39), a leading run.  x_j = 1 - r exactly and x_m = r, m the
+    other individual with the least gamma (where, to first order, F_j comes
+    closest to 1 - r), for r = r_j/2, r_j/4, ... while r >= BOUNDARY_FLOOR and
+    the lemma's gap G(r) = r(1 - g_j)(r_j - r)/(g_j + r(1 - g_j)) >= 4(n + 4)u,
+    four times `df_map`'s error; j has the largest gamma with a state kept.
     """
-    gammas, rngs, single = _stacks(gamma, rng)
     n = gammas.shape[-1]
-    x = np.zeros((len(rngs), samples, n))
-    j, r = map(np.array, zip(*map(_boundary_draws, contraction_radii(gammas[:, 0]), rngs, x)))
+    g, radii = gammas[..., None], contraction_radii(gammas)[..., None]
+    r = 1.0 - (1.0 - radii * 0.5 ** np.arange(1, 40))  # r_j 2^-40 < F
+    gap = r * (1.0 - g) * (radii - r) / (g + r * (1.0 - g))
+    kept = np.logical_and.accumulate((r >= BOUNDARY_FLOOR) & (gap >= 4 * (n + 4) * 2.0 ** -53), axis=-1)
+    j = np.where(kept[..., 0], gammas, 0.0).argmax(axis=-1)  # the least gamma keeps one
+    m = np.where(np.arange(n) == j[:, None], np.inf, gammas).argmin(axis=-1)
+    rows = np.arange(len(j))
+    r, kept = r[rows, j], kept[rows, j]
+    x = np.zeros(r.shape + (n,))
+    x[rows, :, j], x[rows, :, m] = 1.0 - r, r
+    return j, x, kept
 
-    def margins(s):
-        mapped = df_map(x[:, s], gammas)
-        return np.take_along_axis(mapped, j[:, s, None], axis=-1)[..., 0] - (1.0 - r[:, s])
 
-    worst = _per_sample(margins, x.shape[:2], n).max(axis=-1).tolist()
+def check_boundary_step(gamma: np.ndarray):
+    """The largest F_j(x) - (1 - r) on `_face_states`, which `contraction_radii`
+    proves < 0: a test of `df_map` near the faces, NaN (a FAIL) if none is kept."""
+    single = np.ndim(gamma) == 1
+    gammas = np.atleast_2d(np.asarray(gamma, dtype=float))
+    j, x, kept = _face_states(gammas)
+    mapped = np.full(x.shape, np.nan)
+    mapped[kept] = df_map(x[kept], np.broadcast_to(gammas[:, None], x.shape)[kept])
+    margins = np.take_along_axis(mapped - x, j[:, None, None], axis=-1)[..., 0]
+    # the slots past a row's kept states repeat its first
+    worst = np.where(kept, margins, margins[:, :1]).max(axis=-1).tolist()
     results = [CheckResult("boundary_contraction_step", w < 0, w) for w in worst]
     return results[0] if single else results
 
 
 def run_suite(matrices, samples: int, seed: int) -> list[list[CheckResult]]:
     """The four checks on every matrix of a program, each check run once
-    over the (K, S, n) stack of all K matrices' samples.
+    over the stack of all K matrices' states.
 
     Matrix k draws from `default_rng(seed + k)`, in the order Jacobian,
-    certificate, oracle, boundary; each of its rows is mapped exactly as
-    on its own, and its results are exact max/min reductions over its
-    rows, so they equal those of a suite run on that matrix alone.
-    Returns the four results of each matrix, in program order.
+    certificate, oracle (the boundary check draws nothing); each row is
+    mapped exactly as on its own, and each matrix's results are exact
+    max/min reductions over its rows, so they equal those of a suite run
+    on that matrix alone.  Returns the four results of each matrix, in
+    program order.
     """
     matrices = tuple(matrices)
     if samples < 1:
@@ -247,5 +246,5 @@ def run_suite(matrices, samples: int, seed: int) -> list[list[CheckResult]]:
         check_jacobian_fd(gammas, rngs, min(samples, 200)),
         check_contraction_certificates(gammas, rngs, samples),
         check_oracle_equivalence(matrices, rngs, samples),
-        check_boundary_step(gammas, rngs, samples),
+        check_boundary_step(gammas),
     )]

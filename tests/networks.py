@@ -32,6 +32,12 @@ def star_matrix(n: int, center: int = 0) -> np.ndarray:
     return c
 
 
+def near_star3(leak: float) -> np.ndarray:
+    """A 3-node star whose leaves send `leak` to each other: gamma_1 =
+    (1 - leak)/(2 - leak), about leak/4 below 1/2."""
+    return np.array([[0.0, 0.5, 0.5], [1.0 - leak, 0.0, leak], [1.0 - leak, leak, 0.0]])
+
+
 def cycle_matrix(n: int) -> np.ndarray:
     """Directed n-cycle permutation matrix (doubly stochastic)."""
     return np.roll(np.eye(n), 1, axis=1)

@@ -31,7 +31,8 @@ from socialpower.verification import (
     run_suite,
     sample_interior,
 )
-from networks import interaction_set_6, star_matrix, switching_program_6
+from networks import interaction_set_6, near_star3, star_matrix, switching_program_6
+from test_solvers import near_star
 
 GAMMA_EXAMPLE = np.array([0.4, 0.35, 0.25])
 
@@ -261,25 +262,8 @@ class TestTolerances:
         assert socialpower.Tolerances is Tolerances
 
 
-# gamma_1 = 2^-42 < F: r_1 > 1 - F, so r is capped at 1 - F, which keeps x_1 >= F
+# gamma_1 = 2^-42, below F: r_1 lies within 2^-42 of 1
 BELOW_FLOOR = np.array([2.0 ** -42, 1 / 3, 1 / 3, 1 / 3 - 2.0 ** -42])
-
-
-class EndsOfRanges:
-    """A generator whose `random` gives, at random, the least or the
-    largest positive value that numpy's can, 2^-53 or 1 - 2^-53, so that
-    every draw scaled from it sits at an end of its range (off 0, where a
-    range from 0 would divide by 0); its other draws are a default
-    generator's."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-    def random(self, shape):
-        return np.where(self.rng.random(shape) < 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53)
 
 
 class TestVerificationSuite:
@@ -315,42 +299,43 @@ class TestVerificationSuite:
 
     @pytest.mark.parametrize("gamma", [
         np.array([0.5, 0.25, 0.25]),  # a star: the centre's band is empty
-        np.full(30, 1 / 30),  # radii near 0.97: a factor up to 1.5 would pass x_j below 0
+        np.full(30, 1 / 30),
         BELOW_FLOOR,
     ], ids=["star", "uniform30", "below_floor"])
-    def test_boundary_check_keeps_every_draw(self, gamma):
-        # every draw lies in the boundary lemma's hypothesis, F <= r <= r_j
-        # and x_j <= 1 - r, with x_j >= F but for the rounding of 1 - r *
-        # factor (2u at the factor's top end), and 1 - x_i >= F/2 keeps
-        # every entry far from df_map's vertex guard, so the check maps
-        # them all; drawn at random, and with every uniform at an end of
-        # its range, where r may round to r_j
-        floor = verification.BOUNDARY_FLOOR
+    def test_boundary_check_maps_every_face_state(self, gamma):
+        # every kept state lies in the boundary lemma's hypothesis: x_j =
+        # 1 - r exactly with F <= r <= r_j/2 (up to the rounding of 1 - r),
+        # its mass r on the other individual with the least gamma; r halves
+        # from state to state; j is no star centre, and the check maps
+        # every kept state to a margin < 0
         radii = contraction_radii(gamma)
-        for rng in (np.random.default_rng(0), EndsOfRanges(0)):
-            x = np.zeros((500, gamma.size))
-            j, r = verification._boundary_draws(radii, rng, x)
-            x_j = x[np.arange(len(x)), j]
-            assert (floor <= r).all() and (r <= radii[j]).all()
-            assert (floor - 2.0 ** -52 <= x_j).all() and (x_j <= 1.0 - r).all()
-            assert x.min() >= 0 and (1.0 - x.max(axis=1) >= floor / 2).all()
-            res = verification.check_boundary_step(gamma, rng, 500)
-            assert res.passed and res.worst_margin < 0
+        (j,), (x,), (kept,) = verification._face_states(gamma[None])
+        x = x[kept]
+        r = 1.0 - x[:, j]
+        m = np.argmin(np.where(np.arange(gamma.size) == j, np.inf, gamma))
+        assert radii[j] > 0 and len(x) >= 1
+        assert np.array_equal(x[:, m], r) and (x.sum(axis=1) == 1.0).all()
+        assert np.count_nonzero(x, axis=1).max() == 2
+        assert (verification.BOUNDARY_FLOOR <= r).all() and (r <= radii[j] / 2 * (1 + 2.0 ** -40)).all()
+        assert np.allclose(r[1:] / r[:-1], 0.5, rtol=2.0 ** -12, atol=0)
+        res = verification.check_boundary_step(gamma)
+        assert res.passed and res.worst_margin < 0
 
-    def test_boundary_check_peaks_below_three_state_stacks(self):
-        # the kept states are mapped and reduced chunk by chunk, so neither
-        # a copy of them nor their whole mapped stack is held (the two made
-        # the peak five stacks); numpy reports its arrays to tracemalloc
-        n, samples = 400, 4000
-        gamma = np.random.default_rng(0).dirichlet(np.ones(n))
-        tracemalloc.start()
-        try:
-            res = verification.check_boundary_step(gamma, np.random.default_rng(1), samples)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.passed
-        assert peak <= 3 * samples * n * 8
+    @pytest.mark.parametrize("w", [0.9999, 0.99999, 0.999999])
+    def test_boundary_check_passes_near_a_star(self, w):
+        # gamma_hub = w/(1 + w) is 2.5e-5 to 2.5e-7 below 1/2: the hub keeps
+        # states, but not those whose gap G(r) is below 4(n + 4)u, where
+        # df_map's rounding decides the sign of the margin
+        gammas = np.stack([validate(near_star(30, w, np.random.default_rng(s))).gamma
+                           for s in range(10)])
+        results = verification.check_boundary_step(gammas)
+        assert all(res.passed for res in results), results
+
+    def test_boundary_check_passes_within_2e_9_of_a_star(self):
+        # gamma_1 = 1/2 - 2.5e-9, outside Tolerances.star_gamma: r_1 is about
+        # 1e-8, so no state of individual 1 has a gap of 4(n + 4)u, and j is a leaf
+        res = verification.check_boundary_step(validate(near_star3(1e-8)).gamma)
+        assert res.passed and res.worst_margin < 0
 
     def test_suite_of_several_matrices_peaks_at_one_chunk(self):
         # the checks hold the (K, S, n) samples whole and work on them one
@@ -376,24 +361,6 @@ class TestVerificationSuite:
             tracemalloc.stop()
         assert all(r.passed for checks in results for r in checks)
         assert peak <= count * samples * n * 8 + 2.25 * chunk
-
-    def test_certificate_fails_on_positive_off_diagonal(self, monkeypatch):
-        # a Phi that is symmetric with zero sums but has phi_12 > 0 is no
-        # Laplacian: only the off-diagonal entry check can catch it
-        real = verification.transform_chain
-
-        def broken(x):
-            phi, h = real(x)
-            kick = np.zeros_like(phi)
-            kick[..., :2, :2] = [[-1.0, 1.0], [1.0, -1.0]]
-            return phi + kick, h
-
-        monkeypatch.setattr(verification, "transform_chain", broken)
-        gamma = dominant_left_eigenvector(validate(interaction_set_6()[1]))
-        res = check_contraction_certificates(gamma, np.random.default_rng(0), samples=20)
-        assert not res.passed
-        assert res.worst_margin > 0  # the norm itself still certifies
-        assert float(res.detail.split()[-1]) > 0.9
 
     @pytest.mark.parametrize("distance", [1e-8, 1e-9, 1e-10, 1e-11])
     def test_certificate_passes_near_every_vertex(self, monkeypatch, distance):

@@ -10,7 +10,7 @@ from socialpower import verification
 from socialpower.analysis import transform_chain
 from socialpower.cli import main
 from socialpower.topology import Periodic, TopologyProgram, load_program, save_program, validate
-from networks import EXPERIMENTS, interaction_set_6, star_matrix, switching_program_6
+from networks import EXPERIMENTS, interaction_set_6, near_star3, star_matrix, switching_program_6
 from test_solvers import near_star
 
 # `verify experiments/group6_random.json --samples 200`, exactly as printed
@@ -18,23 +18,23 @@ GROUP6_VERIFY_200 = """\
 matrix 1 jacobian_finite_difference: pass, worst margin 5.358e-16
 matrix 1 contraction_certificate: pass, worst margin 2.750e-03 (worst structural deviation 3.33e-16)
 matrix 1 opinion_oracle_equivalence: pass, worst margin 4.025e-16
-matrix 1 boundary_contraction_step: pass, worst margin -6.045e-03
+matrix 1 boundary_contraction_step: pass, worst margin -5.821e-12
 matrix 2 jacobian_finite_difference: pass, worst margin 7.659e-16
 matrix 2 contraction_certificate: pass, worst margin 2.044e-02 (worst structural deviation 2.78e-16)
 matrix 2 opinion_oracle_equivalence: pass, worst margin 6.349e-16
-matrix 2 boundary_contraction_step: pass, worst margin -1.407e-02
+matrix 2 boundary_contraction_step: pass, worst margin -2.588e-12
 matrix 3 jacobian_finite_difference: pass, worst margin 7.702e-16
 matrix 3 contraction_certificate: pass, worst margin 1.233e-01 (worst structural deviation 3.33e-16)
 matrix 3 opinion_oracle_equivalence: pass, worst margin 8.049e-16
-matrix 3 boundary_contraction_step: pass, worst margin -3.055e-02
+matrix 3 boundary_contraction_step: pass, worst margin -3.326e-12
 matrix 4 jacobian_finite_difference: pass, worst margin 5.351e-16
 matrix 4 contraction_certificate: pass, worst margin 8.120e-02 (worst structural deviation 3.33e-16)
 matrix 4 opinion_oracle_equivalence: pass, worst margin 7.563e-16
-matrix 4 boundary_contraction_step: pass, worst margin -8.984e-04
+matrix 4 boundary_contraction_step: pass, worst margin -2.996e-12
 matrix 5 jacobian_finite_difference: pass, worst margin 7.546e-16
 matrix 5 contraction_certificate: pass, worst margin 8.896e-03 (worst structural deviation 4.44e-16)
 matrix 5 opinion_oracle_equivalence: pass, worst margin 4.710e-16
-matrix 5 boundary_contraction_step: pass, worst margin -1.687e-03
+matrix 5 boundary_contraction_step: pass, worst margin -1.614e-13
 """
 
 
@@ -63,8 +63,7 @@ def near_star_file(tmp_path):
     # gamma_1 lies within Tolerances.star_gamma of 1/2, where its radius
     # formula (1 - 2 gamma_1)/(1 - gamma_1) is still about 2e-9
     path = tmp_path / "near_star.json"
-    m = np.array([[0, 0.5, 0.5], [1 - 2e-9, 0, 2e-9], [1 - 2e-9, 2e-9, 0]])
-    save_program(TopologyProgram((validate(m),), Periodic((0,))), path)
+    save_program(TopologyProgram((validate(near_star3(2e-9)),), Periodic((0,))), path)
     return path
 
 
@@ -928,24 +927,44 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_boundary_check_tests_a_leaf_of_a_star(self, tmp_path, capsys, seed):
-        # gamma = (1/2, 1/4, 1/4): the centre's band is empty, so it is never
-        # drawn, and even a single draw tests a leaf, whose band is 2/3 wide:
-        # its margin is far from 0, where the centre's r <= F would leave it
+        # gamma = (1/2, 1/4, 1/4): the centre's band is empty, so it keeps no
+        # state, and the check tests a leaf, whose band is 2/3 wide: a
+        # finite margin below 0, the same at every --samples and --seed
         path = tmp_path / "star.json"
         save_program(TopologyProgram((validate(star_matrix(3, center=0)),), Periodic((0,))), path)
-        assert main(["verify", str(path), "--samples", "1", "--seed", str(seed)]) == 0
-        captured = capsys.readouterr()
-        line = captured.out.strip().split("\n")[-1]
-        assert line.startswith("matrix 1 boundary_contraction_step: pass, worst margin -")
-        assert float(line.split()[-1]) < -1e-6
-        assert captured.err == ""
+        lines = []
+        for samples in ("1", "50"):
+            assert main(["verify", str(path), "--samples", samples, "--seed", str(seed)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            lines.append(captured.out.strip().split("\n")[-1])
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("matrix 1 boundary_contraction_step: pass, worst margin -")
+        assert -1.0 < float(lines[0].split()[-1]) < 0
 
     def test_near_star_centre_band_is_not_tested(self, near_star_file, capsys):
-        # a centre band of width 2e-9 would leave a worst margin of about -7e-14
-        assert main(["verify", str(near_star_file), "--samples", "2000", "--seed", "3"]) == 0
-        line = capsys.readouterr().out.strip().split("\n")[-1]
-        assert line.startswith("matrix 1 boundary_contraction_step: pass, worst margin ")
-        assert float(line.split()[-1]) < -1e-4
+        # the centre's band, 2e-9 wide by the radius formula, holds no state
+        # whose gap reaches 4(n + 4)u, 28u at n = 3 (its gaps stay below
+        # 1e-17): the check tests a leaf, whose margins lie below -G(r) +
+        # (n + 4)u, so below -21u
+        lines = []
+        for samples, seed in (("1", "0"), ("2000", "3")):
+            assert main(["verify", str(near_star_file), "--samples", samples, "--seed", seed]) == 0
+            lines.append(capsys.readouterr().out.strip().split("\n")[-1])
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("matrix 1 boundary_contraction_step: pass, worst margin ")
+        assert float(lines[0].split()[-1]) < -21 * 2.0 ** -53
+
+    def test_boundary_lines_ignore_samples_and_seed(self, capsys):
+        # the boundary check maps fixed face states and draws nothing
+        lines = []
+        for samples, seed in (("1", "0"), ("200", "0"), ("200", "7")):
+            argv = ["verify", str(EXPERIMENTS / "group6_random.json"), "--samples", samples, "--seed", seed]
+            assert main(argv) == 0
+            out = capsys.readouterr().out.splitlines()
+            lines.append([line for line in out if "boundary_contraction_step" in line])
+        assert lines[0] == lines[1] == lines[2]
+        assert lines[0] == [line for line in GROUP6_VERIFY_200.splitlines() if "boundary" in line]
 
     def test_names_the_first_failing_check(self, program_file, capsys, monkeypatch):
         # every check passes on a valid matrix: fail matrix 2's certificate and

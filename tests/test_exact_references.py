@@ -8,7 +8,7 @@ compared with the same quantities computed in `fractions.Fraction` on the
 same floats.  A first-order bound of K u is checked as Higham's
 gamma_K = K u/(1 - K u).  The boundary lemma of `contraction_radii` is
 checked exactly on dyadic face states, x_j = 1 - r with r < r_j, for
-n <= 12.
+n <= 12, and on the boundary check's own face states.
 """
 
 import math
@@ -20,8 +20,8 @@ import pytest
 from socialpower.analysis import contraction_margin, contraction_radii, jacobian
 from socialpower.dynamics import df_map
 from socialpower.topology import validate
-from socialpower.verification import finite_difference_jacobian
-from networks import interaction_set_6
+from socialpower.verification import BOUNDARY_FLOOR, _face_states, finite_difference_jacobian
+from networks import interaction_set_6, near_star3
 from test_solvers import near_star
 
 U = Fraction(1, 2 ** 53)
@@ -190,3 +190,38 @@ def test_boundary_lemma_on_face_states(k):
             assert f_j <= g[j] / (g[j] + r * (1 - g[j])) < 1 - r
             got = Fraction(float(df_map(floats(x), gamma)[j]))
             assert abs(got - f_j) <= gamma_k(n + 4) * f_j
+
+
+def boundary_check_gammas():
+    yield from FACE_GAMMAS
+    rng = np.random.default_rng(30)
+    yield from (validate(near_star(30, w, rng)).gamma for w in (0.99999, 0.999999))
+    yield validate(near_star3(1e-8)).gamma  # gamma_1 = 1/2 - 2.5e-9: r_1 is about 1e-8
+
+
+BOUNDARY_CHECK_GAMMAS = list(boundary_check_gammas())
+
+
+@pytest.mark.parametrize("k", range(len(BOUNDARY_CHECK_GAMMAS)))
+def test_boundary_check_states_keep_the_lemma(k):
+    # the boundary check's own states, exactly: each a float state summing
+    # to 1 with x_j = 1 - r, F <= r < r_j, and the lemma's gap
+    # G(r) = r(1 - g_j)(r_j - r)/(g_j + r(1 - g_j)) >= 4(n + 4)u (g the
+    # gamma scaled to sum to 1); so F_j(x) < 1 - r with room for df_map's
+    # (n + 4)u, and the check cannot FAIL on rounding
+    gamma = BOUNDARY_CHECK_GAMMAS[k]
+    n = gamma.size
+    g = exact(gamma)
+    g = [v / sum(g) for v in g]
+    (j,), x, kept = _face_states(gamma[None])
+    r_j = (1 - 2 * g[j]) / (1 - g[j])
+    assert kept[0, 0]
+    for state in x[kept]:
+        state = exact(state)
+        floats(state)
+        r = 1 - state[j]
+        assert Fraction(BOUNDARY_FLOOR) <= r < r_j
+        assert r * (1 - g[j]) * (r_j - r) / (g[j] + r * (1 - g[j])) >= 4 * (n + 4) * U
+        f_j = exact_map(state, gamma)[j]
+        assert f_j * (1 + gamma_k(n + 4)) < 1 - r
+        assert Fraction(float(df_map(floats(state), gamma)[j])) < 1 - r

@@ -97,12 +97,6 @@ MUTANTS = {
         edit(topology._write_text, "fh.truncate()", "pass"), [
             test_cli.TestRerun().test_simulate_over_a_longer_run,
         ]),
-    "boundary radius times 1.5": (
-        # still capped at 1 - F, so that x_j stays in [F, 1 - r]
-        edit(verification._boundary_draws, "np.minimum(radii[j], 1.0 - BOUNDARY_FLOOR)",
-             "np.minimum(1.5 * radii[j], 1.0 - BOUNDARY_FLOOR)"), [
-            test_cli.TestVerifyCommand().test_passes_on_example_group_program,
-        ]),
     "jacobian off-diagonal sign flipped": (
         edit(analysis.jacobian, "J = -(x_next", "J = (x_next"), [
             test_acceptance.test_criterion_6_jacobian_against_finite_differences,
@@ -187,35 +181,33 @@ MUTANTS = {
              "np.maximum((1.0 - 2.0 * gamma) / (1.0 - gamma), 0.0)"), [
             test_analysis.TestContractionRadii().test_near_star_centre_gives_zero,
             test_cli.TestAnalyze().test_near_star_centre_has_radius_zero,
-            test_cli.TestVerifyCommand().test_near_star_centre_band_is_not_tested,
         ]),
-    "boundary factor not bounded by 1/r": (
-        # the bound is (1 - F)/r, so that x_j >= F
-        edit(verification._boundary_draws, "np.minimum(1.5, (1.0 - BOUNDARY_FLOOR) / r)", "1.5"), [
-            functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_keeps_every_draw,
-                              gamma=np.full(30, 1 / 30)),
+    "boundary gap rule dropped": (
+        # states down to r = F, where df_map's rounding decides the margin's sign
+        edit(verification._face_states, " & (gap >= 4 * (n + 4) * 2.0 ** -53)", ""), [
+            functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_passes_near_a_star,
+                              w=0.99999),
+            test_analysis.TestVerificationSuite().test_boundary_check_passes_within_2e_9_of_a_star,
         ]),
-    "boundary floor or cap dropped": (
-        # r from [0, r_j): r_j > 1 - F sets x_j below F at its band's end
-        edit(verification._boundary_draws,
-             "BOUNDARY_FLOOR + (np.minimum(radii[j], 1.0 - BOUNDARY_FLOOR) - BOUNDARY_FLOOR) * u",
-             "radii[j] * u"), [
-            functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_keeps_every_draw,
-                              gamma=test_analysis.BELOW_FLOOR),
+    "boundary grid from 2 r_j": (
+        # beyond the band, where the lemma is false; its gap is < 0, so no state is kept
+        edit(verification._face_states, "0.5 ** np.arange(1, 40)", "0.5 ** np.arange(-1, 38)"), [
+            test_cli.TestVerifyCommand().test_passes_on_example_group_program,
+        ]),
+    "boundary j at a star centre": (
+        # the centre's band is empty: it keeps no state
+        edit(verification._face_states, "np.where(kept[..., 0], gammas, 0.0).argmax(axis=-1)",
+             "gammas.argmax(axis=-1)"), [
+            functools.partial(test_cli.TestVerifyCommand().test_boundary_check_tests_a_leaf_of_a_star,
+                              seed=0),
+            functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_maps_every_face_state,
+                              gamma=np.array([0.5, 0.25, 0.25])),
         ]),
     "oracle returns NaN for one state": (
         edit(degroot.appraisal_step_via_zeta, "return stationary_vector(build_w(x, C))",
              "v = stationary_vector(build_w(x, C)); v.reshape(-1, v.shape[-1])[0] = np.nan; return v"), [
             test_analysis.TestVerificationSuite().test_all_checks_pass_on_fixture_matrix,
             test_cli.TestVerifyCommand().test_group6_stdout_is_pinned,
-        ]),
-    "boundary check draws star centres": (
-        edit(verification._boundary_draws, "np.flatnonzero(radii > 0)", "np.arange(n)"), [
-            functools.partial(test_analysis.TestVerificationSuite().test_boundary_check_keeps_every_draw,
-                              gamma=np.array([0.5, 0.25, 0.25])),
-            functools.partial(test_stacked.test_checks_match_per_state_references_on_a_star, samples=1),
-            functools.partial(test_cli.TestVerifyCommand().test_boundary_check_tests_a_leaf_of_a_star,
-                              seed=0),
         ]),
     "issues bound at numpy's index range": (
         edit(dynamics.simulate, "> 2 ** ADDRESS_BITS", "> 2 ** 63"), [

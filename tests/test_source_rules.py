@@ -48,6 +48,9 @@ RULES = [
      "that hold checks"),
     ("stacked-draws", r"range\(samples\)", ("verification.py",), (),
      "every check draws its samples as stacks: no per-draw loop in verification"),
+    ("one-state-sampler", r"rng\.(random|choice|uniform|integers)\(", ("verification.py",), (),
+     "every random state of verify comes from sample_interior, the sampler the benchmark "
+     "traces: no other draw in verification"),
     ("correctly-rounded-squares", r"\*\* ?2\b", ("analysis.py", "periodic.py"), (),
      "the solvers square as d * d, correctly rounded: d ** 2 calls the C library's pow, "
      "whose last bit differs between libraries"),

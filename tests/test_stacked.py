@@ -119,7 +119,7 @@ def test_chunked_suite_equals_unchunked(monkeypatch, n):
     else:
         matrix = random_matrix(n, np.random.default_rng(1))
     whole = run_suite([matrix], 40, seed=3)
-    # 3 samples per chunk for the (n, n) stacks, 3 * n for the states
+    # 3 samples per chunk for the (n, n) stacks
     monkeypatch.setattr(verification, "CHUNK_FLOATS", 3 * n * n)
     assert run_suite([matrix], 40, seed=3) == whole
 
@@ -136,7 +136,7 @@ def run_suite_reference(matrices, samples, seed):
             check_jacobian_fd(gamma, rng, min(samples, 200)),
             check_contraction_certificates(gamma, rng, samples),
             check_oracle_equivalence(matrix, rng, samples),
-            check_boundary_step(gamma, rng, samples),
+            check_boundary_step(gamma),
         ])
     return results
 
@@ -150,7 +150,7 @@ PROGRAMS = [(3, 30, range(1, 6)), (6, 30, range(1, 6)), (30, 30, range(1, 6)), (
     (n, samples, count) for n, samples, counts in PROGRAMS for count in counts])
 def test_suite_matches_the_per_matrix_loop(monkeypatch, n, samples, count):
     # 5 n^2 floats a chunk: across K matrices 5 // K samples (at least 1)
-    # of each (n, n) stack, 5 n // K states; at n = 400 one sample a chunk
+    # of each (n, n) stack; at n = 400 one sample a chunk
     matrices = [random_matrix(n, np.random.default_rng([n, count, k])) for k in range(count)]
     monkeypatch.setattr(verification, "CHUNK_FLOATS", 5 * n * n)
     got = run_suite(matrices, samples, seed=11)
@@ -160,9 +160,10 @@ def test_suite_matches_the_per_matrix_loop(monkeypatch, n, samples, count):
         "boundary_contraction_step"]] * count
 
 
-# The per-state loops that `check_contraction_certificates` and
-# `check_boundary_step` replaced, kept as references: the checks must
-# return equal results from the same random stream.
+# The per-state loop that `check_contraction_certificates` replaced, kept
+# as its reference: the check must return equal results from the same
+# random stream.  The boundary check's reference builds its face states
+# one at a time.
 
 def sample_interior_reference(n, rng, count):
     raw = rng.dirichlet(np.full(n, 0.5), size=count)
@@ -170,7 +171,7 @@ def sample_interior_reference(n, rng, count):
 
 
 def certificate_reference(gamma, rng, samples):
-    # per state: the closed-form margin, Phi's identities, and H's row sums
+    # per state: the closed-form margin, Phi's column sums, and H's row sums
     # and trace - 1 relative to the state's largest theta, then the link
     # between ||H||_1 summed from H's entries and 1 - margin
     worst_margin = np.inf
@@ -183,8 +184,6 @@ def certificate_reference(gamma, rng, samples):
         worst_struct = max(
             worst_struct,
             np.abs(phi.sum(axis=0)).max(),
-            np.abs(phi - phi.T).max(),
-            (phi - np.diag(np.diag(phi))).max(),
             np.abs(h.sum(axis=1)).max() * (1.0 - x.max()),
             abs(np.trace(h) - 1.0) * (1.0 - x.max()),
             abs(np.abs(h).sum(axis=0).max() - (1.0 - margin)),
@@ -196,33 +195,36 @@ def certificate_reference(gamma, rng, samples):
     )
 
 
-def boundary_reference(gamma, rng, samples):
-    # the check's blocks of draws, in its order (j among the individuals
-    # with a positive radius, r from [F, min(r_j, 1 - F)), the factor
-    # bounded so that x_j >= F, the rest); then one state per draw
-    floor = 2.0 ** -40
-    radii = contraction_radii(gamma)
+def boundary_reference(gamma):
+    # j from the largest gamma down, the first with a state: r = r_j/2,
+    # r_j/4, ... made exact as 1 - x_j, while r >= F and the gap G(r) >=
+    # 4(n + 4)u; its mass r on the other individual with the least gamma
     n = gamma.size
-    js = np.flatnonzero(radii > 0)[rng.integers(np.count_nonzero(radii > 0), size=samples)]
-    rs = rng.uniform(floor, np.minimum(radii[js], 1.0 - floor))
-    scales = rng.uniform(1.0, np.minimum(1.5, (1.0 - floor) / rs))
-    rests = rng.dirichlet(np.ones(n - 1), samples)
-    draws = []
-    for j, r, scale, rest in zip(js, rs, scales, rests):
-        x_j = 1.0 - r * scale
-        draws.append((j, r, np.insert(rest * (1.0 - x_j), j, x_j)))
-    j = np.array([d[0] for d in draws], dtype=int)
-    r = np.array([d[1] for d in draws])
-    mapped = df_map(np.array([d[2] for d in draws]).reshape(-1, n), gamma)
-    worst = float((mapped[np.arange(samples), j] - (1.0 - r)).max())
+    radii = contraction_radii(gamma)
+    for j in np.argsort(-gamma, kind="stable"):
+        rs = []
+        for t in range(1, 40):
+            r = 1.0 - (1.0 - radii[j] * 0.5 ** t)
+            gap = r * (1.0 - gamma[j]) * (radii[j] - r) / (gamma[j] + r * (1.0 - gamma[j]))
+            if r < 2.0 ** -40 or gap < 4 * (n + 4) * 2.0 ** -53:
+                break
+            rs.append(r)
+        if rs:
+            break
+    m = min((i for i in range(n) if i != j), key=lambda i: gamma[i])
+    margins = []
+    for r in rs:
+        x = np.zeros(n)
+        x[j], x[m] = 1.0 - r, r
+        margins.append(df_map(x, gamma)[j] - (1.0 - r))
+    worst = float(np.max(margins))
     return CheckResult("boundary_contraction_step", worst < 0, worst)
 
 
 def assert_matches_references(gamma, samples, seed):
-    for check, reference in [(check_contraction_certificates, certificate_reference),
-                             (check_boundary_step, boundary_reference)]:
-        got = check(gamma, np.random.default_rng(seed), samples)
-        assert got == reference(gamma, np.random.default_rng(seed), samples), check.__name__
+    got = check_contraction_certificates(gamma, np.random.default_rng(seed), samples)
+    assert got == certificate_reference(gamma, np.random.default_rng(seed), samples)
+    assert check_boundary_step(gamma) == boundary_reference(gamma)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -236,25 +238,21 @@ def test_checks_match_per_state_references(n):
 
 @pytest.mark.parametrize("samples", [1, 60])
 def test_checks_match_per_state_references_on_a_star(samples):
-    # gamma = (1/4, 1/4, 1/2): the centre's band is empty, so it is never
-    # drawn, and even the single draw of samples = 1 tests a leaf
+    # gamma = (1/4, 1/4, 1/2): the centre's band is empty, so the boundary
+    # check tests a leaf
     gamma = validate(star_matrix(3, center=2)).gamma
     assert_matches_references(gamma, samples, seed=0)
-    result = check_boundary_step(gamma, np.random.default_rng(0), samples)
+    result = check_boundary_step(gamma)
     assert result.passed and np.isfinite(result.worst_margin)
 
 
 def test_checks_match_per_state_references_across_chunks():
     # n = 400: one (n, n) stack entry exceeds CHUNK_FLOATS, so each
-    # certificate chunk holds one state, and 81 boundary states make a
-    # chunk of mapped states
+    # certificate chunk holds one state
     n = 400
-    assert verification.CHUNK_FLOATS // n ** 2 == 0 and verification.CHUNK_FLOATS // n == 81
+    assert verification.CHUNK_FLOATS // n ** 2 == 0
     gamma = random_matrix(n, np.random.default_rng(n)).gamma
-    got = check_contraction_certificates(gamma, np.random.default_rng(1), 13)
-    assert got == certificate_reference(gamma, np.random.default_rng(1), 13)
-    got = check_boundary_step(gamma, np.random.default_rng(1), 4000)
-    assert got == boundary_reference(gamma, np.random.default_rng(1), 4000)
+    assert_matches_references(gamma, 13, seed=1)
 
 
 def interior_references(x):
