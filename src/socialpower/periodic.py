@@ -11,9 +11,11 @@ one normaliser c_p per phase.  So once the P values u_p = y_{p,k} of one
 individual k are known, every normaliser is known, and each other
 individual's cycle is a product of P 2x2 linear-fractional maps whose
 fixed point is the root of a quadratic.  The orbit is solved for on
-those P unknowns (`periodic_fixed_points`), with `_orbits` the one 2x2
-cycle product; P = 1 is the relation x_i (1 - x_i) = c gamma_i of Jia,
-Mirtabatabaei, Friedkin & Bullo (SIAM Review 2015).
+those P unknowns (`periodic_fixed_points`) by plain Newton from the
+orbit two cycles on, where the maps' contraction puts the start close
+to the solution; `_orbits` is the one 2x2 cycle product.  P = 1 is the
+relation x_i (1 - x_i) = c gamma_i of Jia, Mirtabatabaei, Friedkin &
+Bullo (SIAM Review 2015).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, df_map
+from .dynamics import Trajectory, df_map, simulate
 from .errors import NoConvergence, StarTopology, ValidationError
 from .topology import TOLERANCES, Periodic, TopologyProgram, at_star
 
@@ -55,13 +57,15 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     repelling one: prod_p r_{p,i} > 1, with r = y/(1 - y), forces
     prod_p r_{p,j} < 1 for every j != i.  Newton's method drives the P
     residuals sum_i y_{p,i} - 1 towards 0 on a Jacobian of forward
-    differences (`_newton_step`).  It starts from each phase's normalised
-    bound shape, u_p = b_{p,k}/sum_i b_{p,i} with b = gamma/(1 - gamma),
-    the bound that also starts `fixed_point`.  A step halves until u
-    stays in (0, 1)^P and the residual falls, and a NaN residual does
-    not fall.  The solve stops when the residual stops falling or is 0,
-    or after a step no longer than the difference step, which leaves an
-    error at the rounding level.
+    differences (`_newton_step`).  Each cycle of the maps brings any
+    state closer to the periodic orbit, so Newton starts from the orbit
+    two cycles on: u_p is y_{p,k} of the run from the uniform vector over
+    2P + 1 issues, whose last P issues apply phases 0 .. P-1
+    (`Periodic.phases`).  There it needs no line search.  It keeps the
+    best iterate, and stops when the residual does not fall (a NaN
+    residual does not) or is 0, when the system is singular, when a step
+    leaves (0, 1)^P, or after a step no longer than the difference step,
+    which leaves an error at the rounding level.
 
     y_0 is the solution, and the other y_p = F_p(y_{p-1}) are the states
     G_0 passes through, so only the closing chain residual
@@ -83,32 +87,25 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     prev = np.arange(period) - 1  # phase p - 1, cyclically
     # column 0 keeps u, column q + 1 lowers u_q by the relative step
     stencil = 1.0 - _STEP * np.eye(period, period + 1, 1)
-    bound = gammas / (1.0 - gammas)
-    v = bound[:, k] / bound.sum(axis=1)
+    # the orbit two cycles on: issues P + 2 .. 2P + 1 apply phases 0 .. P - 1
+    v = simulate(program, np.full(program.n, 1.0 / program.n), 2 * period + 1).states[-period:, k]
     best, last = np.inf, False
     with np.errstate(all="ignore"):
         while True:
             orbits, residuals = _orbits(v[:, None] * stencil, ratios, prev)
             residual = np.add.reduce(np.abs(residuals[:, 0]))
-            if residual < best:
-                u, y, best = v, orbits[:, 0], residual
-                if residual == 0 or last:
-                    break
-                z = _newton_step(residuals)
-                size = np.abs(z).max()  # in difference steps; NaN for a singular system
-                if not size < np.inf:
-                    break
-                last = size <= 1.0
-                step, t = z * u, _STEP
-            elif last or best == np.inf:
+            if not residual < best:  # a NaN residual does not fall
                 break
-            else:
-                t *= 0.5
-            v = u - t * step
-            while not (0.0 < v.min() and v.max() < 1.0):  # ends: u is inside, the start too
-                t *= 0.5
-                v = u - t * step
-            if not (v != u).any():
+            u, y, best = v, orbits[:, 0], residual
+            if residual == 0 or last:
+                break
+            z = _newton_step(residuals)
+            size = np.abs(z).max()  # in difference steps; NaN for a singular system
+            if not size < np.inf:
+                break
+            last = size <= 1.0
+            v = u - _STEP * (z * u)
+            if not (0.0 < v.min() and v.max() < 1.0):
                 break
     if best == np.inf:
         raise NoConvergence("periodic solve: no finite residual at the start")

@@ -86,6 +86,21 @@ MUTANTS = {
             functools.partial(test_periodic_properties.check_chain_residuals,
                               test_periodic_properties.sparse_cycle_program()),
         ]),
+    "periodic start at the bound shape": (
+        # each phase's normalised gamma/(1 - gamma), the start the solve had
+        # with a step-halving line search
+        edit(periodic.periodic_fixed_points,
+             "simulate(program, np.full(program.n, 1.0 / program.n), 2 * period + 1).states[-period:, k]",
+             "(gammas / (1.0 - gammas))[:, k] / (gammas / (1.0 - gammas)).sum(axis=1)"), [
+            functools.partial(test_periodic_properties.test_seeded_hub_switching_chain_residuals_within_tolerance,
+                              seed=seed)
+            for seed in (33, 78, 228, 345)
+        ]),
+    "periodic start one cycle on": (
+        edit(periodic.periodic_fixed_points, "2 * period + 1", "period + 1"), [
+            functools.partial(test_periodic_properties.test_seeded_hub_switching_chain_residuals_within_tolerance,
+                              seed=175),
+        ]),
     "non-hub individuals take the repelling root": (
         edit(periodic._orbits, "np.sqrt(b * b + 4.0 * B * C), A + D)",
              "np.sqrt(b * b + 4.0 * B * C), -(A + D))"), [

@@ -96,40 +96,42 @@ class TestPeriodicFixedPoints:
         with pytest.raises(errors.NoConvergence, match=r"chain residuals .* exceed -1.0"):
             periodic_fixed_points(two_phase_program())
 
-    def test_step_off_the_box_halves_back_inside(self, monkeypatch):
-        # every Newton step, scaled by 2^40, leaves (0, 1)^P; halving brings
-        # it back inside, and the solve ends where it does unscaled
-        program = two_phase_program()
-        want = periodic_fixed_points(program)
-        newton_step = periodic._newton_step
-        monkeypatch.setattr(periodic, "_newton_step", lambda residuals: 2.0 ** 40 * newton_step(residuals))
-        got = periodic_fixed_points(program)
-        assert got.chain_residuals.max() <= TOLERANCES.fixed_point
-        for y, z in zip(got.fixed_points, want.fixed_points, strict=True):
-            assert np.abs(y - z).max() <= 1e-15
-
-    def test_nan_residual_does_not_fall(self, monkeypatch):
-        # every residual after the start's is NaN: the steps halve until
-        # they no longer move u, and the solve reports the closing residual
-        # of the start, the one iterate whose residual fell
-        program = two_phase_program()
+    @staticmethod
+    def fails_at_the_start(program, monkeypatch, nan_after_the_start=False):
+        """Solve `program`, which must raise NoConvergence, recording each
+        `_orbits` call; the residuals of every call after the first are NaN
+        if asked.  Returns the number of calls after the start's, and checks
+        that the error reports the closing residual of the start."""
         orbits, calls = periodic._orbits, []
 
-        def nan_after_the_start(u, ratios, prev):
+        def recorded(u, ratios, prev):
             y, residuals = orbits(u, ratios, prev)
             calls.append((u[:, 0], y[:, 0]))
-            return y, residuals if len(calls) == 1 else np.full_like(residuals, np.nan)
+            return y, np.full_like(residuals, np.nan) if nan_after_the_start and len(calls) > 1 else residuals
 
-        monkeypatch.setattr(periodic, "_orbits", nan_after_the_start)
+        monkeypatch.setattr(periodic, "_orbits", recorded)
         with pytest.raises(errors.NoConvergence) as info:
             periodic_fixed_points(program)
         (u, y), *trials = calls
-        assert len(trials) > 1
         first, second = (m.gamma for m in program.matrices)
         k = int(np.argmax(first + second))
         start = np.insert(y[0], k, u[0])
         closing = np.abs(df_map(df_map(start, second), first) - start).sum()
         assert str(info.value) == f"chain residuals {np.array([0.0, closing])} exceed {TOLERANCES.fixed_point}"
+        return len(trials)
+
+    def test_step_off_the_box_stops_at_the_best_iterate(self, monkeypatch):
+        # every Newton step, scaled by 2^40, leaves (0, 1)^P: the solve maps
+        # nothing beyond the start and reports the start's closing residual
+        newton_step = periodic._newton_step
+        monkeypatch.setattr(periodic, "_newton_step", lambda residuals: 2.0 ** 40 * newton_step(residuals))
+        assert self.fails_at_the_start(two_phase_program(), monkeypatch) == 0
+
+    def test_nan_residual_does_not_fall(self, monkeypatch):
+        # every residual after the start's is NaN: the one trial step does
+        # not fall, and the solve reports the closing residual of the start,
+        # the one iterate whose residual fell
+        assert self.fails_at_the_start(two_phase_program(), monkeypatch, nan_after_the_start=True) == 1
 
     def test_nan_residual_at_the_start_rejected(self, monkeypatch):
         orbits = periodic._orbits

@@ -3,15 +3,18 @@
 `periodic_fixed_points` solves the orbit on P normalisers; it is checked
 against the chain relation bit for bit, against the composite maps,
 against a simulated run, against exact rational arithmetic, and against
-`periodic_reference`, the n-dimensional Newton solve it replaced.
+`periodic_reference`, the n-dimensional Newton solve it replaced; every
+solve is held to a few evaluations of `_orbits`.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialpower import periodic
 from socialpower.dynamics import df_map, simulate
 from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 from socialpower.topology import TOLERANCES, Periodic, TopologyProgram, validate
@@ -80,6 +83,23 @@ def hub_switching_programs(draw):
         m = near_star(n, draw(st.floats(0.6, 0.9999)), rng)
         matrices.append(validate(m[np.ix_(swap, swap)]))
     return periodic_program(draw, tuple(matrices))
+
+
+# The same near-stars from one seed, under a long order of 7-12 phases.
+# Seeds 33, 78, 228 and 345 stalled or failed a solve that started from
+# each phase's bound shape and halved its steps; seed 175 fails from the
+# orbit one cycle on.
+def seeded_hub_switching_program(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 31))
+    matrices = []
+    for h in range(int(rng.integers(2, 4))):
+        swap = np.arange(n)
+        swap[[0, h]] = swap[[h, 0]]
+        m = near_star(n, rng.uniform(0.6, 0.9999), rng)
+        matrices.append(validate(m[np.ix_(swap, swap)]))
+    order = rng.integers(0, len(matrices), int(rng.integers(7, 13)))
+    return TopologyProgram(tuple(matrices), Periodic(tuple(order.tolist())))
 
 
 # A long order: twelve phases over three 30-node matrices of one kind.
@@ -151,6 +171,20 @@ def check_chain_residuals(program):
     chain = [np.abs(df_map(points[p], gammas[(p + 1) % period]) - points[(p + 1) % period]).sum()
              for p in range(period)]
     assert np.array_equal(limit.chain_residuals, chain)
+
+
+def evaluations(program):
+    """The number of `_orbits` calls that solving `program` takes."""
+    orbits, calls = periodic._orbits, []
+
+    def counted(*args):
+        calls.append(None)
+        return orbits(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(periodic, "_orbits", counted)
+        periodic_fixed_points(program)
+    return len(calls)
 
 
 def check_invariant_under_composite(program):
@@ -246,3 +280,27 @@ def test_property_long_order_matches_reference(program):
 @given(periodic_programs(max_n=6, periods=(2, 2)))
 def test_property_exact_composite_gap(program):
     assert exact_composite_gap(program, periodic_fixed_points(program).fixed_points[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [33, 78, 228, 345, 175])
+def test_seeded_hub_switching_chain_residuals_within_tolerance(seed):
+    check_chain_residuals(seeded_hub_switching_program(seed))
+
+
+# Newton from the orbit two cycles on took at most 14 evaluations on 2000
+# generated programs; from the bound shape, a step-halving line search
+# took up to 2.2e4 and still failed
+MAX_EVALUATIONS = 30
+
+
+@pytest.mark.parametrize("programs", [periodic_programs, slow_periodic_programs,
+                                      hub_switching_programs, long_order_programs])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_property_solve_takes_few_evaluations(programs, data):
+    assert evaluations(data.draw(programs())) <= MAX_EVALUATIONS
+
+
+def test_seeded_hub_switching_solves_take_few_evaluations():
+    for seed in range(100):
+        assert evaluations(seeded_hub_switching_program(seed)) <= MAX_EVALUATIONS, f"seed {seed}"

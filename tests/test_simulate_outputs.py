@@ -35,7 +35,7 @@ FORGETTING_SHA256 = {
 # `periodic.json` from `periodic --config experiments/alternating.json`, same build
 REPORT_SHA256 = {
     "analysis.json": "7e016af23d330ed26bdf5264fcb701c46f689e15ee300100dc37dd0a1480e21e",
-    "periodic.json": "178aed0b242e464941117d33bdee5ef369d0980959057a83cf779e7c052fd76d",
+    "periodic.json": "1b2cc6aef82aff7afc0000cff4432f0d785328693e080b8fe13b45333f67baeb",
 }
 
 

@@ -57,7 +57,18 @@ RULES = [
     ("one-lapack-call-site", r"linalg", None, ("topology.py",),
      "one LAPACK call site: only topology (stationary_vector) calls linalg, so the "
      "dependence of outputs on the BLAS kernel stays in one function"),
+    ("one-phase-convention", r"% len\(|% period", ("periodic.py", "dynamics.py", "cli.py"), (),
+     "one phase convention: only topology.Periodic.phases maps issues to phases, so the "
+     "modules that run or solve a periodic program take its phases instead of a modulus"),
 ]
+
+
+def rule_hits(pattern, scope, owners, sources):
+    """The lines of `sources` (module path -> text) that break a rule, as path:line: text."""
+    regex = re.compile(pattern)
+    return [f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+            for path, text in sources.items() if (scope is None or path.name in scope) and path.name not in owners
+            for number, line in enumerate(text.splitlines(), 1) if regex.search(line)]
 
 
 @pytest.mark.parametrize("pattern, scope, owners, reason",
@@ -65,8 +76,15 @@ RULES = [
 def test_source_rule(pattern, scope, owners, reason):
     names = {path.name for path in MODULES}
     assert set(scope or ()) | set(owners) <= names, f"a module of the rule is missing: {reason}"
-    regex = re.compile(pattern)
-    hits = [f"{path.relative_to(SRC)}:{number}: {line.strip()}"
-            for path in MODULES if (scope is None or path.name in scope) and path.name not in owners
-            for number, line in enumerate(path.read_text().splitlines(), 1) if regex.search(line)]
+    hits = rule_hits(pattern, scope, owners, {path: path.read_text() for path in MODULES})
     assert not hits, reason + "\n" + "\n".join(hits)
+
+
+def test_phase_rule_flags_a_phase_map_planted_in_periodic():
+    sources = {path: path.read_text() for path in MODULES}
+    [path] = [path for path in MODULES if path.name == "periodic.py"]
+    sources[path] += "    phase = order[(s - 1) % len(order)]\n"
+    [(pattern, scope, owners)] = [rule[1:4] for rule in RULES if rule[0] == "one-phase-convention"]
+    line = len(sources[path].splitlines())
+    assert rule_hits(pattern, scope, owners, sources) == [
+        f"{path.relative_to(SRC)}:{line}: phase = order[(s - 1) % len(order)]"]
