@@ -161,16 +161,21 @@ def cmd_simulate(args) -> int:
     # every check runs before any file is written
     gbar = max_gamma_profile(program)
     bounds = analysis.equilibrium_upper_bound(gbar)
-    # the bound constrains the limit set, so transients are excluded
-    checked = batch.post_burn_in(burn_in)
-    violations = int(np.any(checked > bounds + TOLERANCES.bound_slack, -1).sum())
-    bound_checked = checked.shape[0] * checked.shape[1]
-    post = batch.states[1:]
-    interior = np.all(post > 0, axis=-1)  # a run held at its vertex has no margin
+    # the runs forget their start, so each check reads every distinct state once
+    rows, ids = batch.distinct
+    # the bound constrains the limit set: the window is the issues post_burn_in keeps
+    window = ids[len(ids) - len(batch.post_burn_in(burn_in)):]
+    violations = int(np.count_nonzero(np.any(rows > bounds + TOLERANCES.bound_slack, -1)[window]))
+    # the margin reads the distinct states after the start, in the order of
+    # their first (issue, run), save a run held at its vertex, which has none
+    post = ids[1:].ravel()
+    at, first = np.arange(post.size), np.full(len(rows), post.size)
+    np.minimum.at(first, post, at)
+    firsts = np.flatnonzero((first[post] == at) & np.all(rows > 0, axis=-1)[post])
     try:
-        min_margin = float(analysis.contraction_margin(post[interior]).min()) if interior.any() else None
+        min_margin = float(analysis.contraction_margin(rows[post[firsts]]).min()) if firsts.size else None
     except NearVertex as exc:
-        t, b = np.argwhere(interior)[exc.row].tolist()
+        t, b = divmod(int(firsts[exc.row]), len(names))
         raise NearVertex(f"run {names[b]!r}, issue {t + 1}: {exc}") from exc
     gap = limit_gap(*runs[:2]) if len(runs) >= 2 else None
 
@@ -182,18 +187,18 @@ def cmd_simulate(args) -> int:
         "max_gamma_profile": gbar,
         "equilibrium_bounds": bounds,
         "bound_violation_count": violations,
-        "bound_checked_states": bound_checked,
+        "bound_checked_states": window.size,
         "min_contraction_margin": min_margin,
     }
     if gap is not None:
-        rows = [f"{s},{g}\n" for s, g in enumerate(_format_rows(gap[:, None], ","))]
-        _write_text(out / "limit_gap.csv", "s,gap\n" + "".join(rows))
+        lines = [f"{s},{g}\n" for s, g in enumerate(_format_rows(gap[:, None], ","))]
+        _write_text(out / "limit_gap.csv", "s,gap\n" + "".join(lines))
         report["limit_gap"] = "limit_gap.csv"
         report["final_gap"] = float(gap[-1])
     _write_report(report, out / "report.json")
     if plot:
         _plot_runs(names, batch.states, out)
-    if bound_checked == 0:
+    if window.size == 0:
         print(f"warning: burn_in {burn_in} >= issues {issues}: no state was checked "
               "against the equilibrium bound", file=sys.stderr)
     print(f"simulate: {len(names)} run(s), {issues} issues, {violations} bound violations, "

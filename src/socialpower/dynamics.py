@@ -13,11 +13,16 @@ against the vertex guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NearVertex, ValidationError
 from .topology import ADDRESS_BITS, TOLERANCES, TopologyProgram, _format_rows, _write_text
+
+# the largest double x with 1 - x >= vertex_guard: 1 - x is exact for x >= 1/2,
+# so the guard is the one comparison x <= VERTEX_MAX per entry, which NaN fails
+VERTEX_MAX = float(1.0 - np.ceil(TOLERANCES.vertex_guard * 2.0 ** 53) / 2.0 ** 53)
 
 
 def near_vertex_error(where: str = "") -> NearVertex:
@@ -30,11 +35,12 @@ def df_map(x, gamma: np.ndarray) -> np.ndarray:
     """One issue of the social power update, away from the vertices.
 
     `x` may be a stack of states with shape (..., n), complex for the
-    complex step (its real part guarded); each row is mapped exactly as on
-    its own, each float entry within (n + 4)u relative (u = 2^-53).
+    complex step (its real part guarded: every entry <= VERTEX_MAX); each
+    row is mapped exactly as on its own, each float entry within (n + 4)u
+    relative (u = 2^-53).
     """
     x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-    if not np.all(1.0 - x.real.max(axis=-1) >= TOLERANCES.vertex_guard):  # a NaN entry fails too
+    if not np.all(x.real <= VERTEX_MAX):  # a NaN entry fails too
         raise near_vertex_error()
     out = np.empty_like(x)
     _issues([x, out], [gamma])
@@ -73,6 +79,17 @@ class Trajectory:
             raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
         return self.states[burn_in + 1:]
 
+    @cached_property
+    def distinct(self) -> tuple:
+        """(rows, ids): each distinct state row once, by its bit pattern
+        (-0.0 and 0.0 differ), and the index in `rows` of every state,
+        shape states.shape[:-1]; one `np.unique` per trajectory."""
+        n = self.states.shape[-1]
+        flat = np.ascontiguousarray(self.states).reshape(-1, n)
+        keys = flat.view(np.dtype((np.void, flat.itemsize * n))).ravel()
+        _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+        return flat[first], ids.reshape(self.states.shape[:-1])
+
     def to_csv(self, *paths) -> None:
         """Write each run to its own CSV, one row per state; column p is
         the 1-based matrix index that produced the state (0 for the
@@ -81,26 +98,21 @@ class Trajectory:
         One path for a single run, shape (S+1, n); B paths, in run order,
         for a batch, shape (S+1, B, n); any other count raises
         ValidationError before a file is written.  Every value is written
-        with 17 significant digits, and each distinct state row is
-        formatted once, by its bit pattern (-0.0 and 0.0 differ): runs
-        that have forgotten their start, or a run held at a vertex, share
-        their rows.
+        with 17 significant digits, and each row of `distinct`, which the
+        `simulate` command's bound and margin checks also read, is formatted
+        once: runs that have forgotten their start, or a held vertex, share it.
         """
-        steps, n = self.states.shape[0], self.states.shape[-1]
-        rows = np.ascontiguousarray(self.states).reshape(-1, n)
-        runs = rows.shape[0] // steps
-        if len(paths) != runs:
-            raise ValidationError(f"{len(paths)} CSV path(s) for {runs} run(s)")
-        # the void view compares bit patterns, so -0.0 and 0.0 stay distinct
-        keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
-        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        distinct = _format_rows(rows[first], ",")
+        rows, ids = self.distinct
+        runs = ids.reshape(len(ids), -1).T  # run b's row ids at runs[b]
+        if len(paths) != len(runs):
+            raise ValidationError(f"{len(paths)} CSV path(s) for {len(runs)} run(s)")
+        distinct = _format_rows(rows, ",")
         produced = [0] + (self.signal_log + 1).tolist()
-        header = "s,p," + ",".join(f"x_{i + 1}" for i in range(n))
+        header = "s,p," + ",".join(f"x_{i + 1}" for i in range(rows.shape[1]))
         # every file interleaves the same row prefixes with its own rows
-        parts = [None] * (2 * steps)
+        parts = [None] * (2 * len(ids))
         parts[::2] = ["\n%d,%d," % sp for sp in enumerate(produced)]
-        for path, run in zip(paths, which.reshape(steps, runs).T.tolist()):
+        for path, run in zip(paths, runs.tolist()):
             parts[1::2] = [distinct[k] for k in run]
             _write_text(path, header + "".join(parts) + "\n")
 
@@ -111,12 +123,12 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     `init` is one initial condition, shape (n,), or a batch, shape
     (B, n), run under the program's one signal realization; the states
     have shape (issues + 1,) + init.shape, and with the signal log they
-    must fit in 2^47 bytes, else ValidationError.  A row equal to a vertex e_i
-    is held there; the first other row that is not admissible (finite,
-    0 <= x_i < 1, some x_j > 0) raises ValidationError, and the first
-    mapped state within the vertex guard raises NearVertex.  Each names
-    a batch row 1-based and carries it 0-based as `row`, with `problem`
-    (what is wrong with the row) or `issue` (1-based).
+    must fit in 2^47 bytes, else ValidationError.  A row equal to a vertex
+    e_i is held there; the first other row that is not admissible (finite,
+    0 <= x_i < 1, some x_j > 0) raises ValidationError, and the first mapped
+    state within the vertex guard (an entry above VERTEX_MAX, or NaN) raises
+    NearVertex.  Each names a batch row 1-based and carries it 0-based as
+    `row`, with `problem` (what is wrong with the row) or `issue` (1-based).
     """
     if issues < 1:
         raise ValidationError("need at least one issue")
@@ -151,10 +163,11 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
         _issues(out, map(gammas.__getitem__, signal_log.tolist()))
     states = out.reshape((issues + 1,) + rows.shape)  # a view, (S+1, B, n)
     states[:, ~free] = rows[~free]  # held rows stay at their vertex
-    near = ~(1.0 - states[:-1].max(axis=-1) >= TOLERANCES.vertex_guard) & free
-    if near.any():
+    inside = states[:-1] <= VERTEX_MAX  # a NaN entry fails too
+    inside[:, ~free] = True  # a held row is not mapped
+    if not inside.all():
         # mapping states[s] is issue s + 1; a batch also names the row
-        s, b = np.argwhere(near)[0].tolist()
+        s, b = np.argwhere(~inside.all(axis=-1))[0].tolist()
         where = f"initial condition row {b + 1}, " if x.ndim == 2 else ""
         exc = near_vertex_error(f"{where}issue {s + 1}: ")
         exc.row, exc.issue = b, s + 1

@@ -1,10 +1,11 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from socialpower import errors
+from socialpower import dynamics, errors
 from socialpower.cli import main
 from socialpower.dynamics import (
     Trajectory,
@@ -114,6 +115,62 @@ class TestDfMap:
         for _ in range(2000):
             x = df_map(x, gamma)
         assert np.array_equal(np.argsort(x), np.argsort(gamma))
+
+
+def largest_admitted():
+    """The largest double x with 1 - x >= vertex_guard in exact arithmetic,
+    walked down from above fl(1 - vertex_guard)."""
+    x = np.nextafter(1.0 - TOLERANCES.vertex_guard, 2.0)
+    while 1 - Fraction(x) < Fraction(TOLERANCES.vertex_guard):
+        x = np.nextafter(x, 0.0)
+    return float(x)
+
+
+class TestVertexMax:
+    # the guard of df_map and simulate is one comparison per entry, x <= VERTEX_MAX
+    EDGES = {"at": False, "one ulp above": True, "nan": True}
+
+    @staticmethod
+    def entry(edge):
+        return {"at": largest_admitted(), "one ulp above": np.nextafter(largest_admitted(), 2.0),
+                "nan": np.nan}[edge]
+
+    def test_largest_double_whose_distance_to_1_meets_the_guard(self):
+        assert dynamics.VERTEX_MAX == largest_admitted() == 1.0 - 91 * 2.0 ** -53
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_df_map(self, edge, dtype):
+        # in the last column of a later row; a complex state is guarded by its real part
+        value = self.entry(edge)
+        x = np.array([[0.2, 0.5, 0.3], [0.0, 1.0 - value, value]], dtype=dtype)
+        if dtype is complex:
+            x += 1j * 2.0 ** -100
+        if self.EDGES[edge]:
+            with pytest.raises(errors.NearVertex, match="state within 1e-14 of a vertex"):
+                df_map(x, GAMMA_EXAMPLE)
+        else:
+            mapped = df_map(x, GAMMA_EXAMPLE)
+            assert np.isfinite(mapped).all()
+            assert np.array_equal(mapped[1], df_map(x[1], GAMMA_EXAMPLE))
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_simulate(self, edge):
+        # the third run starts with x_6 at the edge; a NaN start is not admissible
+        program = TopologyProgram(switching_program_6().matrices, Constant(0))
+        near = np.zeros(6)
+        near[0], near[5] = 1.0 - self.entry(edge), self.entry(edge)
+        init = np.vstack([TestBatch.BATCH[:2], near])
+        if edge == "nan":
+            with pytest.raises(errors.ValidationError, match="row 3 entry 1 = nan is not finite"):
+                simulate(program, init, 3)
+        elif self.EDGES[edge]:
+            with pytest.raises(errors.NearVertex, match="^initial condition row 3, issue 1: ") as info:
+                simulate(program, init, 3)
+            assert (info.value.row, info.value.issue) == (2, 1)
+        else:
+            states = simulate(program, init, 3).states
+            assert np.isfinite(states).all() and np.all(states[1:, 2, 5] < near[5])
 
 
 class TestDynamicStep:

@@ -32,6 +32,7 @@ import test_dynamics
 import test_format
 import test_periodic
 import test_periodic_properties
+import test_simulate_checks
 import test_simulate_outputs
 import test_stacked
 import test_topology
@@ -51,6 +52,12 @@ def edit(func, old, new):
         monkeypatch.setattr(func, "__code__", namespace[func.__name__].__code__)
 
     return plant
+
+
+def vertex_max_one_ulp_high(monkeypatch):
+    """The fault: `dynamics.VERTEX_MAX` one ulp high, as `np.floor` in
+    place of `np.ceil` makes it, so the guard admits 1 - x < vertex_guard."""
+    monkeypatch.setattr(dynamics, "VERTEX_MAX", np.nextafter(dynamics.VERTEX_MAX, 2.0))
 
 
 def pairs_keep_trailing_zeros(monkeypatch):
@@ -145,16 +152,50 @@ MUTANTS = {
             test_simulate_outputs.test_forgetting_outputs_are_pinned,
         ]),
     "df_map guard reads x.min": (
-        edit(dynamics.df_map, "x.real.max(axis=-1)", "x.real.min(axis=-1)"), [
+        # a row passes when its smallest entry clears the guard
+        edit(dynamics.df_map, "np.all(x.real <= VERTEX_MAX)", "np.all((x.real <= VERTEX_MAX).any(axis=-1))"), [
             test_dynamics.TestDfMap().test_overflow_guard,
             functools.partial(test_dynamics.TestDfMap().test_guard_edge_in_the_last_column_of_a_later_row,
                               toward=1.0, rejected=True),
         ]),
     "simulate guard reads x.min": (
-        edit(dynamics.simulate, "states[:-1].max(axis=-1)", "states[:-1].min(axis=-1)"), [
+        # a row passes when its smallest entry clears the guard
+        edit(dynamics.simulate, "if not inside.all():", "if not inside.any(axis=-1).all():"), [
             test_dynamics.TestBatch().test_near_vertex_row_named_with_its_issue,
             functools.partial(test_dynamics.TestBatch().test_guard_edge_in_the_last_column_of_a_later_row,
                               toward=1.0, rejected=True),
+        ]),
+    "df_map guard with < in place of <=": (
+        edit(dynamics.df_map, "x.real <= VERTEX_MAX", "x.real < VERTEX_MAX"), [
+            functools.partial(test_dynamics.TestVertexMax().test_df_map, edge="at", dtype=float),
+            functools.partial(test_dynamics.TestVertexMax().test_df_map, edge="at", dtype=complex),
+        ]),
+    "simulate guard with < in place of <=": (
+        edit(dynamics.simulate, "states[:-1] <= VERTEX_MAX", "states[:-1] < VERTEX_MAX"), [
+            functools.partial(test_dynamics.TestVertexMax().test_simulate, edge="at"),
+        ]),
+    "vertex guard constant one ulp high": (
+        vertex_max_one_ulp_high, [
+            test_dynamics.TestVertexMax().test_largest_double_whose_distance_to_1_meets_the_guard,
+            functools.partial(test_dynamics.TestVertexMax().test_df_map, edge="one ulp above", dtype=complex),
+            functools.partial(test_dynamics.TestVertexMax().test_simulate, edge="one ulp above"),
+        ]),
+    "bound count over every distinct row, not the post-burn-in window": (
+        edit(cli.cmd_simulate, "bounds + TOLERANCES.bound_slack, -1)[window]", "bounds + TOLERANCES.bound_slack, -1)"), [
+            functools.partial(test_simulate_checks.test_checks_match_the_per_state_reference, seed=seed)
+            for seed in (0, 1, 2)
+        ]),
+    "margin over rows first seen at the start": (
+        edit(cli.cmd_simulate, "post = ids[1:].ravel()", "post = ids.ravel()"), [
+            functools.partial(test_simulate_checks.test_checks_match_the_per_state_reference, seed=seed)
+            for seed in (0, 1)
+        ] + [test_simulate_checks.TestNearVertexNaming().test_start_near_a_vertex_is_not_checked_itself]),
+    "margin rows in bit-pattern order, not by first (issue, run)": (
+        edit(cli.cmd_simulate, "firsts = np.flatnonzero((first[post] == at) & np.all(rows > 0, axis=-1)[post])",
+             "firsts = first[(first < post.size) & np.all(rows > 0, axis=-1)]"), [
+            # the two rows in bit-pattern order put the run near e_2 first
+            functools.partial(test_simulate_checks.TestNearVertexNaming().test_earliest_run_named_whatever_the_row_order,
+                              first=1),
         ]),
     "simulate without the held-row reset": (
         edit(dynamics.simulate, "states[:, ~free] = rows[~free]", "pass"), [

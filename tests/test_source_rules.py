@@ -36,6 +36,9 @@ RULES = [
     ("one-burn-in-window", r"burn_in \+ 1|max\(burn_in", None, ("dynamics.py",),
      "one post-burn-in window: only dynamics (Trajectory.post_burn_in) slices the states "
      "after the burn-in"),
+    ("one-bit-pattern-dedup", r"np\.void", None, ("dynamics.py",),
+     "one bit-pattern dedup: only dynamics (Trajectory.distinct) views states as np.void, so "
+     "every command runs one np.unique over its states and no caller grows a second dedup"),
     ("one-double-writer", r"17g", None, ("topology.py",),
      "one writer of doubles: only topology._format_rows writes %.17g"),
     ("one-file-writer", r"open\([^)]*[\"']w", None, ("topology.py",),
