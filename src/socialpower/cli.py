@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, periodic, svg
-from .dynamics import Trajectory, limit_gap, near_vertex_error, simulate
+from .dynamics import Trajectory, guard_error, limit_gap, simulate
 from .errors import NearVertex, ParseError, SocialPowerError, ValidationError
 from .topology import (
     TOLERANCES,
@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
     try:
         batch = simulate(program, init, issues)
     except NearVertex as exc:
-        raise near_vertex_error(f"run {names[exc.row]!r}, issue {exc.issue}: ") from exc
+        raise guard_error(f"run {names[exc.row]!r}, issue {exc.issue}: ") from exc
     except ValidationError as exc:
         if not hasattr(exc, "row"):
             raise

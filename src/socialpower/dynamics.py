@@ -25,7 +25,7 @@ from .topology import ADDRESS_BITS, TOLERANCES, TopologyProgram, _format_rows, _
 VERTEX_MAX = float(1.0 - np.ceil(TOLERANCES.vertex_guard * 2.0 ** 53) / 2.0 ** 53)
 
 
-def near_vertex_error(where: str = "") -> NearVertex:
+def guard_error(where: str = "") -> NearVertex:
     """The vertex guard's error, its message led by `where`."""
     return NearVertex(f"{where}state within {TOLERANCES.vertex_guard:.0e} of a vertex; "
                       "start the run at the vertex e_i")
@@ -41,7 +41,7 @@ def df_map(x, gamma: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     if not np.all(x.real <= VERTEX_MAX):  # a NaN entry fails too
-        raise near_vertex_error()
+        raise guard_error()
     out = np.empty_like(x)
     _issues([x, out], [gamma])
     return out
@@ -169,7 +169,7 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
         # mapping states[s] is issue s + 1; a batch also names the row
         s, b = np.argwhere(~inside.all(axis=-1))[0].tolist()
         where = f"initial condition row {b + 1}, " if x.ndim == 2 else ""
-        exc = near_vertex_error(f"{where}issue {s + 1}: ")
+        exc = guard_error(f"{where}issue {s + 1}: ")
         exc.row, exc.issue = b, s + 1
         raise exc
     return Trajectory(out, signal_log)

@@ -38,11 +38,10 @@ class Tolerances:
     row_sum: float = 1e-12
     # topology.stationary_vector: accepted residual ||vM - v||_1
     eigen_residual: float = 1e-12
-    # dynamics alone (the guard of df_map and simulate): some 1 - x_i below
-    # this is a caller error; `simulate` holds a vertex start instead
+    # the one vertex rule, read by dynamics alone as VERTEX_MAX: some 1 - x_i
+    # below this is a caller error for df_map and simulate (which holds a
+    # vertex start instead), and outside the certificate's domain (analysis._interior)
     vertex_guard: float = 1e-14
-    # analysis._interior alone, the certificate's domain: minimum 1 - x_i of a state
-    near_vertex: float = 1e-12
     # topology.at_star: gamma_i this close to 1/2 is a star centre
     star_gamma: float = 1e-9
     # analysis.contraction_margin and analysis.fixed_point: allowed
@@ -54,11 +53,11 @@ class Tolerances:
     # periodic.verify_periodic_limit: allowed 1-norm deviation of a run
     # from the per-phase limit
     periodic_limit: float = 1e-8
-    # verification: the Jacobian's error against the complex step ((4n + 30)u
-    # bound, u = 2^-53; worst 1.1e-15 = 9.7u on experiments/ and the bench's
-    # seed-1 programs, 93 times below 1e-13), the certificate's structural
-    # deviation (Phi's identities, H's relative to its largest theta, the
-    # link of ||H||_1 to the margin) and the opinion oracle's gap to the map
+    # verification: the Jacobian's error against the complex step (its (4n + 30)u
+    # bound, u = 2^-53, stays under 1e-13 only for n <= 217, and is 1.8e-13 at
+    # n = 400; worst measured 1.1e-15 = 9.7u, on experiments/ and the bench's seed-1
+    # programs), the certificate's structural deviation (Phi's identities, H's relative
+    # to its largest theta, the link of ||H||_1 to the margin) and the oracle's gap to the map
     finite_difference: float = 1e-13
     certificate_structure: float = 1e-9
     oracle_gap: float = 1e-10

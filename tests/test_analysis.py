@@ -17,7 +17,7 @@ from socialpower.analysis import (
     transform_chain,
     vertex_stability,
 )
-from socialpower.dynamics import df_map
+from socialpower.dynamics import VERTEX_MAX, df_map
 from socialpower.topology import (
     TOLERANCES,
     Tolerances,
@@ -63,8 +63,10 @@ class TestJacobian:
             assert (gap * (1.0 - x) / nxt).max() <= TOLERANCES.finite_difference
 
     def test_near_vertex_rejected(self):
-        x = np.array([1 - 1e-13, 1e-13, 0.0])
-        with pytest.raises(errors.NearVertex):
+        # one ulp past the map's guard, with every entry > 0
+        top = np.nextafter(VERTEX_MAX, 2.0)
+        x = np.array([top, (1 - top) / 2, (1 - top) / 2])
+        with pytest.raises(errors.NearVertex, match="^state within 1e-14 of a vertex"):
             jacobian(x, x)
 
 
@@ -248,7 +250,6 @@ class TestTolerances:
             "row_sum": 1e-12,
             "eigen_residual": 1e-12,
             "vertex_guard": 1e-14,
-            "near_vertex": 1e-12,
             "star_gamma": 1e-9,
             "structure": 1e-10,
             "fixed_point": 1e-13,
@@ -377,3 +378,19 @@ class TestVerificationSuite:
         assert res.passed, res
         assert 0 < res.worst_margin < 1e-3  # the margin itself, not 1 - margin
         assert float(res.detail.split()[-1]) <= 1e-15
+
+    def test_certificate_checks_mapped_states_down_to_the_map_guard(self, monkeypatch):
+        # draws 3e-13 from each vertex of group6 matrices 2 and 5 map to
+        # states down to 3.3e-13 from it: inside the map's guard, so inside
+        # the certificate's domain, which passes there instead of raising
+        gammas = np.stack([validate(interaction_set_6()[k]).gamma for k in (1, 4)])
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([np.insert(rng.dirichlet(np.ones(5), 50) * 3e-13, i, 1.0 - 3e-13,
+                                       axis=1) for i in range(6)])
+        monkeypatch.setattr(verification, "sample_interior", lambda n, rng, count: xs)
+        assert [1.0 - df_map(xs, gamma).max() < 1e-12 for gamma in gammas] == [True, True]
+        results = check_contraction_certificates(gammas, [np.random.default_rng(k) for k in (1, 4)], len(xs))
+        for res in results:
+            assert res.passed, res
+            assert 0 < res.worst_margin < 1e-20
+            assert float(res.detail.split()[-1]) <= 1e-15

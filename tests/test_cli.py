@@ -11,6 +11,7 @@ from socialpower.analysis import transform_chain
 from socialpower.cli import main
 from socialpower.topology import Periodic, TopologyProgram, load_program, save_program, validate
 from networks import EXPERIMENTS, interaction_set_6, near_star3, star_matrix, switching_program_6
+from test_simulate_checks import edge_program, edge_starts
 from test_solvers import near_star
 
 # `verify experiments/group6_random.json --samples 200`, exactly as printed
@@ -170,15 +171,17 @@ class TestSimulate:
         margin, stdout = run({"a": "vertex:1", "b": "vertex:2", "c": [1 / 6] * 6})
         assert 0 < margin < 1 and stdout.endswith(f"min margin {margin:.4f}\n")
 
-    def test_start_near_a_vertex_names_run_and_issue(self, simulate_config, tmp_path, capsys):
-        # admissible (simulate's guard is 1e-14), but after issue 1 the state
-        # is within Tolerances.near_vertex of e_1, where no margin is defined
-        doc = json.loads(simulate_config.read_text())
-        doc["initial_conditions"]["edge"] = [1 - 1e-13, 1e-13, 0, 0, 0, 0]
-        simulate_config.write_text(json.dumps(doc))
+    def test_start_near_a_vertex_names_run_and_issue(self, tmp_path, capsys):
+        # admissible, at the guard's edge, but the near-star's hub rounds
+        # past it at issue 1, the last, which simulate does not map: the
+        # margin is not defined there
+        save_program(edge_program(), tmp_path / "program.json")
+        config = {"program": "program.json", "issues": 1,
+                  "initial_conditions": {"free": [1 / 6] * 6, "edge": edge_starts()[0].tolist()}}
+        (tmp_path / "edge.json").write_text(json.dumps(config))
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(simulate_config), "--out", str(out)]) == 1
-        assert "run 'edge', issue 1: state within 1e-12 of a vertex" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(tmp_path / "edge.json"), "--out", str(out)]) == 1
+        assert "run 'edge', issue 1: state within 1e-14 of a vertex" in capsys.readouterr().err
         assert not out.exists()
 
     def test_start_within_the_map_guard_names_issue_one(self, simulate_config, tmp_path, capsys):

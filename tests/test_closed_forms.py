@@ -17,7 +17,7 @@ import pytest
 from socialpower import errors
 from socialpower.analysis import contraction_margin, fixed_point, jacobian, transform_chain
 from socialpower.cli import main
-from socialpower.dynamics import df_map, simulate
+from socialpower.dynamics import VERTEX_MAX, df_map, simulate
 from socialpower.topology import (
     RandomUniform, TopologyProgram, at_star, load_program, validate,
 )
@@ -73,8 +73,12 @@ def test_margin_matches_exact_arithmetic_near_every_vertex():
 
 
 def test_margin_rejects_the_states_transform_chain_rejects():
+    # the domain is the map guard's: an entry one ulp above VERTEX_MAX, an
+    # entry <= 0 or a NaN is outside it
     ok = np.full(3, 1 / 3)
-    for x in (np.array([1 - 1e-13, 1e-13, 0.0]), np.array([0.5, 0.5, 0.0]), np.array([0.5, np.nan, 0.5])):
+    top = np.nextafter(VERTEX_MAX, 2.0)
+    for x in (np.array([top, (1 - top) / 2, (1 - top) / 2]), np.array([1 - 1e-13, 1e-13, 0.0]),
+              np.array([0.5, 0.5, 0.0]), np.array([0.5, np.nan, 0.5])):
         with pytest.raises(errors.NearVertex):
             transform_chain(x)
         with pytest.raises(errors.NearVertex):

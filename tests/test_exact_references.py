@@ -3,9 +3,10 @@ checked against exact rational arithmetic.
 
 `df_map`, `jacobian`, the complex-step Jacobian and `contraction_margin`
 are evaluated on dyadic states (every entry a float, the entries summing
-to exactly 1) for n <= 6, among them states 2e-12 from each vertex, and
-compared with the same quantities computed in `fractions.Fraction` on the
-same floats.  A first-order bound of K u is checked as Higham's
+to exactly 1) for n <= 6, among them states 2e-12 and 2e-14 from each
+vertex (the second within a factor 2 of the map's guard), and compared
+with the same quantities computed in `fractions.Fraction` on the same
+floats.  A first-order bound of K u is checked as Higham's
 gamma_K = K u/(1 - K u).  The boundary lemma of `contraction_radii` is
 checked exactly on dyadic face states, x_j = 1 - r with r < r_j, for
 n <= 12, and on the boundary check's own face states.
@@ -70,7 +71,8 @@ GAMMAS = list(gammas())
 def states(k):
     rng = np.random.default_rng(k)
     n = GAMMAS[k].size
-    return [*dyadic_states(n, rng), *near_vertex_states(n, rng)]
+    # 2e-14 is 180u, within a factor 2 of the guard's 1e-14 = 91u
+    return [*dyadic_states(n, rng), *near_vertex_states(n, rng), *near_vertex_states(n, rng, 2e-14)]
 
 
 def floats(x):

@@ -174,6 +174,11 @@ MUTANTS = {
         edit(dynamics.simulate, "states[:-1] <= VERTEX_MAX", "states[:-1] < VERTEX_MAX"), [
             functools.partial(test_dynamics.TestVertexMax().test_simulate, edge="at"),
         ]),
+    "certificate domain with < in place of <=": (
+        # the certificate refuses the guard's edge state, which the map accepts
+        edit(analysis._interior, "x <= VERTEX_MAX", "x < VERTEX_MAX"), [
+            test_stacked.test_interior_reductions_match_the_elementwise_domain,
+        ]),
     "vertex guard constant one ulp high": (
         vertex_max_one_ulp_high, [
             test_dynamics.TestVertexMax().test_largest_double_whose_distance_to_1_meets_the_guard,

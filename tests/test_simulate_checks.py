@@ -16,10 +16,13 @@ import pytest
 
 from socialpower.analysis import contraction_margin, equilibrium_upper_bound
 from socialpower.cli import main
-from socialpower.dynamics import df_map, simulate
-from socialpower.topology import TOLERANCES, Constant, RandomUniform, TopologyProgram, max_gamma_profile, save_program
+from socialpower.dynamics import VERTEX_MAX, df_map, simulate
+from socialpower.topology import (
+    TOLERANCES, Constant, RandomUniform, TopologyProgram, max_gamma_profile, save_program, validate,
+)
 from networks import switching_program_6
 from test_dynamics import dense_matrices
+from test_solvers import near_star
 
 
 def reference_checks(program, init, issues, burn_in):
@@ -97,9 +100,33 @@ def test_generated_batches_cover_each_window():
     assert windows == {(True, False), (False, False), (False, True)}
 
 
+def edge_starts():
+    """Two 6-node starts at the guard's edge, x_1 = VERTEX_MAX, the rest of
+    1 - x_1 split evenly and as 1 : 2 : 3 : 4 : 5."""
+    rest = 1.0 - VERTEX_MAX
+    return [np.insert(split * rest / split.sum(), 0, VERTEX_MAX) for split in (np.ones(5), np.arange(1.0, 6.0))]
+
+
+def edge_program():
+    """The first seeded 6-node near-star with hub 1, held, under which
+    df_map carries both `edge_starts` one ulp past VERTEX_MAX.
+
+    The guard holds in exact arithmetic (`contraction_radii`: x_1 <= 1 - r
+    gives F_1 < 1 - r for every r <= r_1 = 1e-3 here), so only rounding
+    crosses it; about one seed in five does, and searching keeps the case
+    on any BLAS kernel's last bits of gamma."""
+    for seed in range(100):
+        program = TopologyProgram((validate(near_star(6, 0.999, np.random.default_rng(seed))),), Constant(0))
+        if all(df_map(x, program.gammas()[0])[0] > VERTEX_MAX for x in edge_starts()):
+            return program
+    raise AssertionError("no seed carries the edge starts past the guard")
+
+
 class TestNearVertexNaming:
-    # one matrix, held: a state 2e-14 from e_1 stays within the certificate's
-    # 1e-12 of the vertex for two issues, and clears the map's 1e-14 guard
+    # `simulate` guards every state it maps, which is all but the last; with
+    # issues = 1, a start at the guard's edge that df_map rounds past it
+    # reaches the margin, whose error must name the earliest (issue, run)
+    # holding that state, also when the state recurs in other runs
     PROGRAM = TopologyProgram((switching_program_6().matrices[0],), Constant(0))
 
     @staticmethod
@@ -109,33 +136,36 @@ class TestNearVertexNaming:
         return x
 
     def test_recurring_row_named_at_its_earliest_issue_and_run(self, tmp_path, capsys):
-        # 'late' starts where 'early' and 'twin' are after issue 1, so its
-        # issue 1 state recurs at issue 2 of both; the earliest (issue,
-        # run) outside the domain is issue 1 of 'late'
-        z = self.near(0, 2e-14)
-        gamma = self.PROGRAM.gammas()[0]
-        assert 1.0 - df_map(df_map(z, gamma), gamma)[0] < TOLERANCES.near_vertex
-        starts = [np.full(6, 1 / 6), df_map(z, gamma), z, z]
-        code, report = run_simulate(tmp_path, self.PROGRAM, starts, 5, 0, ["free", "late", "early", "twin"])
+        # 'early' and 'twin' share their issue 1 state, 'other' has its own
+        # past the guard; the earliest of them is issue 1 of 'early'
+        a, b = edge_starts()
+        starts = [np.full(6, 1 / 6), a, b, a]
+        code, report = run_simulate(tmp_path, edge_program(), starts, 1, 0, ["free", "early", "other", "twin"])
         assert (code, report) == (1, None)
-        assert "error: run 'late', issue 1: state within 1e-12 of a vertex" in capsys.readouterr().err
+        assert "error: run 'early', issue 1: state within 1e-14 of a vertex" in capsys.readouterr().err
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_earliest_run_named_whatever_the_row_order(self, first, tmp_path, capsys):
-        # two runs reach the certificate's 1e-12 at issue 1, one near e_1 and
-        # one near e_2: the first of them in run order is named
-        starts = [np.full(6, 1 / 6), self.near(first, 5e-14), self.near(1 - first, 5e-14)]
-        code, report = run_simulate(tmp_path, self.PROGRAM, starts, 5, 0, ["free", "a", "b"])
+        # two runs cross the guard at issue 1 with distinct states; the first
+        # of them in run order is named, whether its state is the first
+        # (first = 0) or the second (first = 1) by bit pattern, the order
+        # of Trajectory.distinct's rows
+        program = edge_program()
+        starts = sorted(edge_starts(), key=lambda x: df_map(x, program.gammas()[0]).tobytes())
+        if first:
+            starts.reverse()
+        code, report = run_simulate(tmp_path, program, [np.full(6, 1 / 6), *starts], 1, 0, ["free", "a", "b"])
         assert (code, report) == (1, None)
-        assert "error: run 'a', issue 1: state within 1e-12 of a vertex" in capsys.readouterr().err
+        assert "error: run 'a', issue 1: state within 1e-14 of a vertex" in capsys.readouterr().err
 
     def test_start_near_a_vertex_is_not_checked_itself(self, tmp_path):
-        # the start lies within 1e-12 of e_1, but the margin reads the states
-        # after it: a run that has left the vertex by issue 1 passes
+        # the start, 5e-13 from e_1, has a smaller margin than any state
+        # after it, which is all the margin reads
         starts = [self.near(0, 5e-13), np.full(6, 1 / 6)]
         code, report = run_simulate(tmp_path, self.PROGRAM, starts, 30, 0)
         assert report is not None
-        assert report["min_contraction_margin"] == reference_checks(self.PROGRAM, np.array(starts), 30, 0)[2]
+        margin = reference_checks(self.PROGRAM, np.array(starts), 30, 0)[2]
+        assert report["min_contraction_margin"] == margin > contraction_margin(starts[0][None])[0]
 
 
 def test_one_dedup_per_command(tmp_path, monkeypatch):

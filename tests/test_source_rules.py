@@ -23,13 +23,12 @@ RULES = [
      "the library certifies spectra from entry identities: no eigensolve in src/"),
     ("one-star-rule", r"star_gamma", None, ("topology.py",),
      "one star rule: only topology.at_star reads the star tolerance"),
-    ("certificate-vertex-tolerance", r"\bnear_vertex\b", None, ("analysis.py", "topology.py"),
-     "one rule per vertex tolerance: only analysis reads the certificate's near_vertex"),
     ("one-certificate-domain", r"\b_interior\b", None, ("analysis.py", "topology.py"),
      "one owner of the certificate's domain: only analysis uses _interior (topology's ledger "
      "names it), so no check filters its draws by that domain"),
     ("map-vertex-tolerance", r"\bvertex_guard\b", None, ("dynamics.py", "topology.py"),
-     "one rule per vertex tolerance: only dynamics reads the map's vertex_guard"),
+     "one vertex rule: only dynamics reads vertex_guard, as VERTEX_MAX, which both the map's "
+     "guard and the certificate's domain (analysis._interior) compare against"),
     ("one-map-kernel", r"\b_issues\b", None, ("dynamics.py",),
      "one kernel for the map's arithmetic: only dynamics calls the unguarded _issues "
      "(df_map and simulate guard what it maps)"),

@@ -3,6 +3,9 @@ bit-identical results to one call per row, and `verify`'s chunked
 checks give the same results as one unchunked pass and as the per-state
 loops they replaced."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from socialpower.analysis import (
     _interior, contraction_margin, contraction_radii, jacobian, transform_chain,
 )
 from socialpower.degroot import appraisal_step_via_zeta, build_w
-from socialpower.dynamics import df_map
+from socialpower.dynamics import VERTEX_MAX, df_map
 from socialpower.errors import NearVertex, NoConvergence
 from socialpower.topology import TOLERANCES, stationary_vector, validate
 from socialpower import verification
@@ -256,23 +259,24 @@ def test_checks_match_per_state_references_across_chunks():
 
 
 def interior_references(x):
-    # the domain as its definition writes it, one Python comparison per
-    # entry, and the two reductions that decided it before: fl(1 - x) never
-    # grows as x grows, so a row's largest entry decides 1 - x_i >= near_vertex
-    near = TOLERANCES.near_vertex
+    # the domain as its definition writes it, x_i > 0 and 1 - x_i >=
+    # vertex_guard in exact arithmetic, one entry at a time, and the two
+    # reductions: fl(1 - x) never grows as x grows, so a row's largest
+    # entry decides the guard
+    guard = Fraction(TOLERANCES.vertex_guard)
     rows = x.reshape(-1, x.shape[-1]).tolist()
-    definition = np.array([all(v > 0 and 1.0 - v >= near for v in row) for row in rows])
-    reductions = (x.min(axis=-1) > 0) & (1.0 - x.max(axis=-1) >= near)
+    definition = np.array([all(v > 0 and math.isfinite(v) and 1 - Fraction(v) >= guard for v in row)
+                           for row in rows])
+    reductions = (x.min(axis=-1) > 0) & (x.max(axis=-1) <= VERTEX_MAX)
     return definition.reshape(x.shape[:-1]), reductions
 
 
 def test_interior_reductions_match_the_elementwise_domain():
-    # analysis._interior, entry by entry, against the definition and the
-    # reductions: equal on the floats at and beside 1 - near_vertex, at
-    # the zero, sign and subnormal edges, and at NaN and the infinities,
-    # each entry in each column, as (..., n) stacks
-    edge = 1.0 - TOLERANCES.near_vertex
-    beside = [edge]
+    # analysis._interior, the map guard's domain entry by entry, against the
+    # definition and the reductions: equal on the floats at and beside
+    # VERTEX_MAX, at the zero, sign and subnormal edges, and at NaN and the
+    # infinities, each entry in each column, as (..., n) stacks
+    beside = [VERTEX_MAX]
     for _ in range(3):
         beside = [np.nextafter(beside[0], 0.0), *beside, np.nextafter(beside[-1], 1.0)]
     firsts = [*beside, 0.5, 1.0]
