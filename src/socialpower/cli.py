@@ -156,7 +156,6 @@ def cmd_simulate(args) -> int:
         if not hasattr(exc, "row"):
             raise
         raise ValidationError(f"initial condition {names[exc.row]!r} {exc.problem}") from exc
-    runs = [Trajectory(batch.states[:, b], batch.signal_log) for b in range(len(names))]
 
     # every check runs before any file is written
     gbar = max_gamma_profile(program)
@@ -166,18 +165,14 @@ def cmd_simulate(args) -> int:
     # the bound constrains the limit set: the window is the issues post_burn_in keeps
     window = ids[len(ids) - len(batch.post_burn_in(burn_in)):]
     violations = int(np.count_nonzero(np.any(rows > bounds + TOLERANCES.bound_slack, -1)[window]))
-    # the margin reads the distinct states after the start, in the order of
-    # their first (issue, run), save a run held at its vertex, which has none
-    post = ids[1:].ravel()
-    at, first = np.arange(post.size), np.full(len(rows), post.size)
-    np.minimum.at(first, post, at)
-    firsts = np.flatnonzero((first[post] == at) & np.all(rows > 0, axis=-1)[post])
-    try:
-        min_margin = float(analysis.contraction_margin(rows[post[firsts]]).min()) if firsts.size else None
-    except NearVertex as exc:
-        t, b = divmod(int(firsts[exc.row]), len(names))
-        raise NearVertex(f"run {names[b]!r}, issue {t + 1}: {exc}") from exc
-    gap = limit_gap(*runs[:2]) if len(runs) >= 2 else None
+    # the margin reads the distinct states after the start, which simulate has
+    # guarded, save a run held at its vertex, which has none
+    post = np.zeros(len(rows), dtype=bool)
+    post[ids[1:]] = True
+    interior = rows[post & np.all(rows > 0, axis=-1)]
+    min_margin = float(analysis.contraction_margin(interior).min()) if len(interior) else None
+    gap = (limit_gap(*(Trajectory(batch.states[:, b], batch.signal_log) for b in (0, 1)))
+           if len(names) >= 2 else None)
 
     out = _out_dir(args)
     batch.to_csv(*(out / f"run_{name}.csv" for name in names))

@@ -6,8 +6,8 @@ result to sum 1.  One kernel, `_issues`, does its arithmetic: it walks a
 sequence of states and writes each as the map of the one before.  The map
 divides by zero at a vertex e_i, a fixed point: `simulate` maps a whole
 run in one `_issues` call over its state stack (a single start as 1-D
-rows), then resets each row equal to e_i and checks every mapped state
-against the vertex guard.
+rows), then resets each row equal to e_i and checks every state it
+returns, the last included, against the vertex guard.
 """
 
 from __future__ import annotations
@@ -125,10 +125,11 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
     have shape (issues + 1,) + init.shape, and with the signal log they
     must fit in 2^47 bytes, else ValidationError.  A row equal to a vertex
     e_i is held there; the first other row that is not admissible (finite,
-    0 <= x_i < 1, some x_j > 0) raises ValidationError, and the first mapped
-    state within the vertex guard (an entry above VERTEX_MAX, or NaN) raises
-    NearVertex.  Each names a batch row 1-based and carries it 0-based as
-    `row`, with `problem` (what is wrong with the row) or `issue` (1-based).
+    0 <= x_i < 1, some x_j > 0) raises ValidationError, and the first state,
+    the last included, within the vertex guard (an entry above VERTEX_MAX,
+    or NaN) raises NearVertex.  Each names a batch row 1-based and carries it
+    0-based as `row`, with `problem` (what is wrong with the row) or `issue`,
+    1-based: the issue that maps the state, the last issue for the last one.
     """
     if issues < 1:
         raise ValidationError("need at least one issue")
@@ -163,14 +164,15 @@ def simulate(program: TopologyProgram, init, issues: int) -> Trajectory:
         _issues(out, map(gammas.__getitem__, signal_log.tolist()))
     states = out.reshape((issues + 1,) + rows.shape)  # a view, (S+1, B, n)
     states[:, ~free] = rows[~free]  # held rows stay at their vertex
-    inside = states[:-1] <= VERTEX_MAX  # a NaN entry fails too
+    inside = states <= VERTEX_MAX  # a NaN entry fails too
     inside[:, ~free] = True  # a held row is not mapped
     if not inside.all():
-        # mapping states[s] is issue s + 1; a batch also names the row
+        # issue s + 1 maps states[s], and the last issue made the last state
         s, b = np.argwhere(~inside.all(axis=-1))[0].tolist()
+        issue = min(s + 1, issues)
         where = f"initial condition row {b + 1}, " if x.ndim == 2 else ""
-        exc = guard_error(f"{where}issue {s + 1}: ")
-        exc.row, exc.issue = b, s + 1
+        exc = guard_error(f"{where}issue {issue}: ")
+        exc.row, exc.issue = b, issue
         raise exc
     return Trajectory(out, signal_log)
 

@@ -34,13 +34,14 @@ class Tolerances:
     # topology: entries at or below this are no edge of the support
     # graph, so decimal round-trips create no spurious edges
     structural_zero: float = 1e-15
-    # topology.validate: allowed |row sum - 1|
+    # topology.validate: allowed |row sum - 1|; the rows of the bench's seed-1 random
+    # programs miss 1 by up to 3.3e-16 (near-star) and 2.2e-16 (dense-large)
     row_sum: float = 1e-12
     # topology.stationary_vector: accepted residual ||vM - v||_1
     eigen_residual: float = 1e-12
-    # the one vertex rule, read by dynamics alone as VERTEX_MAX: some 1 - x_i
-    # below this is a caller error for df_map and simulate (which holds a
-    # vertex start instead), and outside the certificate's domain (analysis._interior)
+    # the one vertex rule, read by dynamics alone as one comparison per entry:
+    # some 1 - x_i below this is a caller error for df_map and simulate (which
+    # holds a vertex start instead), and outside the certificate's domain (analysis._interior)
     vertex_guard: float = 1e-14
     # topology.at_star: gamma_i this close to 1/2 is a star centre
     star_gamma: float = 1e-9
@@ -50,8 +51,8 @@ class Tolerances:
     # every computed limit: the accepted residual ||F(x) - x||_1 of
     # analysis.fixed_point, and of periodic_fixed_points' closing link
     fixed_point: float = 1e-13
-    # periodic.verify_periodic_limit: allowed 1-norm deviation of a run
-    # from the per-phase limit
+    # periodic.verify_periodic_limit: allowed 1-norm deviation of a run from the
+    # per-phase limit; experiments/alternating.json (burn-in 40) reaches 9.0e-17
     periodic_limit: float = 1e-8
     # verification: the Jacobian's error against the complex step (its (4n + 30)u
     # bound, u = 2^-53, stays under 1e-13 only for n <= 217, and is 1.8e-13 at

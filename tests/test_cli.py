@@ -173,8 +173,8 @@ class TestSimulate:
 
     def test_start_near_a_vertex_names_run_and_issue(self, tmp_path, capsys):
         # admissible, at the guard's edge, but the near-star's hub rounds
-        # past it at issue 1, the last, which simulate does not map: the
-        # margin is not defined there
+        # past it at issue 1, the last: simulate's guard names the issue
+        # that made the state
         save_program(edge_program(), tmp_path / "program.json")
         config = {"program": "program.json", "issues": 1,
                   "initial_conditions": {"free": [1 / 6] * 6, "edge": edge_starts()[0].tolist()}}

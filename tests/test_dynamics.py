@@ -308,6 +308,18 @@ class TestBatch:
         with pytest.raises(errors.NearVertex, match="^issue 1: state within 1e-14"):
             simulate(program, init[1], issues=5)
 
+    @pytest.mark.parametrize("issues", [1, 2])
+    def test_last_state_past_the_guard_named_with_the_last_issue(self, issues):
+        # a start at the guard's edge that df_map rounds one ulp past it: the
+        # state after issue 1 is guarded as the last state (issues = 1), named
+        # by issue 1 that made it, and as a mapped one (issues = 2), named by
+        # issue 2 that cannot be applied to it
+        from test_simulate_checks import edge_program, edge_starts  # which imports this module
+        init = [np.full(6, 1 / 6), edge_starts()[0]]
+        with pytest.raises(errors.NearVertex, match=f"^initial condition row 2, issue {issues}: ") as info:
+            simulate(edge_program(), init, issues)
+        assert (info.value.row, info.value.issue) == (1, issues)
+
     @pytest.mark.parametrize("signal", [
         RandomUniform(7),
         Periodic((0, 3, 1, 4)),

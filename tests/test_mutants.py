@@ -171,8 +171,17 @@ MUTANTS = {
             functools.partial(test_dynamics.TestVertexMax().test_df_map, edge="at", dtype=complex),
         ]),
     "simulate guard with < in place of <=": (
-        edit(dynamics.simulate, "states[:-1] <= VERTEX_MAX", "states[:-1] < VERTEX_MAX"), [
+        edit(dynamics.simulate, "states <= VERTEX_MAX", "states < VERTEX_MAX"), [
             functools.partial(test_dynamics.TestVertexMax().test_simulate, edge="at"),
+        ]),
+    "simulate guards all but the last state": (
+        # a last state past the guard is returned, and the command's margin raises unnamed
+        edit(dynamics.simulate, "states <= VERTEX_MAX", "states[:-1] <= VERTEX_MAX"), [
+            functools.partial(test_dynamics.TestBatch().test_last_state_past_the_guard_named_with_the_last_issue,
+                              issues=1),
+            test_cli.TestSimulate().test_start_near_a_vertex_names_run_and_issue,
+            functools.partial(test_simulate_checks.TestNearVertexNaming().test_earliest_run_named_whatever_the_row_order,
+                              first=1),
         ]),
     "certificate domain with < in place of <=": (
         # the certificate refuses the guard's edge state, which the map accepts
@@ -191,17 +200,10 @@ MUTANTS = {
             for seed in (0, 1, 2)
         ]),
     "margin over rows first seen at the start": (
-        edit(cli.cmd_simulate, "post = ids[1:].ravel()", "post = ids.ravel()"), [
+        edit(cli.cmd_simulate, "post[ids[1:]] = True", "post[ids] = True"), [
             functools.partial(test_simulate_checks.test_checks_match_the_per_state_reference, seed=seed)
             for seed in (0, 1)
         ] + [test_simulate_checks.TestNearVertexNaming().test_start_near_a_vertex_is_not_checked_itself]),
-    "margin rows in bit-pattern order, not by first (issue, run)": (
-        edit(cli.cmd_simulate, "firsts = np.flatnonzero((first[post] == at) & np.all(rows > 0, axis=-1)[post])",
-             "firsts = first[(first < post.size) & np.all(rows > 0, axis=-1)]"), [
-            # the two rows in bit-pattern order put the run near e_2 first
-            functools.partial(test_simulate_checks.TestNearVertexNaming().test_earliest_run_named_whatever_the_row_order,
-                              first=1),
-        ]),
     "simulate without the held-row reset": (
         edit(dynamics.simulate, "states[:, ~free] = rows[~free]", "pass"), [
             test_dynamics.TestSimulate().test_vertex_init_is_constant,

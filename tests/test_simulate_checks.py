@@ -6,7 +6,8 @@ compare the report with the checks evaluated on every (issue, run) state
 of the same run: the bound over the post-burn-in window, the margin over
 the interior states after the start.  A start that comes near a vertex
 must be named by the earliest (issue, run) at which a state fails the
-certificate's domain, also when that state recurs in other runs.
+map's guard, which `simulate` applies to every state it returns, the
+last included, also when that state recurs in other runs.
 """
 
 import json
@@ -123,10 +124,11 @@ def edge_program():
 
 
 class TestNearVertexNaming:
-    # `simulate` guards every state it maps, which is all but the last; with
+    # `simulate` guards every state it returns, the last included; with
     # issues = 1, a start at the guard's edge that df_map rounds past it
-    # reaches the margin, whose error must name the earliest (issue, run)
-    # holding that state, also when the state recurs in other runs
+    # fails the guard at the last state, and the error must name the
+    # earliest (issue, run) holding that state, also when the state recurs
+    # in other runs
     PROGRAM = TopologyProgram((switching_program_6().matrices[0],), Constant(0))
 
     @staticmethod
@@ -148,8 +150,7 @@ class TestNearVertexNaming:
     def test_earliest_run_named_whatever_the_row_order(self, first, tmp_path, capsys):
         # two runs cross the guard at issue 1 with distinct states; the first
         # of them in run order is named, whether its state is the first
-        # (first = 0) or the second (first = 1) by bit pattern, the order
-        # of Trajectory.distinct's rows
+        # (first = 0) or the second (first = 1) by bit pattern
         program = edge_program()
         starts = sorted(edge_starts(), key=lambda x: df_map(x, program.gammas()[0]).tobytes())
         if first:

@@ -29,7 +29,11 @@ RULES = [
     ("map-vertex-tolerance", r"\bvertex_guard\b", None, ("dynamics.py", "topology.py"),
      "one vertex rule: only dynamics reads vertex_guard, as VERTEX_MAX, which both the map's "
      "guard and the certificate's domain (analysis._interior) compare against"),
-    ("one-map-kernel", r"\b_issues\b", None, ("dynamics.py",),
+    ("one-vertex-guard", r"\bVERTEX_MAX\b", None, ("dynamics.py", "analysis.py"),
+     "one guard for every state: only dynamics (df_map, simulate) and analysis (the "
+     "certificate's domain) compare with VERTEX_MAX, so no command or check grows a vertex "
+     "guard of its own"),
+    ("one-map-kernel",r"\b_issues\b", None, ("dynamics.py",),
      "one kernel for the map's arithmetic: only dynamics calls the unguarded _issues "
      "(df_map and simulate guard what it maps)"),
     ("one-burn-in-window", r"burn_in \+ 1|max\(burn_in", None, ("dynamics.py",),

@@ -7,11 +7,14 @@ import pytest
 
 from socialpower import errors
 from socialpower.analysis import equilibrium_upper_bound
+from socialpower.dynamics import simulate
+from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 from socialpower.topology import (
     Constant,
     Periodic,
     RandomUniform,
     Scripted,
+    TOLERANCES,
     TopologyProgram,
     _signal_to_doc,
     _write_text,
@@ -533,6 +536,25 @@ def test_stacked_load_solves_each_gamma_bit_for_bit(bench_inputs, name):
         alone = validate(one)
         assert matrix.entries.tobytes() == alone.entries.tobytes()
         assert matrix.gamma.tobytes() == alone.gamma.tobytes()
+
+
+class TestLedgerFacts:
+    # the nonzero values the ledger's comments quote for row_sum and periodic_limit
+
+    @pytest.mark.parametrize("workload, ulps", [("near-star-solvers", 3), ("dense-large", 2)])
+    def test_row_sum_reached_by_the_bench_random_programs(self, bench_inputs, workload, ulps):
+        program = load_program(bench_inputs / workload / "random_program.json")
+        entries = np.stack([matrix.entries for matrix in program.matrices])
+        worst = np.abs(entries.sum(axis=2) - 1.0).max()
+        assert 0 < worst == ulps * 2.0 ** -53 <= TOLERANCES.row_sum
+
+    def test_periodic_limit_reached_by_the_alternating_experiment(self):
+        config = json.loads((EXPERIMENTS / "alternating.json").read_text())
+        program = load_program(EXPERIMENTS / config["program"])
+        traj = simulate(program, np.array(config["initial_condition"]), config["issues"])
+        ok, worst = verify_periodic_limit(traj, periodic_fixed_points(program), config["burn_in"])
+        assert config["burn_in"] == 40
+        assert ok and 0 < worst <= TOLERANCES.periodic_limit
 
 
 class TestTopologyProgram:
