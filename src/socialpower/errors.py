@@ -21,8 +21,8 @@ class NoConvergence(SocialPowerError):
 
 
 class NearVertex(SocialPowerError):
-    """A state is too close to a vertex: for the map's formula, or for
-    well-conditioned Jacobian analysis."""
+    """A state breaks the one vertex rule, some x_i beyond the guard of
+    `dynamics`, or has some x_i <= 0 where the certificate is asked for."""
 
 
 class StarTopology(SocialPowerError):

@@ -62,15 +62,15 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
     two cycles on: u_p is y_{p,k} of the run from the uniform vector over
     2P + 1 issues, whose last P issues apply phases 0 .. P-1
     (`Periodic.phases`).  There it needs no line search.  It keeps the
-    best iterate, and stops when the residual does not fall (a NaN
-    residual does not) or is 0, when the system is singular, when a step
-    leaves (0, 1)^P, or after a step no longer than the difference step,
-    which leaves an error at the rounding level.
+    best iterate, and stops when (1) the residual does not fall, NaN
+    included, (2) a step no longer than the difference step was taken,
+    which leaves an error at the rounding level, or (3) a step leaves
+    (0, 1)^P, as a singular system's non-finite step does.
 
     y_0 is the solution, and the other y_p = F_p(y_{p-1}) are the states
     G_0 passes through, so only the closing chain residual
-    ||F_0(y_{P-1}) - y_0||_1 is not 0 by construction; one beyond
-    `Tolerances.fixed_point` raises NoConvergence.
+    ||F_0(y_{P-1}) - y_0||_1 is not 0 by construction; one that is not
+    within `Tolerances.fixed_point`, NaN included, raises NoConvergence.
     """
     signal = program.signal
     if not isinstance(signal, Periodic):
@@ -97,15 +97,12 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
             if not residual < best:  # a NaN residual does not fall
                 break
             u, y, best = v, orbits[:, 0], residual
-            if residual == 0 or last:
+            if last:
                 break
             z = _newton_step(residuals)
-            size = np.abs(z).max()  # in difference steps; NaN for a singular system
-            if not size < np.inf:
-                break
-            last = size <= 1.0
+            last = np.abs(z).max() <= 1.0  # in difference steps
             v = u - _STEP * (z * u)
-            if not (0.0 < v.min() and v.max() < 1.0):
+            if not (0.0 < v.min() and v.max() < 1.0):  # NaN for a singular system
                 break
     if best == np.inf:
         raise NoConvergence("periodic solve: no finite residual at the start")
@@ -114,7 +111,7 @@ def periodic_fixed_points(program: TopologyProgram) -> PeriodicLimit:
         points.append(df_map(points[-1], gamma))
     closing = np.abs(df_map(points[-1], gammas[0]) - points[0]).sum()
     residuals = np.append(np.zeros(period - 1), closing)  # y_{p+1} is F_{p+1}(y_p) itself
-    if closing > TOLERANCES.fixed_point:
+    if not closing <= TOLERANCES.fixed_point:
         raise NoConvergence(f"chain residuals {residuals} exceed {TOLERANCES.fixed_point}")
     return PeriodicLimit(program, tuple(points), residuals)
 
@@ -156,8 +153,7 @@ def _newton_step(residuals):
     system[:, 0] = -residuals[:, 0]
     for j in range(len(system)):
         pivot = j + int(np.abs(system[j:, j + 1]).argmax())
-        if pivot != j:
-            system[[j, pivot]] = system[[pivot, j]]
+        system[[j, pivot]] = system[[pivot, j]]
         factors = system[:, j + 1] / system[j, j + 1]
         factors[j] = 0.0
         system -= factors[:, None] * system[j]

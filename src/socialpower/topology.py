@@ -37,7 +37,7 @@ class Tolerances:
     # topology.validate: allowed |row sum - 1|; the rows of the bench's seed-1 random
     # programs miss 1 by up to 3.3e-16 (near-star) and 2.2e-16 (dense-large)
     row_sum: float = 1e-12
-    # topology.stationary_vector: accepted residual ||vM - v||_1
+    # topology.stationary_vector: accepted residual ||vM - v||_1 (dense-large seed-1: 4.6e-15)
     eigen_residual: float = 1e-12
     # the one vertex rule, read by dynamics alone as one comparison per entry:
     # some 1 - x_i below this is a caller error for df_map and simulate (which
@@ -48,17 +48,18 @@ class Tolerances:
     # analysis.contraction_margin and analysis.fixed_point: allowed
     # |sum - 1| of a state (a row) and of the gamma to solve for
     structure: float = 1e-10
-    # every computed limit: the accepted residual ||F(x) - x||_1 of
-    # analysis.fixed_point, and of periodic_fixed_points' closing link
+    # every computed limit: the accepted residual ||F(x) - x||_1 of analysis.fixed_point (group6
+    # matrix 4: 2.3e-16) and of periodic_fixed_points' closing link (near-star seed-1: 5.5e-16)
     fixed_point: float = 1e-13
     # periodic.verify_periodic_limit: allowed 1-norm deviation of a run from the
     # per-phase limit; experiments/alternating.json (burn-in 40) reaches 9.0e-17
     periodic_limit: float = 1e-8
-    # verification: the Jacobian's error against the complex step (its (4n + 30)u
-    # bound, u = 2^-53, stays under 1e-13 only for n <= 217, and is 1.8e-13 at
-    # n = 400; worst measured 1.1e-15 = 9.7u, on experiments/ and the bench's seed-1
-    # programs), the certificate's structural deviation (Phi's identities, H's relative
-    # to its largest theta, the link of ||H||_1 to the margin) and the oracle's gap to the map
+    # verification: the Jacobian's error against the complex step (its (4n + 30)u bound, u = 2^-53,
+    # stays under 1e-13 only for n <= 217, and is 1.8e-13 at n = 400; worst 1.1e-15 = 9.7u), the
+    # certificate's structural deviation (Phi's identities, H's relative to its largest theta, the
+    # link of ||H||_1 to the margin; worst 5.6e-16, group6 and near-star seed-1) and the oracle's
+    # gap to the map (worst 6.8e-15, dense-large seed-1), the worst over experiments/ and the
+    # bench's seed-1 programs at the samples and seed that verify runs them with
     finite_difference: float = 1e-13
     certificate_structure: float = 1e-9
     oracle_gap: float = 1e-10

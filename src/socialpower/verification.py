@@ -96,7 +96,7 @@ def _per_sample(fn, shape, floats_per_sample: int) -> np.ndarray:
     return np.concatenate([fn(slice(lo, lo + step)) for lo in range(0, count, step)], axis=1)
 
 
-def check_jacobian_fd(gamma: np.ndarray, rng, samples: int = 100):
+def check_jacobian_fd(gamma: np.ndarray, rng, samples: int):
     """The worst |J - J_cs| of `jacobian` against the complex step, column j
     over F_j/(1 - x_j), which bounds its entries: (4n + 30)u near a vertex too."""
     gammas, rngs, single = _stacks(gamma, rng)
@@ -116,7 +116,7 @@ def check_jacobian_fd(gamma: np.ndarray, rng, samples: int = 100):
     return results[0] if single else results
 
 
-def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000):
+def check_contraction_certificates(gamma: np.ndarray, rng, samples: int):
     """||H||_1 < 1 and the entry identities of `transform_chain` at mapped
     states.
 
@@ -162,7 +162,7 @@ def check_contraction_certificates(gamma: np.ndarray, rng, samples: int = 1000):
     return results[0] if single else results
 
 
-def check_oracle_equivalence(matrix, rng, samples: int = 1000):
+def check_oracle_equivalence(matrix, rng, samples: int):
     """The opinion oracle's next state against `df_map`'s, as a 1-norm gap.
 
     `matrix` is one RelativeInteractionMatrix with one generator, or a
@@ -234,6 +234,10 @@ def run_suite(matrices, samples: int, seed: int) -> list[list[CheckResult]]:
     program order.
     """
     matrices = tuple(matrices)
+    if not matrices:
+        raise ValidationError("no matrix to check")
+    if seed < 0:
+        raise ValidationError(f"random seed {seed} is negative")
     if samples < 1:
         raise ValidationError(f"need at least one sample, got samples = {samples}")
     # each check holds K x samples x n floats

@@ -290,6 +290,15 @@ class TestVerificationSuite:
         assert [r.passed for r in results] == [True, True, False, True]
         assert np.isnan(results[2].worst_margin)
 
+    def test_negative_seed_rejected(self):
+        # checked before the samples, so a run with both wrong names the seed
+        with pytest.raises(errors.ValidationError, match="random seed -1 is negative"):
+            run_suite([validate(interaction_set_6()[1])], samples=0, seed=-1)
+
+    def test_no_matrix_rejected(self):
+        with pytest.raises(errors.ValidationError, match="no matrix to check"):
+            run_suite([], samples=10, seed=0)
+
     def test_reports_named_checks(self):
         (results,) = run_suite([validate(interaction_set_6()[2])], samples=10, seed=1)
         names = {r.name for r in results}

@@ -93,6 +93,11 @@ MUTANTS = {
             functools.partial(test_periodic_properties.check_chain_residuals,
                               test_periodic_properties.sparse_cycle_program()),
         ]),
+    "closing accepted with `>`": (
+        edit(periodic.periodic_fixed_points, "if not closing <= TOLERANCES.fixed_point:",
+             "if closing > TOLERANCES.fixed_point:"), [
+            test_periodic.TestPeriodicFixedPoints().test_nan_closing_residual_rejected,
+        ]),
     "periodic start at the bound shape": (
         # each phase's normalised gamma/(1 - gamma), the start the solve had
         # with a step-halving line search
@@ -280,6 +285,10 @@ MUTANTS = {
         edit(verification.run_suite, "if 8 * len(matrices) * samples * matrices[0].n > 2 ** ADDRESS_BITS:",
              "if False:"), [
             test_cli.TestCountsBeyondTheAddressSpace().test_verify_samples,
+        ]),
+    "run_suite without its seed check": (
+        edit(verification.run_suite, "if seed < 0:", "if False:"), [
+            test_analysis.TestVerificationSuite().test_negative_seed_rejected,
         ]),
     "address guard without K": (
         edit(verification.run_suite, "8 * len(matrices) * samples", "8 * samples"), [

@@ -127,6 +127,26 @@ class TestPeriodicFixedPoints:
         monkeypatch.setattr(periodic, "_newton_step", lambda residuals: 2.0 ** 40 * newton_step(residuals))
         assert self.fails_at_the_start(two_phase_program(), monkeypatch) == 0
 
+    def test_nan_newton_step_stops_at_the_start(self, monkeypatch):
+        # a singular system's step is NaN: it does not stay in (0, 1)^P, so
+        # the solve maps nothing beyond the start
+        monkeypatch.setattr(periodic, "_newton_step", lambda residuals: np.full(len(residuals), np.nan))
+        assert self.fails_at_the_start(two_phase_program(), monkeypatch) == 0
+
+    def test_nan_closing_residual_rejected(self, monkeypatch):
+        # the last df_map call closes the chain; a NaN there is not within
+        # the tolerance
+        program = load_program(EXPERIMENTS / "group6_alternating.json")
+        calls = []
+
+        def closing_nan(x, gamma):
+            calls.append(x)
+            return df_map(x, gamma) + (np.nan if len(calls) == len(program.signal.order) else 0.0)
+
+        monkeypatch.setattr(periodic, "df_map", closing_nan)
+        with pytest.raises(errors.NoConvergence, match=r"chain residuals \[ *0\. +nan\] exceed"):
+            periodic_fixed_points(program)
+
     def test_nan_residual_does_not_fall(self, monkeypatch):
         # every residual after the start's is NaN: the one trial step does
         # not fall, and the solve reports the closing residual of the start,

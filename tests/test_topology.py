@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from socialpower import errors
-from socialpower.analysis import equilibrium_upper_bound
-from socialpower.dynamics import simulate
+from socialpower.analysis import equilibrium_upper_bound, fixed_point
+from socialpower.dynamics import df_map, simulate
 from socialpower.periodic import periodic_fixed_points, verify_periodic_limit
 from socialpower.topology import (
     Constant,
@@ -25,8 +25,10 @@ from socialpower.topology import (
     load_program,
     max_gamma_profile,
     save_program,
+    stationary_vector,
     validate,
 )
+from socialpower.verification import run_suite
 from networks import (
     EXPERIMENTS,
     cycle_matrix,
@@ -538,8 +540,55 @@ def test_stacked_load_solves_each_gamma_bit_for_bit(bench_inputs, name):
         assert matrix.gamma.tobytes() == alone.gamma.tobytes()
 
 
+@pytest.fixture(scope="module")
+def ledger_worst(bench_inputs):
+    """The worst value of each measured ledger quantity over the programs of
+    experiments/ and of the bench's seed-1 inputs, each verified at the
+    samples and seed `verify` runs it with: the command's defaults (1000, 0)
+    for experiments/, the manifest's for the bench."""
+    runs = [(load_program(EXPERIMENTS / name), 1000, 0)
+            for name in ("group6_random.json", "group6_alternating.json")]
+    for workload in ("group6-switching", "near-star-solvers", "dense-large"):
+        manifest = json.loads((bench_inputs / workload / "manifest.json").read_text())
+        runs += [(load_program(bench_inputs / workload / f"{kind}_program.json"),
+                  manifest["samples"], manifest["verify_seed"]) for kind in ("random", "periodic")]
+    worst = dict.fromkeys(("eigen_residual", "fixed_point", "closing_link", "oracle_gap",
+                           "certificate_structure"), 0.0)
+
+    def seen(key, value):
+        worst[key] = max(worst[key], float(value))
+
+    for program, samples, seed in runs:
+        for matrix in program.matrices:
+            v = stationary_vector(matrix.entries)
+            seen("eigen_residual", np.abs(v @ matrix.entries - v).sum())
+            if not at_star(matrix.gamma).any():
+                x = fixed_point(matrix.gamma)
+                seen("fixed_point", np.abs(df_map(x, matrix.gamma) - x).sum())
+        if isinstance(program.signal, Periodic):
+            seen("closing_link", periodic_fixed_points(program).chain_residuals[-1])
+        for _, certificate, oracle, _ in run_suite(program.matrices, samples, seed):
+            seen("certificate_structure", certificate.detail.removeprefix("worst structural deviation "))
+            seen("oracle_gap", oracle.worst_margin)
+    return worst
+
+
 class TestLedgerFacts:
-    # the nonzero values the ledger's comments quote for row_sum and periodic_limit
+    # the nonzero values the ledger's comments quote; the exact values of
+    # all but row_sum and periodic_limit move with the BLAS kernel (the
+    # comments quote OpenBLAS's SkylakeX), so those are checked against
+    # their field alone
+
+    @pytest.mark.parametrize("field, quantity", [
+        ("eigen_residual", "eigen_residual"),  # dense-large seed-1's random program: 4.6e-15
+        ("fixed_point", "fixed_point"),  # analysis.fixed_point on group6 matrix 4: 2.3e-16
+        ("fixed_point", "closing_link"),  # near-star seed-1's periodic program: 5.5e-16
+        ("oracle_gap", "oracle_gap"),  # dense-large seed-1's random program: 6.8e-15
+        # experiments/group6_random.json and near-star seed-1's programs: 5.6e-16
+        ("certificate_structure", "certificate_structure"),
+    ])
+    def test_worst_value_within_its_field(self, ledger_worst, field, quantity):
+        assert 0 < ledger_worst[quantity] <= getattr(TOLERANCES, field)
 
     @pytest.mark.parametrize("workload, ulps", [("near-star-solvers", 3), ("dense-large", 2)])
     def test_row_sum_reached_by_the_bench_random_programs(self, bench_inputs, workload, ulps):
